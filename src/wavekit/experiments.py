@@ -295,7 +295,7 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig):
         ),
         "closed_form_error_t0": float(np.max(np.abs(windowed.f - closed0)) / peak),
         "closed_form_error_t": float(np.max(np.abs(win_t.f - closed_t)) / peak),
-        "imag_residue": grid.imag_residue,
+        "marginal_defect": grid.marginal_defect,
         "t_final": cfg.t_final,
     }
     artifacts = {

@@ -18,7 +18,7 @@ import numpy as np
 from .wigner import WignerGrid
 
 _MAGIC = b"WGRD"
-_VERSION = 1
+_VERSION = 2  # version 2: the header float holds WignerGrid.marginal_defect
 _HEADER = struct.Struct("<4sIB7xQQdd")
 
 
@@ -52,18 +52,18 @@ def write_wigner_grid(path, grid: WignerGrid) -> None:
         grid.x.size,
         grid.p.size,
         grid.hbar,
-        grid.imag_residue,
+        grid.marginal_defect,
     )
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(grid.x.astype("<f8").tobytes())
         fh.write(grid.p.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(grid.f).astype("<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(grid.f, dtype="<f8")))
 
 
 def read_wigner_grid(path) -> WignerGrid:
     raw = Path(path).read_bytes()
-    magic, version, flags, nx, npts, hbar, residue = _HEADER.unpack_from(raw)
+    magic, version, flags, nx, npts, hbar, defect = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
         raise ValueError("not a phase-space grid file")
     if version != _VERSION:
@@ -79,7 +79,7 @@ def read_wigner_grid(path) -> WignerGrid:
     f = np.frombuffer(raw, dtype="<f8", count=nx * npts, offset=offset).astype(float)
     return WignerGrid(
         x=x, p=p, f=f.reshape(nx, npts), hbar=hbar,
-        full_period=bool(flags & 1), imag_residue=residue,
+        full_period=bool(flags & 1), marginal_defect=defect,
     )
 
 

@@ -17,6 +17,14 @@ and f inherits a checkerboard ghost from periodicity: f(x + L/2, p_s) =
 (-1)^s f(x, p_s).  Pointwise comparisons against continuum closed forms
 therefore live on a half window centered on the packet.
 
+The lag product psi(x + y) psi*(x - y) is Hermitian in y, so each x row is
+built from lags 0..n only and transformed with a Hermitian FFT (hfft) that
+returns real numbers; rows are processed in fixed blocks written straight
+into f, so the working memory stays near the size of the output.  Since f is
+real, group-velocity transport uses rfft/irfft along x in column blocks.
+WignerGrid.marginal_defect records how well the computed f satisfies the
+marginal-x identity above, relative to the peak of |psi|^2/hbar.
+
 3-D.  A photon mode set {psi'_a at k_a} on box measure w = (2pi)^3/V has
 
     f_N(x, p) = sum_{a,b} w^2 (psi'_a . psi'_b*) exp(i(k_a - k_b).x)
@@ -29,11 +37,15 @@ with exact Riemann quadrature in x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .lattice import ActionWave
+
+# Rows (transform) or momentum columns (transport) per FFT batch.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,9 @@ class WignerGrid:
     x runs over 2n points spaced ell/2; p over 2n points spaced hbar*dk/2.
     f[i, j] is the density at (x[i], p[j]).  full_period marks whether x
     still covers the whole ring (half-window views set it False).
+    marginal_defect is the max-norm error of dp * sum_s f = |psi(x_m)|^2/hbar
+    (|Phi(x_m)|^2 in energy form) relative to its peak, measured when the
+    transform built f.
     """
 
     x: np.ndarray
@@ -50,7 +65,7 @@ class WignerGrid:
     f: np.ndarray
     hbar: float
     full_period: bool = True
-    imag_residue: float = 0.0
+    marginal_defect: float = 0.0
 
     def __post_init__(self) -> None:
         if self.f.shape != (self.x.size, self.p.size):
@@ -85,34 +100,20 @@ class WignerGrid:
         return 0.5 * self.dx * np.sum(even, axis=0)
 
     def window(self, x_lo: float, x_hi: float) -> "WignerGrid":
-        """Half-open window [x_lo, x_hi) in x; marks the grid as windowed."""
+        """Half-open window [x_lo, x_hi) in x; marks the grid as windowed.
+
+        x is ascending, so the window is one contiguous row range and the
+        result shares x and f with this grid instead of copying them.
+        """
         mask = (self.x >= x_lo) & (self.x < x_hi)
         if not np.any(mask):
             raise ValueError("window contains no grid points")
+        first, last = np.flatnonzero(mask)[[0, -1]]
+        rows = slice(first, last + 1)
         return WignerGrid(
-            x=self.x[mask], p=self.p, f=self.f[mask, :], hbar=self.hbar,
-            full_period=False, imag_residue=self.imag_residue,
+            x=self.x[rows], p=self.p, f=self.f[rows], hbar=self.hbar,
+            full_period=False, marginal_defect=self.marginal_defect,
         )
-
-
-def _doubled_grid_transform(coeffs: np.ndarray, ell: float, prefactor: float):
-    """Common core: half-spaced site values, then the correlation transform."""
-    n = coeffs.size
-    two_n = 2 * n
-    dk = 2.0 * np.pi / (ell * n)
-    padded = np.zeros(two_n, dtype=complex)
-    j = np.arange(n) - n // 2
-    padded[np.mod(j, two_n)] = coeffs
-    site = (dk / np.sqrt(2.0 * np.pi)) * two_n * np.fft.ifft(padded)
-    m = np.arange(two_n)
-    plus = site[(m[:, None] + m[None, :]) % two_n]
-    minus = np.conj(site[(m[:, None] - m[None, :]) % two_n])
-    rows = np.fft.fft(plus * minus, axis=1)
-    f = prefactor * np.fft.fftshift(rows, axes=1)
-    residue = float(np.max(np.abs(f.imag)) / max(np.max(np.abs(f.real)), 1e-300))
-    x = (ell / 2.0) * m
-    p_index = np.arange(two_n) - n
-    return x, p_index, f.real, residue, dk
 
 
 def doubled_site_values(wave: ActionWave) -> np.ndarray:
@@ -125,12 +126,43 @@ def doubled_site_values(wave: ActionWave) -> np.ndarray:
     return (wave.dk / np.sqrt(2.0 * np.pi)) * two_n * np.fft.ifft(padded)
 
 
+def _doubled_grid_transform(wave: ActionWave, prefactor: float) -> WignerGrid:
+    """Common core: half-spaced site values, then the Hermitian half-lag transform.
+
+    Row m needs the lag product g[m, r] = psi(x_m + r*ell/2) psi*(x_m - r*ell/2)
+    on the ring of 2n lags; g[m, -r] = conj(g[m, r]), so lags 0..n fix the row
+    and hfft returns its transform as real numbers.  Rows go in blocks of
+    _CHUNK written straight into f, which keeps temporaries at O(_CHUNK * n).
+    """
+    n = wave.psik.size
+    two_n = 2 * n
+    site = doubled_site_values(wave)
+    # ahead[m, r] = site[(m + r) % 2n] and behind[m, r] = conj(site[(m - r) % 2n]),
+    # both as strided views of two 3n-long copies of the ring.
+    ahead = sliding_window_view(np.concatenate([site, site[:n]]), n + 1)
+    behind = sliding_window_view(np.conj(np.concatenate([site[n:], site])), n + 1)[:, ::-1]
+    f = np.empty((two_n, two_n))
+    row_sums = np.empty(two_n)
+    lags = np.empty((min(_CHUNK, two_n), n + 1), dtype=complex)
+    for lo in range(0, two_n, _CHUNK):
+        hi = min(lo + _CHUNK, two_n)
+        g = np.multiply(ahead[lo:hi], behind[lo:hi], out=lags[: hi - lo])
+        rows = np.fft.hfft(g, n=two_n, axis=1)
+        # fftshift on the way into f: momentum index s = -n..n-1 is FFT bin s mod 2n
+        np.multiply(rows[:, n:], prefactor, out=f[lo:hi, :n])
+        np.multiply(rows[:, :n], prefactor, out=f[lo:hi, n:])
+        row_sums[lo:hi] = np.sum(f[lo:hi], axis=1)
+    # marginal-x identity: sum_s f[m, s] = 2n * prefactor * |site_m|^2
+    density = two_n * prefactor * np.abs(site) ** 2
+    defect = float(np.max(np.abs(row_sums - density)) / max(np.max(density), 1e-300))
+    x = (wave.ell / 2.0) * np.arange(two_n)
+    p = (wave.hbar * wave.dk / 2.0) * (np.arange(two_n) - n)
+    return WignerGrid(x=x, p=p, f=f, hbar=wave.hbar, marginal_defect=defect)
+
+
 def wigner_1d(wave: ActionWave) -> WignerGrid:
     """Number-form density of an action wave; integrates to A/h."""
-    prefactor = (wave.ell / 2.0) / (np.pi * wave.hbar**2)
-    x, s, f, residue, dk = _doubled_grid_transform(wave.psik, wave.ell, prefactor)
-    p = (wave.hbar * dk / 2.0) * s
-    return WignerGrid(x=x, p=p, f=f, hbar=wave.hbar, imag_residue=residue)
+    return _doubled_grid_transform(wave, (wave.ell / 2.0) / (np.pi * wave.hbar**2))
 
 
 def quasi_energy_density(wave: ActionWave, omega) -> WignerGrid:
@@ -142,11 +174,8 @@ def quasi_energy_density(wave: ActionWave, omega) -> WignerGrid:
     w = np.asarray(omega(wave.k) if callable(omega) else omega, dtype=float)
     if np.any(w < 0):
         raise ValueError("omega must be nonnegative")
-    coeffs = np.sqrt(w) * wave.psik
-    prefactor = (wave.ell / 2.0) / (np.pi * wave.hbar)
-    x, s, f, residue, dk = _doubled_grid_transform(coeffs, wave.ell, prefactor)
-    p = (wave.hbar * dk / 2.0) * s
-    return WignerGrid(x=x, p=p, f=f, hbar=wave.hbar, imag_residue=residue)
+    phi = replace(wave, psik=np.sqrt(w) * wave.psik)
+    return _doubled_grid_transform(phi, (wave.ell / 2.0) / (np.pi * wave.hbar))
 
 
 @dataclass(frozen=True)
@@ -181,11 +210,13 @@ def wigner_gaussian_closed(
     """Continuum closed form for the Gaussian packet, rigidly translated at vg.
 
     f(x, p) = (N/(pi*hbar)) exp[-g (p - hbar k0)^2/hbar^2 - (x - x0 - vg t)^2/g].
-    Returns an array of shape (len(x), len(p)).
+    Returns an array of shape (len(x), len(p)), built as the outer product of
+    its x and p factors.
     """
-    xc = np.asarray(x, dtype=float)[:, None] - gp.x0 - vg * t
-    pc = np.asarray(p, dtype=float)[None, :] - hbar * gp.k0
-    return (gp.n_quanta / (np.pi * hbar)) * np.exp(-gp.g * pc**2 / hbar**2 - xc**2 / gp.g)
+    xc = np.asarray(x, dtype=float) - gp.x0 - vg * t
+    pc = np.asarray(p, dtype=float) - hbar * gp.k0
+    amplitude = gp.n_quanta / (np.pi * hbar)
+    return np.outer(amplitude * np.exp(-xc**2 / gp.g), np.exp(-gp.g * pc**2 / hbar**2))
 
 
 def evolve_wigner_group_velocity(grid: WignerGrid, omega, t: float, vg=None) -> WignerGrid:
@@ -195,12 +226,13 @@ def evolve_wigner_group_velocity(grid: WignerGrid, omega, t: float, vg=None) -> 
     by central differences at the step that balances truncation against
     round-off, or supplied exactly via vg (callable of k, or an array on
     the momentum grid).  The shift itself is an exact Fourier translation,
-    so rigid transport incurs no smearing.
+    so rigid transport incurs no smearing.  marginal_defect is carried over
+    from the input grid.
     """
     if not grid.full_period:
         raise ValueError("evolution needs the full-period grid")
     n2 = grid.x.size
-    q = 2.0 * np.pi * np.fft.fftfreq(n2, d=grid.dx)
+    q = 2.0 * np.pi * np.fft.rfftfreq(n2, d=grid.dx)
     k_of_p = grid.p / grid.hbar
     if vg is None:
         h = np.finfo(float).eps ** (1.0 / 3.0) * max(1.0, float(np.max(np.abs(k_of_p))))
@@ -209,12 +241,15 @@ def evolve_wigner_group_velocity(grid: WignerGrid, omega, t: float, vg=None) -> 
         vg = np.asarray(vg(k_of_p), dtype=float)
     else:
         vg = np.broadcast_to(np.asarray(vg, dtype=float), grid.p.shape)
-    rows = np.fft.fft(grid.f, axis=0)
-    shift = np.exp(-1j * q[:, None] * vg[None, :] * t)
-    f_new = np.fft.ifft(rows * shift, axis=0)
-    residue = float(np.max(np.abs(f_new.imag)) / max(np.max(np.abs(f_new.real)), 1e-300))
-    return WignerGrid(x=grid.x, p=grid.p, f=f_new.real, hbar=grid.hbar,
-                      imag_residue=max(residue, grid.imag_residue))
+    f_new = np.empty_like(grid.f)
+    for lo in range(0, grid.p.size, _CHUNK):
+        cols = slice(lo, lo + _CHUNK)
+        spectrum = np.fft.rfft(grid.f[:, cols], axis=0)
+        spectrum *= np.exp(-1j * q[:, None] * vg[None, cols] * t)
+        # irfft keeps only the real part of the Nyquist bin, as .real of a full ifft would
+        f_new[:, cols] = np.fft.irfft(spectrum, n=n2, axis=0)
+    return WignerGrid(x=grid.x, p=grid.p, f=f_new, hbar=grid.hbar,
+                      marginal_defect=grid.marginal_defect)
 
 
 # --- 3-D photon picture -----------------------------------------------------

@@ -1,12 +1,14 @@
 """Command-line behavior: exit codes, diagnostics, overrides, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import wavekit
 from wavekit import cli, experiments
 
 
@@ -252,9 +254,13 @@ def test_bad_thread_count_exits_2(tmp_path, capsys):
 
 
 def run_proc(args, cwd):
+    # the subprocess runs in cwd, so a relative src entry on PYTHONPATH would not resolve
+    src = str(Path(wavekit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "wavekit", *args],
-        cwd=cwd, capture_output=True, text=True, timeout=120,
+        cwd=cwd, capture_output=True, text=True, timeout=120, env=env,
     )
 
 

@@ -1,6 +1,7 @@
 """On-disk artifact formats: exact round-trips and deterministic bytes."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -53,7 +54,8 @@ def test_wigner_grid_roundtrip(tmp_path):
     assert np.array_equal(back.f, grid.f)
     assert back.hbar == grid.hbar
     assert back.full_period == grid.full_period
-    assert back.imag_residue == grid.imag_residue
+    assert back.marginal_defect == grid.marginal_defect
+    assert 0.0 < back.marginal_defect < 1e-12
     # windowed grids keep their flag through the file
     win = grid.window(20.0, 40.0)
     gridio.write_wigner_grid(path, win)
@@ -74,6 +76,11 @@ def test_wigner_grid_rejects_corrupt_files(tmp_path):
     truncated.write_bytes(raw[:-8])
     with pytest.raises(ValueError):
         gridio.read_wigner_grid(truncated)
+    # version 1 stored a different header float; it must not be read as version 2
+    old_version = tmp_path / "bad3.bin"
+    old_version.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    with pytest.raises(ValueError, match="unsupported grid version"):
+        gridio.read_wigner_grid(old_version)
 
 
 def test_json_is_sorted_and_newline_terminated(tmp_path):

@@ -67,6 +67,63 @@ def test_matches_direct_summation():
 
 
 # ---------------------------------------------------------------------------
+# reference implementations of the fast paths: the full (2n)x(2n) complex lag
+# matrix with a complex FFT per row, and complex-FFT transport along x
+
+
+def full_matrix_transform(coeffs, ell, prefactor):
+    n = coeffs.size
+    two_n = 2 * n
+    dk = 2.0 * math.pi / (ell * n)
+    padded = np.zeros(two_n, dtype=complex)
+    j = np.arange(n) - n // 2
+    padded[np.mod(j, two_n)] = coeffs
+    site = (dk / math.sqrt(2.0 * math.pi)) * two_n * np.fft.ifft(padded)
+    m = np.arange(two_n)
+    plus = site[(m[:, None] + m[None, :]) % two_n]
+    minus = np.conj(site[(m[:, None] - m[None, :]) % two_n])
+    rows = np.fft.fft(plus * minus, axis=1)
+    return (prefactor * np.fft.fftshift(rows, axes=1)).real
+
+
+def complex_fft_transport(grid, speeds, t):
+    q = 2.0 * math.pi * np.fft.fftfreq(grid.x.size, d=grid.dx)
+    rows = np.fft.fft(grid.f, axis=0)
+    return np.fft.ifft(rows * np.exp(-1j * q[:, None] * speeds[None, :] * t), axis=0).real
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+def test_half_lag_core_matches_full_matrix(n):
+    if n == 300:
+        assert 2 * n > wigner._CHUNK  # the grid spans several row blocks
+    wave = random_wave(n, seed=n)
+    omega = np.abs(wave.k) + 0.5
+    cases = (
+        (wigner.wigner_1d(wave), wave.psik, 1.0 / wave.hbar**2),
+        (wigner.quasi_energy_density(wave, omega), np.sqrt(omega) * wave.psik, 1.0 / wave.hbar),
+    )
+    for grid, coeffs, scale in cases:
+        ref = full_matrix_transform(coeffs, wave.ell, (wave.ell / 2.0) / math.pi * scale)
+        assert np.max(np.abs(grid.f - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_rfft_transport_matches_complex_fft():
+    grid = wigner.wigner_1d(random_wave(150, seed=5))
+    assert grid.p.size > wigner._CHUNK  # the columns span several blocks
+    k_of_p = grid.p / grid.hbar
+    t = 3.7
+    for vg, speeds in (
+        (0.7, np.full(grid.p.size, 0.7)),
+        (np.cos(k_of_p), np.cos(k_of_p)),
+        (np.tanh, np.tanh(k_of_p)),
+    ):
+        moved = wigner.evolve_wigner_group_velocity(grid, None, t, vg=vg)
+        ref = complex_fft_transport(grid, speeds, t)
+        assert np.max(np.abs(moved.f - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert moved.marginal_defect == grid.marginal_defect
+
+
+# ---------------------------------------------------------------------------
 # exact discrete identities
 
 
@@ -87,6 +144,14 @@ def test_marginals_are_exact(seed):
     assert np.max(np.abs(grid.marginal_x() - density_x)) < 1e-13 * scale
     density_p = wave.eta / wave.hbar**2
     assert np.max(np.abs(grid.marginal_p() - density_p)) < 1e-13 * np.max(density_p)
+
+
+def test_marginal_defect_on_gaussian():
+    # rounding-level but not identically zero, in number and energy form
+    gp, wave = gaussian_wave()
+    assert 0.0 < wigner.wigner_1d(wave).marginal_defect < 1e-12
+    energy = wigner.quasi_energy_density(wave, np.abs(wave.k) + 1.0)
+    assert 0.0 < energy.marginal_defect < 1e-12
 
 
 def test_checkerboard_ghost():
@@ -119,6 +184,11 @@ def test_window_crops_position_only():
     assert win.p.size == grid.p.size
     assert win.x.size < grid.x.size
     assert np.all(win.x >= 2.0) and np.all(win.x < 5.0)
+    mask = (grid.x >= 2.0) & (grid.x < 5.0)
+    assert np.array_equal(win.x, grid.x[mask])
+    assert np.array_equal(win.f, grid.f[mask])
+    assert np.shares_memory(win.f, grid.f)  # a row view, not a copy
+    assert win.marginal_defect == grid.marginal_defect
     with pytest.raises(ValueError):
         win.marginal_p()
     with pytest.raises(ValueError):
@@ -137,6 +207,21 @@ def test_gaussian_closed_form_half_window():
     closed = wigner.wigner_gaussian_closed(gp, half.x, half.p, wave.hbar)
     peak = gp.n_quanta / (math.pi * wave.hbar)
     assert np.max(np.abs(half.f - closed)) / peak < 1e-10
+
+
+def test_closed_form_matches_joint_exponential():
+    gp, wave = gaussian_wave()
+    grid = wigner.wigner_1d(wave)
+    t, vg = 3.5, 0.8
+    closed = wigner.wigner_gaussian_closed(gp, grid.x, grid.p, wave.hbar, t=t, vg=vg)
+    xc = grid.x[:, None] - gp.x0 - vg * t
+    pc = grid.p[None, :] - wave.hbar * gp.k0
+    joint = (gp.n_quanta / (math.pi * wave.hbar)) * np.exp(
+        -gp.g * pc**2 / wave.hbar**2 - xc**2 / gp.g
+    )
+    peak = gp.n_quanta / (math.pi * wave.hbar)
+    assert closed.shape == (grid.x.size, grid.p.size)
+    assert np.max(np.abs(closed - joint)) / peak < 1e-14
 
 
 def test_gaussian_peak_and_total():
