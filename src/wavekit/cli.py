@@ -35,7 +35,8 @@ _THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-# scenario families routed by each subcommand
+# scenario families routed by each subcommand (names from experiments.SCENARIOS); kept
+# here so the parser is built, and --threads applied, before numpy is imported
 COMMAND_SCENARIOS = {
     "phonon-sim": ("phonon-gaussian", "traveling-wave"),
     "wigner": ("wigner-gaussian",),
@@ -193,11 +194,8 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(xp, top, args)
         return _cmd_run(xp, top, args)
-    except xp.ConfigError as exc:
-        _diagnostic("validation", str(exc))
-        return VALIDATION_EXIT
     except ValueError as exc:
-        # parameter combinations that only fail inside the physics layer
+        # xp.ConfigError, or a parameter combination that only fails inside the physics layer
         _diagnostic("validation", str(exc))
         return VALIDATION_EXIT
 

@@ -354,29 +354,26 @@ def _closed_potential_modes(modes: PhotonModeSet):
     return np.asarray(ks), np.asarray(As), np.asarray(Ads)
 
 
+def _grid_sums(ks, coeffs, n_grid: int, box_length: float) -> np.ndarray:
+    """Real fields ((2pi)^{3/2}/V) sum_k c_k exp(-i k.x) on the n_grid^3 box.
+
+    coeffs stacks the (3,)-vector coefficients of several fields per mode,
+    shape (M, n_fields, 3); the result has shape (n_fields, 3, n, n, n).
+    """
+    mesh = box_mesh(n_grid, box_length)
+    scale = (2.0 * np.pi) ** 1.5 / box_length**3
+    out = np.zeros(coeffs.shape[1:] + mesh.shape[1:], dtype=complex)
+    for i in range(ks.shape[0]):
+        phase = np.exp(-1j * np.tensordot(ks[i], mesh, axes=(0, 0)))
+        out += coeffs[i][..., None, None, None] * phase
+    return (scale * out).real
+
+
 def potential_field_values(modes: PhotonModeSet, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
     """Real potential A and rate Adot on the n_grid^3 box from the mode set."""
     ks, A_modes, Adot_modes = _closed_potential_modes(modes)
-    mesh = box_mesh(n_grid, modes.box_length)
-    scale = (2.0 * np.pi) ** 1.5 / modes.box_length**3
-    A = np.zeros((3,) + mesh.shape[1:], dtype=complex)
-    Adot = np.zeros_like(A)
-    for i in range(ks.shape[0]):
-        phase = np.exp(-1j * np.tensordot(ks[i], mesh, axes=(0, 0)))
-        A += A_modes[i][:, None, None, None] * phase
-        Adot += Adot_modes[i][:, None, None, None] * phase
-    return (scale * A).real, (scale * Adot).real
-
-
-def psi_field_values(modes: PhotonModeSet, n_grid: int) -> np.ndarray:
-    """Complex vector field psi(x) = ((2pi)^{3/2}/V) sum_k psi'_k exp(+i k.x)."""
-    mesh = box_mesh(n_grid, modes.box_length)
-    scale = (2.0 * np.pi) ** 1.5 / modes.box_length**3
-    out = np.zeros((3,) + mesh.shape[1:], dtype=complex)
-    for i in range(modes.k.shape[0]):
-        phase = np.exp(1j * np.tensordot(modes.k[i], mesh, axes=(0, 0)))
-        out += modes.psik[i][:, None, None, None] * phase
-    return scale * out
+    A, Adot = _grid_sums(ks, np.stack([A_modes, Adot_modes], axis=1), n_grid, modes.box_length)
+    return A, Adot
 
 
 def field_energy(modes: PhotonModeSet, n_grid: int | None = None) -> float:
@@ -391,17 +388,8 @@ def field_energy(modes: PhotonModeSet, n_grid: int | None = None) -> float:
         # the squared real field has harmonics out to twice the largest index
         n_grid = 4 * int(np.max(np.abs(ints))) + 1
     ks, A_modes, Adot_modes = _closed_potential_modes(modes)
-    mesh = box_mesh(n_grid, modes.box_length)
-    scale = (2.0 * np.pi) ** 1.5 / modes.box_length**3
-    E = np.zeros((3,) + mesh.shape[1:], dtype=complex)
-    H = np.zeros_like(E)
-    for i in range(ks.shape[0]):
-        phase = np.exp(-1j * np.tensordot(ks[i], mesh, axes=(0, 0)))
-        E += (-Adot_modes[i] / m.c)[:, None, None, None] * phase
-        curl_coeff = np.cross(-1j * ks[i], A_modes[i]) / m.mu
-        H += curl_coeff[:, None, None, None] * phase
-    E = (scale * E).real
-    H = (scale * H).real
+    coeffs = np.stack([-Adot_modes / m.c, np.cross(-1j * ks, A_modes) / m.mu], axis=1)
+    E, H = _grid_sums(ks, coeffs, n_grid, modes.box_length)
     w = 0.5 * (m.eps * np.sum(E**2, axis=0) + m.mu * np.sum(H**2, axis=0))
     dv = (modes.box_length / n_grid) ** 3
     return float(np.sum(w) * dv)

@@ -1,4 +1,4 @@
-"""Config-driven scenario runners behind the CLI and the scripts.
+"""Config-driven scenario runners behind the CLI.
 
 Each scenario pairs a frozen config dataclass with a runner returning
 (summary, artifacts): summary is a JSON-ready dict, artifacts maps file
@@ -9,8 +9,12 @@ their config, so identical configs reproduce identical artifacts.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import sys
+import typing
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -32,24 +36,54 @@ class OutputOptions:
     grid: bool = True
 
 
+# field annotations that name a fixed set of strings
+Units = Literal[tuple(PRESETS)]
+Model = Literal[tuple(m.value for m in kinetics.SourceModel)]
+Init = Literal["zero", "rayleigh-jeans", "wien", "planck"]
+
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+_TYPE_NAMES = {
+    int: "an integer",
+    float: "a finite number",
+    bool: "true or false",
+    str: "a string",
+    type(None): "null",
+}
+
+
+def _misfit(value, hint) -> str | None:
+    """What a field annotation asks for if the JSON value does not fit it, else None.
+
+    Values are never coerced: an integer in a float field stays an integer.
+    """
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is Literal:
+        return None if value in args else "one of " + ", ".join(map(repr, args))
+    if args:  # X | None
+        wants = [_misfit(value, arg) for arg in args]
+        return None if None in wants else " or ".join(wants)
+    if hint is float and not isinstance(value, bool):
+        # rejects JSON NaN and Infinity, and integers beyond the float range
+        fits = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        fits = type(value) is hint
+    return None if fits else _TYPE_NAMES[hint]
+
+
 def _strict(cls, data, where):
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be an object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
+    hints = _type_hints(cls)
+    unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ConfigError(f"unknown keys {unknown} in {where}")
-    try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value in {where}: {exc}") from exc
-
-
-def _units_of(cfg):
-    name = getattr(cfg, "units", "natural")
-    if name not in PRESETS:
-        raise ConfigError(f"unknown unit system {name!r}; choose from {sorted(PRESETS)}")
-    return get_units(name)
+    for name, value in data.items():
+        want = _misfit(value, hints[name])
+        if want is not None:
+            raise ConfigError(f"bad value in {where}: {name} must be {want}, got {value!r}")
+    return cls(**data)
 
 
 # --- phonon-gaussian ---------------------------------------------------------
@@ -69,11 +103,11 @@ class PhononGaussianConfig:
     t_final: float = 40.0
     random_phases: bool = False
     seed: int = 0
-    units: str = "natural"
+    units: Units = "natural"
 
 
 def run_phonon_gaussian(cfg: PhononGaussianConfig):
-    u = _units_of(cfg)
+    u = get_units(cfg.units)
     params = lattice.LatticeParams(
         m=cfg.m, omega0=cfg.omega0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
     )
@@ -179,11 +213,11 @@ class TravelingWaveConfig:
     direction: int = 1
     t_final: float = 64.0
     dt_factor: float = 0.1
-    units: str = "natural"
+    units: Units = "natural"
 
 
 def run_traveling_wave(cfg: TravelingWaveConfig):
-    u = _units_of(cfg)
+    u = get_units(cfg.units)
     params = lattice.LatticeParams(
         m=cfg.m, omega0=0.0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
     )
@@ -254,11 +288,11 @@ class WignerGaussianConfig:
     x0: float | None = None
     t_final: float = 50.0
     v: float = 1.0
-    units: str = "natural"
+    units: Units = "natural"
 
 
 def run_wigner_gaussian(cfg: WignerGaussianConfig):
-    u = _units_of(cfg)
+    u = get_units(cfg.units)
     length = cfg.ell * cfg.n_modes
     x0 = length / 2.0 if cfg.x0 is None else cfg.x0
     dk = 2.0 * np.pi / length
@@ -325,10 +359,13 @@ class PhotonFieldConfig:
     n_quanta: float = 5.0
     seed: int = 7
     t_final: float = 1.0
-    units: str = "natural"
+    units: Units = "natural"
 
 
 def _random_mode_set(cfg: PhotonFieldConfig, medium, hbar):
+    available = (2 * max(cfg.max_index, 0) + 1) ** 3 - 1  # nonzero index triples
+    if cfg.n_random_modes > available:
+        raise ConfigError(f"n_random_modes exceeds the {available} nonzero wavevectors")
     rng = np.random.default_rng(cfg.seed)
     chosen: list[tuple[int, int, int]] = []
     while len(chosen) < cfg.n_random_modes:
@@ -347,7 +384,7 @@ def _random_mode_set(cfg: PhotonFieldConfig, medium, hbar):
 
 
 def run_photon_field(cfg: PhotonFieldConfig):
-    u = _units_of(cfg)
+    u = get_units(cfg.units)
     medium = em.MediumParams(eps=cfg.eps, mu=cfg.mu, c=u.c)
     modes = _random_mode_set(cfg, medium, u.hbar)
     modes = em.normalize_photons(modes, cfg.n_quanta)
@@ -404,7 +441,7 @@ class HelicityCylindricalConfig:
     center_x: float = 0.3
     center_y: float = -0.2
     center_z: float = 0.1
-    units: str = "natural"
+    units: Units = "natural"
 
 
 def _centered_mesh(n: int, spacing: float, center) -> np.ndarray:
@@ -414,32 +451,22 @@ def _centered_mesh(n: int, spacing: float, center) -> np.ndarray:
 
 
 def run_helicity_cylindrical(cfg: HelicityCylindricalConfig):
-    u = _units_of(cfg)
+    u = get_units(cfg.units)
     mesh = _centered_mesh(cfg.mesh_n, cfg.spacing, (cfg.center_x, cfg.center_y, cfg.center_z))
     U0 = helicity.cylindrical_solution(mesh, cfg.k, cfg.v, t=0.0)
     U1 = helicity.cylindrical_solution(mesh, cfg.k, cfg.v, t=cfg.dt)
 
-    curl = helicity.stencil_curl(U0, cfg.spacing)
     inner = helicity.interior(U0)
-    ref = cfg.k * np.sqrt(np.sum(np.abs(inner) ** 2, axis=0))
-    beltrami = float(
-        np.max(np.sqrt(np.sum(np.abs(curl - cfg.k * inner) ** 2, axis=0))) / np.max(ref)
-    )
+    ref = cfg.k * np.max(np.sqrt(np.sum(np.abs(inner) ** 2, axis=0)))
+    beltrami = _beltrami_residual(U0, cfg.k, cfg.spacing)
     F = helicity.field_from_potential(U0, cfg.spacing)
-    field_err = float(
-        np.max(np.sqrt(np.sum(np.abs(F - 1j * cfg.k * inner) ** 2, axis=0))) / np.max(ref)
-    )
+    field_err = float(np.max(np.sqrt(np.sum(np.abs(F - 1j * cfg.k * inner) ** 2, axis=0))) / ref)
     eq_resid = helicity.potential_equation_residual(U0, U1, cfg.dt, cfg.spacing, cfg.v)
 
     # halve the spacing on the same physical cube to expose the stencil order
     mesh2 = _centered_mesh(2 * cfg.mesh_n - 1, cfg.spacing / 2.0, (cfg.center_x, cfg.center_y, cfg.center_z))
     U0h = helicity.cylindrical_solution(mesh2, cfg.k, cfg.v, t=0.0)
-    curl_h = helicity.stencil_curl(U0h, cfg.spacing / 2.0)
-    inner_h = helicity.interior(U0h)
-    ref_h = cfg.k * np.sqrt(np.sum(np.abs(inner_h) ** 2, axis=0))
-    beltrami_h = float(
-        np.max(np.sqrt(np.sum(np.abs(curl_h - cfg.k * inner_h) ** 2, axis=0))) / np.max(ref_h)
-    )
+    beltrami_h = _beltrami_residual(U0h, cfg.k, cfg.spacing / 2.0)
 
     mode = helicity.ComplexPotentialMode(k=np.array([0.0, 0.5, cfg.k]), sigma=1)
     U_plane = mode.evaluate(mesh, v=cfg.v)
@@ -477,21 +504,18 @@ class ThermalPlanckConfig:
     gamma: float = 1.0
     temperature: float = 1.0
     v: float | None = None
-    model: str = "wien-stimulated"
+    model: Model = "wien-stimulated"
     x_min: float = 0.05
     x_max: float = 20.0
     n_cells: int = 200
-    init: str = "zero"
+    init: Init = "zero"
     n_folds: float = 30.0
-    units: str = "natural"
+    units: Units = "natural"
 
 
 def run_thermal_planck(cfg: ThermalPlanckConfig):
-    u = _units_of(cfg)
-    try:
-        model = kinetics.SourceModel(cfg.model)
-    except ValueError as exc:
-        raise ConfigError(f"unknown source model {cfg.model!r}") from exc
+    u = get_units(cfg.units)
+    model = kinetics.SourceModel(cfg.model)
     params = kinetics.KineticParams.in_units(u, cfg.gamma, cfg.temperature, v=cfg.v)
     if not 0 < cfg.x_min < cfg.x_max:
         raise ConfigError("need 0 < x_min < x_max")
@@ -501,12 +525,10 @@ def run_thermal_planck(cfg: ThermalPlanckConfig):
 
     if cfg.init == "zero":
         f0 = np.zeros_like(p)
-    elif cfg.init in {"rayleigh-jeans", "wien"}:
-        f0 = np.asarray(kinetics.equilibrium_f(eps, params, kinetics.SourceModel(cfg.init)))
     elif cfg.init == "planck":
         f0 = np.asarray(kinetics.planck_f(eps, params))
     else:
-        raise ConfigError(f"unknown init {cfg.init!r}")
+        f0 = np.asarray(kinetics.equilibrium_f(eps, params, kinetics.SourceModel(cfg.init)))
 
     state0 = kinetics.KineticState(p=p, f=f0)
     final, elapsed = kinetics.relax_to_equilibrium(state0, params, model, cfg.n_folds)
@@ -573,11 +595,11 @@ class VerifyLatticeConfig:
     dt_factor: float = 0.05
     n_steps: int = 2000
     negative_control: bool = False
-    units: str = "natural"
+    units: Units = "natural"
 
 
 def verify_lattice(cfg: VerifyLatticeConfig):
-    u = _units_of(cfg)
+    u = get_units(cfg.units)
     params = lattice.LatticeParams(
         m=cfg.m, omega0=cfg.omega0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
     )
@@ -643,11 +665,11 @@ class VerifyHelicityConfig:
     dt: float = 2e-3
     mesh_n: int = 7
     negative_control: bool = False
-    units: str = "natural"
+    units: Units = "natural"
 
 
 def verify_helicity(cfg: VerifyHelicityConfig):
-    u = _units_of(cfg)
+    u = get_units(cfg.units)
     mesh = _centered_mesh(cfg.mesh_n, cfg.spacing, (0.25, 0.15, -0.3))
     mode = helicity.ComplexPotentialMode(k=np.array([0.3, -0.4, cfg.k]), sigma=1)
     U = mode.evaluate(mesh, v=cfg.v)
@@ -707,32 +729,19 @@ def _check_summary(scenario, units_name, checks):
     return summary, {}
 
 
-# --- registry and config parsing ---------------------------------------------
+# --- scenario table and config parsing ---------------------------------------
 
-RUN_SCENARIOS = {
-    "phonon-gaussian": (PhononGaussianConfig, run_phonon_gaussian),
-    "traveling-wave": (TravelingWaveConfig, run_traveling_wave),
-    "wigner-gaussian": (WignerGaussianConfig, run_wigner_gaussian),
-    "photon-field": (PhotonFieldConfig, run_photon_field),
-    "helicity-cylindrical": (HelicityCylindricalConfig, run_helicity_cylindrical),
-    "thermal-planck": (ThermalPlanckConfig, run_thermal_planck),
-}
-
-VERIFY_SCENARIOS = {
-    "verify-lattice": (VerifyLatticeConfig, verify_lattice),
-    "verify-helicity": (VerifyHelicityConfig, verify_helicity),
-}
-
-# module-family parameter block expected in a scenario's config file
-BLOCK_NAMES = {
-    "phonon-gaussian": "lattice",
-    "traveling-wave": "lattice",
-    "wigner-gaussian": "wigner",
-    "photon-field": "field",
-    "helicity-cylindrical": "helicity",
-    "thermal-planck": "kinetics",
-    "verify-lattice": "lattice",
-    "verify-helicity": "helicity",
+# scenario -> (module block holding its parameters, config dataclass, runner);
+# cli.COMMAND_SCENARIOS routes subcommands onto these names
+SCENARIOS = {
+    "phonon-gaussian": ("lattice", PhononGaussianConfig, run_phonon_gaussian),
+    "traveling-wave": ("lattice", TravelingWaveConfig, run_traveling_wave),
+    "wigner-gaussian": ("wigner", WignerGaussianConfig, run_wigner_gaussian),
+    "photon-field": ("field", PhotonFieldConfig, run_photon_field),
+    "helicity-cylindrical": ("helicity", HelicityCylindricalConfig, run_helicity_cylindrical),
+    "thermal-planck": ("kinetics", ThermalPlanckConfig, run_thermal_planck),
+    "verify-lattice": ("lattice", VerifyLatticeConfig, verify_lattice),
+    "verify-helicity": ("helicity", VerifyHelicityConfig, verify_helicity),
 }
 
 
@@ -747,28 +756,25 @@ def parse_config(data, allowed=None, units=None, out_dir=None) -> TopConfig:
     """Validate a raw config dict and build the scenario dataclass.
 
     Layout: schema_version, scenario, units, optional seed, optional output
-    block, plus one module block named by BLOCK_NAMES.  `allowed` restricts
+    block, plus the one module block SCENARIOS names.  `allowed` restricts
     the accepted scenarios (subcommand routing); `units` and `out_dir`
     override the file's values without mutating it.
     """
     if not isinstance(data, dict):
         raise ConfigError("top level must be an object")
-    if data.get("schema_version") != SCHEMA_VERSION:
+    if data.get("schema_version") != SCHEMA_VERSION or type(data["schema_version"]) is not int:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
     scenario = data.get("scenario")
-    registry = {**RUN_SCENARIOS, **VERIFY_SCENARIOS}
-    if scenario not in registry:
-        raise ConfigError(f"unknown scenario {scenario!r}; choose from {sorted(registry)}")
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
     if allowed is not None and scenario not in allowed:
         raise ConfigError(
             f"scenario {scenario!r} is not handled here; expected one of {sorted(allowed)}"
         )
-    cls, _ = registry[scenario]
-    block_name = BLOCK_NAMES[scenario]
-    field_names = {f.name for f in dataclasses.fields(cls)}
+    block_name, cls, _ = SCENARIOS[scenario]
 
     top_allowed = {"schema_version", "scenario", "units", "output", block_name}
-    if "seed" in field_names:
+    if "seed" in _type_hints(cls):
         top_allowed.add("seed")
     unknown = sorted(set(data) - top_allowed)
     if unknown:
@@ -800,16 +806,15 @@ def effective_dict(top: TopConfig) -> dict:
     result = {
         "schema_version": SCHEMA_VERSION,
         "scenario": top.scenario,
-        "units": block.pop("units", "natural"),
+        "units": block.pop("units"),
     }
     if "seed" in block:
         result["seed"] = block.pop("seed")
     result["output"] = dataclasses.asdict(top.output)
-    result[BLOCK_NAMES[top.scenario]] = block
+    result[SCENARIOS[top.scenario][0]] = block
     return result
 
 
 def run_config(top: TopConfig):
-    registry = {**RUN_SCENARIOS, **VERIFY_SCENARIOS}
-    _, runner = registry[top.scenario]
+    _, _, runner = SCENARIOS[top.scenario]
     return runner(top.params)

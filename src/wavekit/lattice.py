@@ -138,7 +138,7 @@ class ActionWave:
     """Action amplitudes psi'_k on a monotonic k grid.
 
     eta = |psi'_k|^2 and phi = arg psi'_k give the action-angle view; the
-    spatial profile lives on sites x = ell*n via site_values().
+    spatial profile lives on sites x = ell*n.
     """
 
     psik: np.ndarray
@@ -402,19 +402,6 @@ def psi_energy(wave: ActionWave, params: LatticeParams) -> float:
     """Total energy in the action picture: sum_k dk * omega_k * eta_k."""
     w = np.asarray(dispersion(wave.k, params))
     return float(wave.dk * np.sum(w * wave.eta))
-
-
-def site_values(wave: ActionWave) -> np.ndarray:
-    """psi on sites x = ell*n: (dk/sqrt(2pi)) * sum_k exp(+i*k*x) psi'_k."""
-    n = wave.psik.size
-    coeff = np.fft.ifftshift(wave.psik)
-    return (wave.dk / np.sqrt(2.0 * np.pi)) * n * np.fft.ifft(coeff)
-
-
-def norm_squared(wave: ActionWave) -> float:
-    """ell * sum_n |psi_n|^2; equals action_area / 2pi."""
-    vals = site_values(wave)
-    return float(wave.ell * np.sum(np.abs(vals) ** 2))
 
 
 def chirality_leakage(wave: ActionWave, direction: int) -> float:

@@ -1,7 +1,9 @@
 """Command-line behavior: exit codes, diagnostics, overrides, determinism."""
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +131,81 @@ def test_unknown_keys_exit_3(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 3, err
         assert "error" in last_stderr_json(err)
+
+
+def traveling_payload(out_dir, **lattice):
+    return {
+        "schema_version": 1,
+        "scenario": "traveling-wave",
+        "units": "natural",
+        "output": {"dir": str(out_dir)},
+        "lattice": {"n_sites": 64, "t_final": 4.0, **lattice},
+    }
+
+
+def photon_payload(out_dir, **field):
+    return {
+        "schema_version": 1,
+        "scenario": "photon-field",
+        "units": "natural",
+        "seed": 7,
+        "output": {"dir": str(out_dir)},
+        "field": {"max_index": 1, **field},
+    }
+
+
+@pytest.mark.parametrize(
+    "command, make_payload",
+    [
+        ("phonon-sim", lambda out: traveling_payload(out, n_sites="64")),
+        ("phonon-sim", lambda out: traveling_payload(out, n_sites=64.0)),
+        ("phonon-sim", lambda out: traveling_payload(out, n_sites=True)),
+        ("thermal-relax", lambda out: thermal_payload(out, n_cells=[16])),
+        ("verify", lambda out: {**verify_lattice_payload(out), "seed": "eleven"}),
+        ("thermal-relax", lambda out: thermal_payload(out, temperature=True)),
+        ("thermal-relax", lambda out: thermal_payload(out, temperature=math.nan)),
+        ("thermal-relax", lambda out: thermal_payload(out, x_max=-math.inf)),
+        ("thermal-relax", lambda out: {**thermal_payload(out), "units": "kelvin"}),
+        ("thermal-relax", lambda out: {**thermal_payload(out), "scenario": ["thermal-planck"]}),
+        ("thermal-relax", lambda out: {**thermal_payload(out), "schema_version": True}),
+        # max_index 1 leaves 3^3 - 1 = 26 nonzero wavevectors to draw from
+        ("photon-field", lambda out: photon_payload(out, n_random_modes=27)),
+    ],
+    ids=[
+        "string-int", "float-int", "bool-int", "list-int", "string-seed", "bool-temperature",
+        "nan-temperature", "infinite-x-max", "unknown-units", "list-scenario", "bool-schema-version",
+        "too-many-modes",
+    ],
+)
+def test_bad_values_exit_3_with_one_json_line(tmp_path, capsys, command, make_payload):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, make_payload(out))
+    code = cli.main([command, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert json.loads(lines[0])["error"] == "validation"
+    assert not out.exists()
+
+
+def test_int_in_float_field_is_kept_as_given(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, thermal_payload(out, temperature=2))
+    assert cli.main(["thermal-relax", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    temperature = json.loads((out / "effective-config.json").read_text())["kinetics"]["temperature"]
+    assert temperature == 2 and isinstance(temperature, int)
+
+
+def test_scenario_tables_agree():
+    routed = sorted((s, cmd) for cmd, names in cli.COMMAND_SCENARIOS.items() for s in names)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| ([a-z-]+) +\| ([a-z-]+) +\| `([a-z]+)` +\|$", readme, re.M)
+    assert sorted(s for s, _ in routed) == sorted(experiments.SCENARIOS)
+    assert sorted((s, cmd) for s, cmd, _ in rows) == routed
+    blocks = {s: block for s, (block, _, _) in experiments.SCENARIOS.items()}
+    assert dict((s, block) for s, _, block in rows) == blocks
 
 
 def test_family_mismatch_exits_3(tmp_path, capsys):
