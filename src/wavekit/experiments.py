@@ -107,6 +107,7 @@ class PhononGaussianConfig:
 
 
 def run_phonon_gaussian(cfg: PhononGaussianConfig):
+    wigner.check_grid_size(cfg.n_sites)
     u = get_units(cfg.units)
     params = lattice.LatticeParams(
         m=cfg.m, omega0=cfg.omega0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
@@ -292,6 +293,7 @@ class WignerGaussianConfig:
 
 
 def run_wigner_gaussian(cfg: WignerGaussianConfig):
+    wigner.check_grid_size(cfg.n_modes)
     u = get_units(cfg.units)
     length = cfg.ell * cfg.n_modes
     x0 = length / 2.0 if cfg.x0 is None else cfg.x0
@@ -363,9 +365,12 @@ class PhotonFieldConfig:
 
 
 def _random_mode_set(cfg: PhotonFieldConfig, medium, hbar):
+    if cfg.n_random_modes < 1:
+        raise ConfigError("n_random_modes must be at least 1")
     available = (2 * max(cfg.max_index, 0) + 1) ** 3 - 1  # nonzero index triples
     if cfg.n_random_modes > available:
         raise ConfigError(f"n_random_modes exceeds the {available} nonzero wavevectors")
+    wigner.check_pair_count(cfg.n_random_modes)
     rng = np.random.default_rng(cfg.seed)
     chosen: list[tuple[int, int, int]] = []
     while len(chosen) < cfg.n_random_modes:

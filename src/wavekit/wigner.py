@@ -31,13 +31,23 @@ marginal-x identity above, relative to the peak of |psi|^2/hbar.
                 delta^3(p - hbar(k_a + k_b)/2) / ((2pi)^3 hbar)
 
 which is a finite set of delta columns in p, one per midpoint; each column
-carries a smooth x profile.  Number and energy follow by summing columns
-with exact Riemann quadrature in x.
+carries a smooth x profile.  Every k lies on the reciprocal lattice 2 pi n/L,
+so pairs are grouped by the integer key n_a + n_b in one vectorised pass and
+each column holds a slice of flat pair arrays.  Number and energy follow by
+summing columns with Riemann quadrature in x on a tensor grid of npts >=
+2 max|n_a - n_b| + 1 points per axis.  That rule is exact: each integrand
+exp(i dk.x) is a plane wave whose index per axis is below npts in modulus, so
+the grid sum reproduces the box integral (L^3 on the diagonal, 0 elsewhere).
+Because the grid and the integrand both factor over axes, the npts^3 sum is
+the product of three 1-D sums T[n] read from one table; the off-diagonal T[n]
+are summed, not set to zero, so this route stays independent of the k-space
+energy sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,6 +56,10 @@ from .lattice import ActionWave
 
 # Rows (transform) or momentum columns (transport) per FFT batch.
 _CHUNK = 64
+
+# Size limits, checked before anything is allocated (README "Size limits").
+MAX_GRID_CELLS = 2**26  # (2n)^2 cells of a 1-D grid: n <= 4096 modes, 512 MiB of float64
+MAX_PAIRS = 2**20  # M^2 mode pairs of a 3-D density: M <= 1024 modes
 
 
 @dataclass(frozen=True)
@@ -116,6 +130,15 @@ class WignerGrid:
         )
 
 
+def check_grid_size(n_modes: int) -> None:
+    """Refuse a 1-D grid whose (2 n_modes)^2 cells exceed MAX_GRID_CELLS."""
+    if (2 * n_modes) ** 2 > MAX_GRID_CELLS:
+        raise ValueError(
+            f"{n_modes} modes make a Wigner grid of {(2 * n_modes) ** 2} cells,"
+            f" over MAX_GRID_CELLS = {MAX_GRID_CELLS}"
+        )
+
+
 def doubled_site_values(wave: ActionWave) -> np.ndarray:
     """psi interpolated to the half-spaced grid x_m = m*ell/2 (2n points)."""
     n = wave.psik.size
@@ -135,6 +158,7 @@ def _doubled_grid_transform(wave: ActionWave, prefactor: float) -> WignerGrid:
     _CHUNK written straight into f, which keeps temporaries at O(_CHUNK * n).
     """
     n = wave.psik.size
+    check_grid_size(n)
     two_n = 2 * n
     site = doubled_site_values(wave)
     # ahead[m, r] = site[(m + r) % 2n] and behind[m, r] = conj(site[(m - r) % 2n]),
@@ -254,82 +278,112 @@ def evolve_wigner_group_velocity(grid: WignerGrid, omega, t: float, vg=None) -> 
 
 # --- 3-D photon picture -----------------------------------------------------
 
+# One record per mode pair (a, b): complex weight and dk = k_a - k_b.
+_PAIR = np.dtype([("weight", complex), ("dk", float, (3,))])
+
 
 @dataclass(frozen=True)
 class WignerColumn:
     """One delta column of the 3-D density: momentum hbar*(k_a+k_b)/2 shared
     by every contributing pair; amplitude(x) is the smooth spatial profile
-    multiplying delta^3(p - p_mid)."""
+    multiplying delta^3(p - p_mid).  pairs holds the column's _PAIR records
+    in (a, b) order."""
 
     p_mid: np.ndarray
-    pairs: list = field(repr=False, default_factory=list)  # (weight, k_a - k_b) with complex weight
+    pairs: np.ndarray = field(repr=False)
 
     def amplitude(self, x: np.ndarray) -> np.ndarray:
         """Profile at points x of shape (m, 3); complex before symmetrization."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.zeros(x.shape[0], dtype=complex)
-        for w, dk in self.pairs:
-            out += w * np.exp(1j * (x @ dk))
-        return out
+        return np.exp(1j * (x @ self.pairs["dk"].T)) @ self.pairs["weight"]
 
 
 @dataclass(frozen=True)
 class Wigner3D:
-    """Sparse 3-D density: a list of delta columns plus the box geometry."""
+    """Sparse 3-D density: flat pair records grouped into delta columns.
 
-    columns: list
+    Columns ascend by their integer midpoint key (k_a + k_b) L/(2 pi); column
+    j sits at momentum p_mid[j] and owns pairs[offsets[j]:offsets[j + 1]].
+    """
+
+    p_mid: np.ndarray
+    pairs: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
     box_length: float
     hbar: float
 
-    def column_momenta(self) -> np.ndarray:
-        return np.asarray([c.p_mid for c in self.columns])
+    @cached_property
+    def columns(self) -> list[WignerColumn]:
+        """The columns, each holding views into the flat arrays."""
+        bounds = zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
+        return [WignerColumn(p, self.pairs[lo:hi]) for p, (lo, hi) in zip(self.p_mid, bounds)]
+
+
+def check_pair_count(n_modes: int) -> None:
+    """Refuse a 3-D density whose n_modes^2 pairs exceed MAX_PAIRS."""
+    if n_modes**2 > MAX_PAIRS:
+        raise ValueError(
+            f"{n_modes} photon modes make {n_modes**2} pairs, over MAX_PAIRS = {MAX_PAIRS}"
+        )
 
 
 def wigner_3d(modes: "PhotonModeSet") -> Wigner3D:  # noqa: F821 - forward name, resolved in em
-    """Number-form density of a photon mode set as delta columns in momentum."""
+    """Number-form density of a photon mode set as delta columns in momentum.
+
+    Every pair (a, b) with a nonzero overlap psi'_a . psi'_b* joins the column
+    keyed by ints_a + ints_b, where ints = k L/(2 pi); pairs stay in (a, b)
+    order inside a column.
+    """
     from .em import PhotonModeSet  # local import to avoid a cycle
 
     if not isinstance(modes, PhotonModeSet):
         raise TypeError("wigner_3d expects a PhotonModeSet")
+    m = modes.k.shape[0]
+    check_pair_count(m)
     L = modes.box_length
     w_box = (2.0 * np.pi) ** 3 / L**3
     hbar = modes.hbar
     pref = w_box**2 / ((2.0 * np.pi) ** 3 * hbar)
-    groups: dict[tuple, list] = {}
-    mids: dict[tuple, np.ndarray] = {}
-    for a in range(modes.k.shape[0]):
-        for b in range(modes.k.shape[0]):
-            amp = pref * complex(np.dot(modes.psik[a], np.conj(modes.psik[b])))
-            if amp == 0:
-                continue
-            mid = hbar * (modes.k[a] + modes.k[b]) / 2.0
-            key = tuple(np.round(mid * L / (np.pi * hbar)).astype(int))
-            groups.setdefault(key, []).append((amp, modes.k[a] - modes.k[b]))
-            mids[key] = mid
-    cols = [WignerColumn(p_mid=mids[key], pairs=pairs) for key, pairs in sorted(groups.items())]
-    return Wigner3D(columns=cols, box_length=L, hbar=hbar)
-
-
-def _x_quadrature(grid_points: int, L: float) -> tuple[np.ndarray, float]:
-    """Tensor Riemann grid over the box; exact for the finite Fourier content."""
-    s = np.arange(grid_points) * (L / grid_points)
-    X, Y, Z = np.meshgrid(s, s, s, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
-    return pts, (L / grid_points) ** 3
+    amp = (pref * (modes.psik @ np.conj(modes.psik).T)).ravel()
+    kept = np.flatnonzero(amp)
+    a, b = np.divmod(kept, m)
+    ints = np.round(modes.k * L / (2.0 * np.pi)).astype(int)
+    # the key ints_a + ints_b as one integer that sorts like the key triple
+    reach = 2 * int(np.max(np.abs(ints)))
+    code = np.ravel_multi_index((ints[a] + ints[b] + reach).T, (2 * reach + 1,) * 3)
+    order = np.argsort(code, kind="stable")
+    code, a, b = code[order], a[order], b[order]
+    offsets = np.append(np.flatnonzero(np.diff(code, prepend=-1)), code.size)
+    pairs = np.empty(kept.size, dtype=_PAIR)
+    pairs["weight"] = amp[kept[order]]
+    pairs["dk"] = modes.k[a] - modes.k[b]
+    # a column's pairs share p_mid up to rounding; take the last pair's value
+    last = offsets[1:] - 1
+    p_mid = hbar * (modes.k[a[last]] + modes.k[b[last]]) / 2.0
+    return Wigner3D(p_mid=p_mid, pairs=pairs, offsets=offsets, box_length=L, hbar=hbar)
 
 
 def _columns_quadrature(w3: Wigner3D, weight) -> float:
-    """sum over columns of weight(p_mid) * integral dx amplitude(x)."""
-    max_c = 0
-    for c in w3.columns:
-        for _, dkv in c.pairs:
-            max_c = max(max_c, int(np.max(np.abs(np.round(dkv * w3.box_length / (2.0 * np.pi))))))
+    """sum over columns of weight(p_mid) * integral dx amplitude(x).
+
+    The Riemann rule on a tensor grid of npts points per axis integrates every
+    pair's plane wave exp(i dk.x) exactly; its npts^3 sum factorises into the
+    1-D sums T[n] of the three integer indices n = dk L/(2 pi).  weight maps
+    the (C, 3) column momenta to C weights.
+    """
+    L = w3.box_length
+    n = np.round(w3.pairs["dk"] * L / (2.0 * np.pi)).astype(int)
+    max_c = int(np.max(np.abs(n), initial=0))
     npts = max(2 * max_c + 1, 3)
-    pts, dv = _x_quadrature(npts, w3.box_length)
-    total = 0.0
-    for c in w3.columns:
-        total += weight(c.p_mid) * float(np.sum(c.amplitude(pts)).real) * dv
-    return total
+    s = np.arange(npts) * (L / npts)
+    q = (2.0 * np.pi / L) * np.arange(-max_c, max_c + 1)
+    # T[n] is summed, not assumed to vanish for n != 0, so the route stays an independent check
+    table = np.sum(np.exp(1j * np.outer(q, s)), axis=1) * (L / npts)
+    box = w3.pairs["weight"] * np.prod(table[n + max_c], axis=1)
+    n_columns = w3.p_mid.shape[0]
+    column = np.repeat(np.arange(n_columns), np.diff(w3.offsets))
+    sums = np.bincount(column, weights=box.real, minlength=n_columns)
+    return float(np.sum(weight(w3.p_mid) * sums))
 
 
 def wigner_3d_total(w3: Wigner3D) -> float:
@@ -339,4 +393,4 @@ def wigner_3d_total(w3: Wigner3D) -> float:
 
 def wigner_3d_energy(w3: Wigner3D, v: float) -> float:
     """Integral of eps_p f_N with eps_p = v|p| (the field energy)."""
-    return _columns_quadrature(w3, lambda p: v * float(np.linalg.norm(p)))
+    return _columns_quadrature(w3, lambda p: v * np.linalg.norm(p, axis=1))

@@ -154,6 +154,16 @@ def photon_payload(out_dir, **field):
     }
 
 
+def scenario_payload(out_dir, scenario, block, **params):
+    return {
+        "schema_version": 1,
+        "scenario": scenario,
+        "units": "natural",
+        "output": {"dir": str(out_dir)},
+        block: params,
+    }
+
+
 @pytest.mark.parametrize(
     "command, make_payload",
     [
@@ -170,11 +180,20 @@ def photon_payload(out_dir, **field):
         ("thermal-relax", lambda out: {**thermal_payload(out), "schema_version": True}),
         # max_index 1 leaves 3^3 - 1 = 26 nonzero wavevectors to draw from
         ("photon-field", lambda out: photon_payload(out, n_random_modes=27)),
+        ("photon-field", lambda out: photon_payload(out, n_random_modes=0)),
+        ("photon-field", lambda out: photon_payload(out, n_random_modes=-3)),
+        # size limits, refused before anything is allocated: 1025^2 pairs is just
+        # over wigner.MAX_PAIRS, a 10^6-mode grid would take about 29 TiB, and
+        # (2 * 4097)^2 cells is just over wigner.MAX_GRID_CELLS
+        ("photon-field", lambda out: photon_payload(out, n_random_modes=1025, max_index=5)),
+        ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", n_modes=10**6)),
+        ("phonon-sim", lambda out: scenario_payload(out, "phonon-gaussian", "lattice", n_sites=4097)),
     ],
     ids=[
         "string-int", "float-int", "bool-int", "list-int", "string-seed", "bool-temperature",
         "nan-temperature", "infinite-x-max", "unknown-units", "list-scenario", "bool-schema-version",
-        "too-many-modes",
+        "too-many-modes", "zero-modes", "negative-modes", "too-many-pairs", "huge-wigner-grid",
+        "huge-phonon-grid",
     ],
 )
 def test_bad_values_exit_3_with_one_json_line(tmp_path, capsys, command, make_payload):
@@ -187,6 +206,13 @@ def test_bad_values_exit_3_with_one_json_line(tmp_path, capsys, command, make_pa
     assert len(lines) == 1, err
     assert json.loads(lines[0])["error"] == "validation"
     assert not out.exists()
+
+
+def test_photon_field_needs_a_mode(tmp_path, capsys):
+    cfg = write_config(tmp_path, photon_payload(tmp_path / "out", n_random_modes=0))
+    assert cli.main(["photon-field", "--config", str(cfg)]) == 3
+    detail = last_stderr_json(capsys.readouterr().err)["detail"]
+    assert detail == "n_random_modes must be at least 1"
 
 
 def test_int_in_float_field_is_kept_as_given(tmp_path, capsys):

@@ -373,3 +373,159 @@ def test_3d_cross_column_profile():
 def test_3d_rejects_other_inputs():
     with pytest.raises(TypeError):
         wigner.wigner_3d(np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# reference implementation of the 3-D route: a double loop over mode pairs and
+# the Riemann sum evaluated point by point on the full tensor grid
+
+
+def columns_reference(modes):
+    """[(key, p_mid, [(weight, k_a - k_b), ...]), ...] ascending by key."""
+    L = modes.box_length
+    w_box = (2.0 * math.pi) ** 3 / L**3
+    hbar = modes.hbar
+    pref = w_box**2 / ((2.0 * math.pi) ** 3 * hbar)
+    groups, mids = {}, {}
+    for a in range(modes.k.shape[0]):
+        for b in range(modes.k.shape[0]):
+            amp = pref * complex(np.dot(modes.psik[a], np.conj(modes.psik[b])))
+            if amp == 0:
+                continue
+            mid = hbar * (modes.k[a] + modes.k[b]) / 2.0
+            key = tuple(np.round(mid * L / (math.pi * hbar)).astype(int))
+            groups.setdefault(key, []).append((amp, modes.k[a] - modes.k[b]))
+            mids[key] = mid
+    return [(key, mids[key], pairs) for key, pairs in sorted(groups.items())]
+
+
+def profile_reference(pairs, x):
+    out = np.zeros(x.shape[0], dtype=complex)
+    for w, dk in pairs:
+        out += w * np.exp(1j * (x @ dk))
+    return out
+
+
+def quadrature_reference(columns, L, weight):
+    """sum over columns of weight(p_mid) times the Riemann sum of its profile."""
+    max_c = 0
+    for _, _, pairs in columns:
+        for _, dk in pairs:
+            max_c = max(max_c, int(np.max(np.abs(np.round(dk * L / (2.0 * math.pi))))))
+    npts = max(2 * max_c + 1, 3)
+    s = np.arange(npts) * (L / npts)
+    X, Y, Z = np.meshgrid(s, s, s, indexing="ij")
+    pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1)
+    dv = (L / npts) ** 3
+    total = 0.0
+    for _, p_mid, pairs in columns:
+        total += weight(p_mid) * float(np.sum(profile_reference(pairs, pts)).real) * dv
+    return total
+
+
+def indexed_mode_set(indices, seed, box_length, hbar=1.0, medium=em.MediumParams()):
+    """Random transverse amplitudes on the given integer wavevector indices."""
+    rng = np.random.default_rng(seed)
+    k = (2.0 * math.pi / box_length) * np.asarray(indices, dtype=float)
+    psik = np.zeros(k.shape, dtype=complex)
+    for i, kv in enumerate(k):
+        e1, e2, _ = em.polarization_basis(kv)
+        c = rng.normal(size=4)
+        psik[i] = (c[0] + 1j * c[1]) * e1 + (c[2] + 1j * c[3]) * e2
+    return em.PhotonModeSet(k=k, psik=psik, box_length=box_length, medium=medium, hbar=hbar)
+
+
+def random_indices(rng, n_modes, max_index):
+    chosen = []
+    while len(chosen) < n_modes:
+        trio = tuple(int(c) for c in rng.integers(-max_index, max_index + 1, size=3))
+        if trio != (0, 0, 0) and trio not in chosen:
+            chosen.append(trio)
+    return chosen
+
+
+def oracle_mode_sets():
+    yield "single", indexed_mode_set([(0, 2, -1)], seed=1, box_length=3.0, hbar=0.7)
+    # +-k partners: every pair (k, -k) lands in the p = 0 column, and pairs of
+    # partners share midpoints in many other columns
+    half = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 2), (0, 2, 1)]
+    partners = indexed_mode_set(half + [tuple(-c for c in n) for n in half], seed=2, box_length=5.0)
+    # a zero-amplitude mode contributes no pair at all
+    psik = partners.psik.copy()
+    psik[3] = 0.0
+    yield "partners", em.PhotonModeSet(
+        k=partners.k, psik=psik, box_length=5.0, medium=partners.medium, hbar=1.0
+    )
+    rng = np.random.default_rng(3)
+    medium = em.MediumParams(eps=2.0, mu=1.3)
+    for max_index in (1, 2, 3, 4):
+        n_modes = min(2 + 5 * max_index, (2 * max_index + 1) ** 3 - 1)
+        indices = random_indices(rng, n_modes, max_index)
+        yield f"random-{max_index}", indexed_mode_set(
+            indices, seed=max_index, box_length=2.0 * math.pi * (0.5 + 0.3 * max_index),
+            hbar=1.3, medium=medium,
+        )
+
+
+ORACLE_MODE_SETS = [pytest.param(modes, id=name) for name, modes in oracle_mode_sets()]
+
+
+@pytest.mark.parametrize("modes", ORACLE_MODE_SETS)
+def test_3d_columns_match_pair_loop(modes):
+    w3 = wigner.wigner_3d(modes)
+    reference = columns_reference(modes)
+    L, hbar = modes.box_length, modes.hbar
+    keys = [tuple(np.round(c.p_mid * L / (math.pi * hbar)).astype(int)) for c in w3.columns]
+    assert keys == [key for key, _, _ in reference]
+    assert [len(c.pairs) for c in w3.columns] == [len(pairs) for _, _, pairs in reference]
+    assert np.max(np.abs(w3.p_mid - np.array([mid for _, mid, _ in reference]))) <= 1e-15
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.0, L, size=(5, 3))
+    for col, (_, _, pairs) in zip(w3.columns, reference):
+        # same pairs in the same (a, b) order
+        weights = np.array([w for w, _ in pairs])
+        assert np.max(np.abs(col.pairs["weight"] - weights)) <= 1e-14 * np.max(np.abs(weights))
+        assert np.array_equal(col.pairs["dk"], np.array([dk for _, dk in pairs]))
+        hand = profile_reference(pairs, x)
+        assert np.max(np.abs(col.amplitude(x) - hand)) <= 1e-13 * max(np.max(np.abs(hand)), 1e-300)
+
+
+@pytest.mark.parametrize("modes", ORACLE_MODE_SETS)
+def test_3d_quadrature_matches_full_grid(modes):
+    w3 = wigner.wigner_3d(modes)
+    reference = columns_reference(modes)
+    v = modes.medium.v
+    number = quadrature_reference(reference, modes.box_length, lambda p: 1.0)
+    energy = quadrature_reference(reference, modes.box_length, lambda p: v * np.linalg.norm(p))
+    assert wigner.wigner_3d_total(w3) == pytest.approx(number, rel=1e-13)
+    assert wigner.wigner_3d_energy(w3, v) == pytest.approx(energy, rel=1e-13)
+
+
+def test_3d_cross_terms_are_summed_not_assumed():
+    # two modes one index apart: their cross pairs integrate to ~1e-16 of the
+    # diagonal, not to an exact zero, so the quadrature does evaluate them
+    modes = indexed_mode_set([(1, 0, 0), (2, 0, 0)], seed=5, box_length=2.0 * math.pi)
+    w3 = wigner.wigner_3d(modes)
+    cross = [c for c in w3.columns if len(c.pairs) == 2]
+    only_cross = wigner.Wigner3D(
+        p_mid=cross[0].p_mid[None, :], pairs=cross[0].pairs, offsets=np.array([0, 2]),
+        box_length=w3.box_length, hbar=w3.hbar,
+    )
+    value = wigner._columns_quadrature(only_cross, lambda p: 1.0)
+    diagonal = wigner.wigner_3d_total(w3)
+    assert 0.0 < abs(value) < 1e-14 * diagonal
+
+
+def test_size_limits_refuse_just_past_the_limit():
+    # the checks look only at the sizes, so nothing large is allocated
+    wigner.check_grid_size(4096)
+    wigner.check_pair_count(1024)
+    with pytest.raises(ValueError, match="MAX_GRID_CELLS"):
+        wigner.wigner_1d(random_wave(4097, seed=0))
+    indices = np.array([(i, j, 1) for i in range(33) for j in range(32)][:1025], dtype=float)
+    modes = em.PhotonModeSet(
+        k=indices, psik=np.zeros((1025, 3)), box_length=2.0 * math.pi,
+        medium=em.MediumParams(), hbar=1.0,
+    )
+    with pytest.raises(ValueError, match="MAX_PAIRS"):
+        wigner.wigner_3d(modes)
