@@ -27,9 +27,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 TRANSVERSALITY_TOL = 1e-9
 GRID_TOL = 1e-9
+# Size limit, checked before anything is allocated (README "Size limits").
+MAX_GRID_POINTS = 2**21  # n_grid^3 points of a field grid: n_grid <= 128
 
 
 @dataclass(frozen=True)
@@ -239,6 +242,10 @@ class PhotonModeSet:
     def eta(self) -> np.ndarray:
         return np.sum(np.abs(self.psik) ** 2, axis=1)
 
+    def indices(self) -> np.ndarray:
+        """Integer triples n of the wavevectors k = 2pi n/L, shape (M, 3)."""
+        return np.round(self.k * self.box_length / (2.0 * np.pi)).astype(int)
+
 
 def polarization_basis(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Right-handed transverse triad (e1, e2, khat) for one wavevector.
@@ -283,7 +290,7 @@ def photon_action_wave(
 
 def _partner_index(modes: PhotonModeSet) -> np.ndarray:
     """Index of the -k row for each mode, or -1 when absent."""
-    ints = np.round(modes.k * modes.box_length / (2.0 * np.pi)).astype(int)
+    ints = modes.indices()
     table = {tuple(row): i for i, row in enumerate(ints)}
     return np.asarray([table.get(tuple(-row), -1) for row in ints])
 
@@ -337,59 +344,59 @@ def normalize_photons(modes: PhotonModeSet, n_quanta: float) -> PhotonModeSet:
     return replace(modes, psik=modes.psik * math.sqrt(n_quanta / current))
 
 
-def _closed_potential_modes(modes: PhotonModeSet):
-    """Potential modes closed under k -> -k: the real field always carries
-    A'_{-k} = (A'_k)*, even when -k is not a listed mode."""
-    A_modes, Adot_modes = potential_from_psi(modes)
-    partner = _partner_index(modes)
-    ks, As, Ads = [], [], []
-    for i in range(modes.k.shape[0]):
-        ks.append(modes.k[i])
-        As.append(A_modes[i])
-        Ads.append(Adot_modes[i])
-        if partner[i] < 0:
-            ks.append(-modes.k[i])
-            As.append(np.conj(A_modes[i]))
-            Ads.append(np.conj(Adot_modes[i]))
-    return np.asarray(ks), np.asarray(As), np.asarray(Ads)
+def default_grid(max_index: int) -> int:
+    """Coarsest fast FFT length that integrates every mode product exactly:
+    the squared real field has harmonics out to twice the largest index."""
+    return next_fast_len(4 * max_index + 1)
 
 
-def _grid_sums(ks, coeffs, n_grid: int, box_length: float) -> np.ndarray:
+def check_grid_size(n_grid: int) -> None:
+    """Refuse a field grid whose n_grid^3 points exceed MAX_GRID_POINTS."""
+    if n_grid**3 > MAX_GRID_POINTS:
+        raise ValueError(
+            f"a field grid of {n_grid}^3 = {n_grid**3} points is over"
+            f" MAX_GRID_POINTS = {MAX_GRID_POINTS}"
+        )
+
+
+def _grid_sums(modes: PhotonModeSet, coeffs: np.ndarray, n_grid: int) -> np.ndarray:
     """Real fields ((2pi)^{3/2}/V) sum_k c_k exp(-i k.x) on the n_grid^3 box.
 
-    coeffs stacks the (3,)-vector coefficients of several fields per mode,
-    shape (M, n_fields, 3); the result has shape (n_fields, 3, n, n, n).
+    coeffs stacks the (3,)-vector coefficients of several fields per listed
+    mode, shape (M, n_fields, 3); the result has shape (n_fields, 3, n, n, n).
+    A real field carries c_{-k} = (c_k)* whether or not -k is listed, so an
+    unpaired mode enters twice over before the real part is taken.  At
+    x_j = j L/n the term of k = 2pi m/L is exp(-2pi i m.j/n): it sits in DFT
+    bin -m mod n, and one unnormalised inverse FFT sums them all.  Bins that
+    coincide on a coarse grid add up.
     """
-    mesh = box_mesh(n_grid, box_length)
-    scale = (2.0 * np.pi) ** 1.5 / box_length**3
-    out = np.zeros(coeffs.shape[1:] + mesh.shape[1:], dtype=complex)
-    for i in range(ks.shape[0]):
-        phase = np.exp(-1j * np.tensordot(ks[i], mesh, axes=(0, 0)))
-        out += coeffs[i][..., None, None, None] * phase
-    return (scale * out).real
+    check_grid_size(n_grid)
+    weight = np.where(_partner_index(modes) < 0, 2.0, 1.0)
+    spectrum = np.zeros(coeffs.shape[1:] + (n_grid,) * 3, dtype=complex)
+    bins = tuple((-modes.indices() % n_grid).T)
+    np.add.at(spectrum, (Ellipsis,) + bins, np.moveaxis(weight[:, None, None] * coeffs, 0, -1))
+    out = np.fft.ifftn(spectrum, axes=(-3, -2, -1), norm="forward")
+    return (2.0 * np.pi) ** 1.5 / modes.box_length**3 * out.real
 
 
 def potential_field_values(modes: PhotonModeSet, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
     """Real potential A and rate Adot on the n_grid^3 box from the mode set."""
-    ks, A_modes, Adot_modes = _closed_potential_modes(modes)
-    A, Adot = _grid_sums(ks, np.stack([A_modes, Adot_modes], axis=1), n_grid, modes.box_length)
+    A_modes, Adot_modes = potential_from_psi(modes)
+    A, Adot = _grid_sums(modes, np.stack([A_modes, Adot_modes], axis=1), n_grid)
     return A, Adot
 
 
 def field_energy(modes: PhotonModeSet, n_grid: int | None = None) -> float:
     """Energy by dense quadrature of (eps E^2 + mu H^2)/2 over the box.
 
-    The grid defaults to the coarsest one that integrates every mode
-    product exactly.
+    The grid defaults to default_grid of the largest wavevector index.
     """
     m = modes.medium
-    ints = np.round(modes.k * modes.box_length / (2.0 * np.pi)).astype(int)
     if n_grid is None:
-        # the squared real field has harmonics out to twice the largest index
-        n_grid = 4 * int(np.max(np.abs(ints))) + 1
-    ks, A_modes, Adot_modes = _closed_potential_modes(modes)
-    coeffs = np.stack([-Adot_modes / m.c, np.cross(-1j * ks, A_modes) / m.mu], axis=1)
-    E, H = _grid_sums(ks, coeffs, n_grid, modes.box_length)
+        n_grid = default_grid(int(np.max(np.abs(modes.indices()))))
+    A_modes, Adot_modes = potential_from_psi(modes)
+    coeffs = np.stack([-Adot_modes / m.c, np.cross(-1j * modes.k, A_modes) / m.mu], axis=1)
+    E, H = _grid_sums(modes, coeffs, n_grid)
     w = 0.5 * (m.eps * np.sum(E**2, axis=0) + m.mu * np.sum(H**2, axis=0))
     dv = (modes.box_length / n_grid) ** 3
     return float(np.sum(w) * dv)

@@ -86,6 +86,14 @@ def _strict(cls, data, where):
     return cls(**data)
 
 
+def _require_positive(cfg, *names):
+    """Refuse zero or negative values in fields that later divide or count."""
+    for name in names:
+        value = getattr(cfg, name)
+        if value <= 0:
+            raise ConfigError(f"{name} must be positive, got {value!r}")
+
+
 # --- phonon-gaussian ---------------------------------------------------------
 
 
@@ -218,6 +226,7 @@ class TravelingWaveConfig:
 
 
 def run_traveling_wave(cfg: TravelingWaveConfig):
+    _require_positive(cfg, "dt_factor", "width")
     u = get_units(cfg.units)
     params = lattice.LatticeParams(
         m=cfg.m, omega0=0.0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
@@ -293,6 +302,7 @@ class WignerGaussianConfig:
 
 
 def run_wigner_gaussian(cfg: WignerGaussianConfig):
+    _require_positive(cfg, "n_modes", "ell")
     wigner.check_grid_size(cfg.n_modes)
     u = get_units(cfg.units)
     length = cfg.ell * cfg.n_modes
@@ -371,6 +381,8 @@ def _random_mode_set(cfg: PhotonFieldConfig, medium, hbar):
     if cfg.n_random_modes > available:
         raise ConfigError(f"n_random_modes exceeds the {available} nonzero wavevectors")
     wigner.check_pair_count(cfg.n_random_modes)
+    # the field-energy grid of any mode set drawn within max_index
+    em.check_grid_size(em.default_grid(cfg.max_index))
     rng = np.random.default_rng(cfg.seed)
     chosen: list[tuple[int, int, int]] = []
     while len(chosen) < cfg.n_random_modes:
@@ -389,6 +401,7 @@ def _random_mode_set(cfg: PhotonFieldConfig, medium, hbar):
 
 
 def run_photon_field(cfg: PhotonFieldConfig):
+    _require_positive(cfg, "box_length")
     u = get_units(cfg.units)
     medium = em.MediumParams(eps=cfg.eps, mu=cfg.mu, c=u.c)
     modes = _random_mode_set(cfg, medium, u.hbar)
@@ -455,24 +468,43 @@ def _centered_mesh(n: int, spacing: float, center) -> np.ndarray:
     return np.stack([X, Y, Z])
 
 
+def _cylindrical_block(k, v, mesh_n, spacing, dt, center):
+    """Stencil checks of the axial Beltrami solution U shared by the helicity runners.
+
+    On the mesh_n^3 mesh: the potential equation residual between U(0) and
+    U(dt), the Beltrami residual |curl U - k U| and the defect of
+    F = i curl U against i k U; on the same cube at half the spacing, the
+    Beltrami residual again.  Each solution and each curl is computed once.
+    Returns (mesh, equation, beltrami, field, beltrami at h/2).
+    """
+    helicity.check_mesh_size(2 * mesh_n - 1)
+    mesh = _centered_mesh(mesh_n, spacing, center)
+    U0 = helicity.cylindrical_solution(mesh, k, v, t=0.0)
+    U1 = helicity.cylindrical_solution(mesh, k, v, t=dt)
+    equation = helicity.potential_equation_residual(U0, U1, dt, spacing, v)
+    curl = helicity.stencil_curl(U0, spacing)
+    inner = helicity.interior(U0)
+    ref = k * _max_norm(inner)
+    beltrami = _max_norm(curl - k * inner) / ref
+    field = _max_norm(1j * curl - 1j * k * inner) / ref
+    del U0, U1, curl, inner  # freed before the eight times larger mesh below
+    # halve the spacing on the same physical cube to expose the stencil order
+    U_h = helicity.cylindrical_solution(_centered_mesh(2 * mesh_n - 1, spacing / 2.0, center), k, v)
+    curl, inner = helicity.stencil_curl(U_h, spacing / 2.0), helicity.interior(U_h)
+    beltrami_h = _max_norm(curl - k * inner) / (k * _max_norm(inner))
+    return mesh, equation, beltrami, field, beltrami_h
+
+
+def _max_norm(U) -> float:
+    """Largest pointwise vector norm of a component-first field."""
+    return float(np.max(np.sqrt(np.sum(np.abs(U) ** 2, axis=0))))
+
+
 def run_helicity_cylindrical(cfg: HelicityCylindricalConfig):
     u = get_units(cfg.units)
-    mesh = _centered_mesh(cfg.mesh_n, cfg.spacing, (cfg.center_x, cfg.center_y, cfg.center_z))
-    U0 = helicity.cylindrical_solution(mesh, cfg.k, cfg.v, t=0.0)
-    U1 = helicity.cylindrical_solution(mesh, cfg.k, cfg.v, t=cfg.dt)
-
-    inner = helicity.interior(U0)
-    ref = cfg.k * np.max(np.sqrt(np.sum(np.abs(inner) ** 2, axis=0)))
-    beltrami = _beltrami_residual(U0, cfg.k, cfg.spacing)
-    F = helicity.field_from_potential(U0, cfg.spacing)
-    field_err = float(np.max(np.sqrt(np.sum(np.abs(F - 1j * cfg.k * inner) ** 2, axis=0))) / ref)
-    eq_resid = helicity.potential_equation_residual(U0, U1, cfg.dt, cfg.spacing, cfg.v)
-
-    # halve the spacing on the same physical cube to expose the stencil order
-    mesh2 = _centered_mesh(2 * cfg.mesh_n - 1, cfg.spacing / 2.0, (cfg.center_x, cfg.center_y, cfg.center_z))
-    U0h = helicity.cylindrical_solution(mesh2, cfg.k, cfg.v, t=0.0)
-    beltrami_h = _beltrami_residual(U0h, cfg.k, cfg.spacing / 2.0)
-
+    mesh, eq_resid, beltrami, field_err, beltrami_h = _cylindrical_block(
+        cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, (cfg.center_x, cfg.center_y, cfg.center_z)
+    )
     mode = helicity.ComplexPotentialMode(k=np.array([0.0, 0.5, cfg.k]), sigma=1)
     U_plane = mode.evaluate(mesh, v=cfg.v)
     summary = {
@@ -674,8 +706,11 @@ class VerifyHelicityConfig:
 
 
 def verify_helicity(cfg: VerifyHelicityConfig):
+    _require_positive(cfg, "v")
     u = get_units(cfg.units)
-    mesh = _centered_mesh(cfg.mesh_n, cfg.spacing, (0.25, 0.15, -0.3))
+    mesh, resid, r1, _, r2 = _cylindrical_block(
+        cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, (0.25, 0.15, -0.3)
+    )
     mode = helicity.ComplexPotentialMode(k=np.array([0.3, -0.4, cfg.k]), sigma=1)
     U = mode.evaluate(mesh, v=cfg.v)
     sigma_same = -1 if cfg.negative_control else 1
@@ -687,18 +722,9 @@ def verify_helicity(cfg: VerifyHelicityConfig):
         1e-12,
     )
 
-    U0 = helicity.cylindrical_solution(mesh, cfg.k, cfg.v, t=0.0)
-    U1 = helicity.cylindrical_solution(mesh, cfg.k, cfg.v, t=cfg.dt)
-    resid = helicity.potential_equation_residual(U0, U1, cfg.dt, cfg.spacing, cfg.v)
     omega = cfg.v * cfg.k
     bound = 0.5 * (cfg.k * cfg.spacing) ** 2 + 0.25 * (omega * cfg.dt) ** 2
     checks["equation_residual"] = (resid, bound)
-
-    mesh_h = _centered_mesh(2 * cfg.mesh_n - 1, cfg.spacing / 2.0, (0.25, 0.15, -0.3))
-    r1 = _beltrami_residual(helicity.cylindrical_solution(mesh, cfg.k, cfg.v), cfg.k, cfg.spacing)
-    r2 = _beltrami_residual(
-        helicity.cylindrical_solution(mesh_h, cfg.k, cfg.v), cfg.k, cfg.spacing / 2.0
-    )
     checks["stencil_order"] = (abs(r1 / r2 - 4.0), 0.5)
 
     theta_t = 0.7 / omega
@@ -710,14 +736,6 @@ def verify_helicity(cfg: VerifyHelicityConfig):
     )
 
     return _check_summary("verify-helicity", u.name, checks)
-
-
-def _beltrami_residual(U, k, spacing):
-    curl = helicity.stencil_curl(U, spacing)
-    inner = helicity.interior(U)
-    num = np.max(np.sqrt(np.sum(np.abs(curl - k * inner) ** 2, axis=0)))
-    den = k * np.max(np.sqrt(np.sum(np.abs(inner) ** 2, axis=0)))
-    return float(num / den)
 
 
 def _check_summary(scenario, units_name, checks):

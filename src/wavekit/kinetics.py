@@ -208,14 +208,24 @@ def advect_step(f_x: np.ndarray, v: float, dt: float, dx: float) -> np.ndarray:
     f_x = np.asarray(f_x, dtype=float)
     if f_x.ndim != 1:
         raise ValueError("f_x must be 1-D")
+    return _upwind(f_x, _courant(v, dt, dx))
+
+
+def _courant(v: float, dt: float, dx: float) -> float:
+    """Courant number v dt/dx of an upwind step, refused beyond 1."""
     if dt < 0 or dx <= 0:
         raise ValueError("dt must be nonnegative and dx positive")
     cfl = v * dt / dx
     if abs(cfl) > 1.0 + 1e-12:
         raise ValueError("CFL violated: |v| dt must not exceed dx")
+    return cfl
+
+
+def _upwind(f: np.ndarray, cfl: float) -> np.ndarray:
+    """One upwind step along axis 0 of a periodic array."""
     if cfl >= 0:
-        return f_x - cfl * (f_x - np.roll(f_x, 1))
-    return f_x - cfl * (np.roll(f_x, -1) - f_x)
+        return f - cfl * (f - np.roll(f, 1, axis=0))
+    return f - cfl * (np.roll(f, -1, axis=0) - f)
 
 
 def spectral_energy_density(lam: np.ndarray | float, params: KineticParams) -> np.ndarray | float:
@@ -275,18 +285,19 @@ def evolve_with_transport(
 ) -> np.ndarray:
     """Split-step relaxation plus streaming for f(x, p) on a periodic slab.
 
-    f_xp has shape (n_x, n_p); each momentum column streams at its own
-    speed v (magnitude, toward +x) and relaxes locally.
+    f_xp has shape (n_x, n_p); every momentum column streams toward +x at
+    the one speed params.v (massless quanta) and relaxes locally at its own
+    rate.
     """
     f = np.array(f_xp, dtype=float)
     if f.ndim != 2 or f.shape[1] != p.size:
         raise ValueError("f_xp must have shape (n_x, len(p))")
+    cfl = _courant(params.v, dt, dx)
     eps = params.v * np.asarray(p, dtype=float)
     f_star = np.asarray(equilibrium_f(eps, params, model))
     rate = np.asarray(effective_rate(eps, params, model))
     decay = np.exp(-rate * dt)
     for _ in range(n_steps):
-        for j in range(p.size):
-            f[:, j] = advect_step(f[:, j], params.v, dt, dx)
+        f = _upwind(f, cfl)
         f = f_star[None, :] + (f - f_star[None, :]) * decay[None, :]
     return f

@@ -347,7 +347,7 @@ def wigner_3d(modes: "PhotonModeSet") -> Wigner3D:  # noqa: F821 - forward name,
     amp = (pref * (modes.psik @ np.conj(modes.psik).T)).ravel()
     kept = np.flatnonzero(amp)
     a, b = np.divmod(kept, m)
-    ints = np.round(modes.k * L / (2.0 * np.pi)).astype(int)
+    ints = modes.indices()
     # the key ints_a + ints_b as one integer that sorts like the key triple
     reach = 2 * int(np.max(np.abs(ints)))
     code = np.ravel_multi_index((ints[a] + ints[b] + reach).T, (2 * reach + 1,) * 3)

@@ -164,6 +164,22 @@ def scenario_payload(out_dir, scenario, block, **params):
     }
 
 
+# fields that later divide by their value or count with it: (command, payload, field)
+ZERO_VALUES = [
+    ("photon-field", lambda out: photon_payload(out, box_length=0), "box_length"),
+    ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", ell=0), "ell"),
+    ("wigner", lambda out: scenario_payload(
+        out, "wigner-gaussian", "wigner", n_modes=0), "n_modes"),
+    ("phonon-sim", lambda out: traveling_payload(out, dt_factor=0), "dt_factor"),
+    # a zero width used to exit 3 only after numpy warnings on stderr
+    ("phonon-sim", lambda out: traveling_payload(out, width=0), "width"),
+    ("verify", lambda out: scenario_payload(out, "verify-helicity", "helicity", v=0), "v"),
+]
+ZERO_IDS = [
+    "zero-box-length", "zero-ell", "zero-n-modes", "zero-dt-factor", "zero-width", "zero-v",
+]
+
+
 @pytest.mark.parametrize(
     "command, make_payload",
     [
@@ -188,13 +204,19 @@ def scenario_payload(out_dir, scenario, block, **params):
         ("photon-field", lambda out: photon_payload(out, n_random_modes=1025, max_index=5)),
         ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", n_modes=10**6)),
         ("phonon-sim", lambda out: scenario_payload(out, "phonon-gaussian", "lattice", n_sites=4097)),
-    ],
+        # max_index 32 needs a 132^3 field grid, just over em.MAX_GRID_POINTS = 128^3, and
+        # mesh_n 129 a 257^3 half-spacing mesh, just over helicity.MAX_MESH_POINTS = 256^3
+        ("photon-field", lambda out: photon_payload(out, max_index=32)),
+        ("helicity-check", lambda out: scenario_payload(
+            out, "helicity-cylindrical", "helicity", mesh_n=129)),
+        ("verify", lambda out: scenario_payload(out, "verify-helicity", "helicity", mesh_n=129)),
+    ] + [(command, make_payload) for command, make_payload, _ in ZERO_VALUES],
     ids=[
         "string-int", "float-int", "bool-int", "list-int", "string-seed", "bool-temperature",
         "nan-temperature", "infinite-x-max", "unknown-units", "list-scenario", "bool-schema-version",
         "too-many-modes", "zero-modes", "negative-modes", "too-many-pairs", "huge-wigner-grid",
-        "huge-phonon-grid",
-    ],
+        "huge-phonon-grid", "huge-field-grid", "huge-helicity-mesh", "huge-verify-mesh",
+    ] + ZERO_IDS,
 )
 def test_bad_values_exit_3_with_one_json_line(tmp_path, capsys, command, make_payload):
     out = tmp_path / "out"
@@ -206,6 +228,14 @@ def test_bad_values_exit_3_with_one_json_line(tmp_path, capsys, command, make_pa
     assert len(lines) == 1, err
     assert json.loads(lines[0])["error"] == "validation"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, make_payload, field", ZERO_VALUES, ids=ZERO_IDS)
+def test_zero_value_diagnostic_names_the_field(tmp_path, capsys, command, make_payload, field):
+    cfg = write_config(tmp_path, make_payload(tmp_path / "out"))
+    assert cli.main([command, "--config", str(cfg)]) == 3
+    detail = last_stderr_json(capsys.readouterr().err)["detail"]
+    assert detail == f"{field} must be positive, got 0"
 
 
 def test_photon_field_needs_a_mode(tmp_path, capsys):

@@ -287,6 +287,8 @@ def test_energy_three_routes_agree():
 
 
 def test_energy_quadrature_grid_is_exact():
+    # fast FFT lengths >= 4 max|n| + 1: 13 and 61 are prime
+    assert [em.default_grid(m) for m in (1, 2, 3, 15, 31)] == [5, 9, 14, 63, 125]
     modes = transverse_mode_set(seed=37, n_modes=3)
     default = em.field_energy(modes)
     finer = em.field_energy(modes, n_grid=25)
@@ -302,6 +304,86 @@ def test_single_unpaired_mode_energy():
     psik = (0.6 * (e1 + 1j * e2) / math.sqrt(2.0))[None, :]
     modes = em.PhotonModeSet(k=k, psik=psik, box_length=L, medium=DENSE, hbar=1.0)
     assert em.field_energy(modes) == pytest.approx(em.mode_energy_3d(modes), rel=1e-10)
+
+
+# the mode-closure copy and per-mode grid loop that em._grid_sums replaced,
+# kept as the oracle for its scatter and inverse FFT
+
+
+def closed_potential_modes(modes):
+    A_modes, Adot_modes = em.potential_from_psi(modes)
+    partner = em._partner_index(modes)
+    ks, As, Ads = [], [], []
+    for i in range(modes.k.shape[0]):
+        ks.append(modes.k[i])
+        As.append(A_modes[i])
+        Ads.append(Adot_modes[i])
+        if partner[i] < 0:
+            ks.append(-modes.k[i])
+            As.append(np.conj(A_modes[i]))
+            Ads.append(np.conj(Adot_modes[i]))
+    return np.asarray(ks), np.asarray(As), np.asarray(Ads)
+
+
+def grid_sums_reference(ks, coeffs, n_grid, box_length):
+    mesh = em.box_mesh(n_grid, box_length)
+    out = np.zeros(coeffs.shape[1:] + mesh.shape[1:], dtype=complex)
+    for i in range(ks.shape[0]):
+        phase = np.exp(-1j * np.tensordot(ks[i], mesh, axes=(0, 0)))
+        out += coeffs[i][..., None, None, None] * phase
+    return ((2.0 * np.pi) ** 1.5 / box_length**3 * out).real
+
+
+def field_energy_reference(modes, n_grid):
+    m = modes.medium
+    ks, A_modes, Adot_modes = closed_potential_modes(modes)
+    coeffs = np.stack([-Adot_modes / m.c, np.cross(-1j * ks, A_modes) / m.mu], axis=1)
+    E, H = grid_sums_reference(ks, coeffs, n_grid, modes.box_length)
+    w = 0.5 * (m.eps * np.sum(E**2, axis=0) + m.mu * np.sum(H**2, axis=0))
+    return float(np.sum(w) * (modes.box_length / n_grid) ** 3)
+
+
+def indexed_mode_set(seed, triples, box_length=2.0 * math.pi * 1.3):
+    rng = np.random.default_rng(seed)
+    k = 2.0 * math.pi / box_length * np.asarray(triples, dtype=float)
+    psik = np.empty(k.shape, dtype=complex)
+    for i, row in enumerate(k):
+        e1, e2, _ = em.polarization_basis(row)
+        c = rng.normal(size=4)
+        psik[i] = (c[0] + 1j * c[1]) * e1 + (c[2] + 1j * c[3]) * e2
+    return em.PhotonModeSet(k=k, psik=psik, box_length=box_length, medium=DENSE, hbar=1.0)
+
+
+PAIRED = [(1, 0, 0), (-1, 0, 0), (0, 2, -1), (0, -2, 1), (1, 1, 2), (-1, -1, -2)]
+UNPAIRED = [(1, 0, 0), (0, 2, -1), (2, -1, 1), (-1, 1, 2)]
+MIXED = [(1, 0, 0), (-1, 0, 0), (0, 2, -1), (2, -1, 1), (-2, 1, -1), (1, 2, 2)]
+
+
+@pytest.mark.parametrize(
+    "triples, n_grid",
+    [
+        (PAIRED, None),
+        (UNPAIRED, None),
+        ([(0, 0, 3)], None),
+        (MIXED, None),
+        # n_grid 3 < 2 max|n| + 1 = 5: (1, 0, 0) and (-2, 0, 0) share a DFT bin
+        (MIXED + [(-2, 0, 0)], 3),
+    ],
+    ids=["paired", "unpaired", "single", "mixed", "aliasing"],
+)
+def test_fields_match_per_mode_loop(triples, n_grid):
+    modes = indexed_mode_set(seed=len(triples), triples=triples)
+    if n_grid is None:
+        n_grid = em.default_grid(int(np.max(np.abs(triples))))
+    ks, A_modes, Adot_modes = closed_potential_modes(modes)
+    expected = grid_sums_reference(
+        ks, np.stack([A_modes, Adot_modes], axis=1), n_grid, modes.box_length
+    )
+    for got, want in zip(em.potential_field_values(modes, n_grid), expected):
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+    assert em.field_energy(modes, n_grid) == pytest.approx(
+        field_energy_reference(modes, n_grid), rel=1e-12
+    )
 
 
 def test_normalize_photons():

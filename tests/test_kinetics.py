@@ -232,6 +232,19 @@ def test_advection_validation():
         kinetics.advect_step(np.ones((2, 4)), 0.5, 0.01, 0.1)
 
 
+def transport_column_loop(f_xp, p, params, model, dt, dx, n_steps):
+    # the column-by-column streaming that evolve_with_transport replaced
+    f = np.array(f_xp, dtype=float)
+    eps = params.v * p
+    f_star = np.asarray(kinetics.equilibrium_f(eps, params, model))
+    decay = np.exp(-np.asarray(kinetics.effective_rate(eps, params, model)) * dt)
+    for _ in range(n_steps):
+        for j in range(p.size):
+            f[:, j] = kinetics.advect_step(f[:, j], params.v, dt, dx)
+        f = f_star[None, :] + (f - f_star[None, :]) * decay[None, :]
+    return f
+
+
 def test_transport_plus_damping_total_decay():
     params = kinetics.KineticParams(gamma=0.3, temperature=1.0)
     rng = np.random.default_rng(5)
@@ -246,6 +259,21 @@ def test_transport_plus_damping_total_decay():
     assert np.sum(out) == pytest.approx(np.sum(f0) * math.exp(-params.gamma * n * dt), rel=1e-10)
     with pytest.raises(ValueError):
         kinetics.evolve_with_transport(f0[:, :2], p, params, kinetics.SourceModel.NONE, dt, dx, 1)
+    with pytest.raises(ValueError, match="CFL"):
+        kinetics.evolve_with_transport(f0, p, params, kinetics.SourceModel.NONE, 1.01 * dt, dx, 1)
+
+
+@pytest.mark.parametrize("model", list(kinetics.SourceModel))
+def test_transport_matches_column_loop(model):
+    params = kinetics.KineticParams(gamma=0.7, temperature=1.3)
+    rng = np.random.default_rng(8)
+    p = np.linspace(0.2, 4.0, 7)
+    f0 = rng.uniform(0.0, 2.0, size=(24, 7))
+    dx = 0.3
+    dt = 0.37 * dx / params.v
+    got = kinetics.evolve_with_transport(f0, p, params, model, dt, dx, 15)
+    want = transport_column_loop(f0, p, params, model, dt, dx, 15)
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

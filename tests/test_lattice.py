@@ -282,10 +282,11 @@ def standing_mode(params, cells):
     return lattice.LatticeState(u=np.cos(k * x), v=np.zeros(params.n_sites)), k
 
 
-def test_leapfrog_drift_envelope_standing_mode():
+@pytest.mark.parametrize("cells", [2, 8, 16])
+def test_leapfrog_drift_envelope_standing_mode(cells):
     # a standing mode oscillates inside a (omega*dt)^2/4 energy envelope
     params = chain(n_sites=64)
-    state, k = standing_mode(params, 16)
+    state, k = standing_mode(params, cells)
     w = lattice.dispersion(np.array([k]), params)[0]
     dt = 0.1 / params.omega_max
     _, energies, _ = lattice.leapfrog_energy_series(state, params, dt, 8000)
@@ -294,10 +295,11 @@ def test_leapfrog_drift_envelope_standing_mode():
     assert drift == pytest.approx(envelope, rel=0.02)
 
 
-def test_leapfrog_drift_envelope_traveling_mode():
+@pytest.mark.parametrize("cells", [2, 8, 16])
+def test_leapfrog_drift_envelope_traveling_mode(cells):
     # quadrature (equal kinetic and potential) modes do far better: (omega*dt)^4/32
     params = chain(n_sites=64)
-    state, k = standing_mode(params, 16)
+    state, k = standing_mode(params, cells)
     w = lattice.dispersion(np.array([k]), params)[0]
     state = lattice.LatticeState(u=state.u, v=params.m * w * np.sin(k * params.x_grid()))
     dt = 0.1 / params.omega_max

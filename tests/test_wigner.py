@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wavekit import em, lattice, wigner
+from wavekit import em, helicity, lattice, wigner
 
 
 def random_wave(n, seed, ell=0.8, hbar=0.9):
@@ -529,3 +529,9 @@ def test_size_limits_refuse_just_past_the_limit():
     )
     with pytest.raises(ValueError, match="MAX_PAIRS"):
         wigner.wigner_3d(modes)
+    em.check_grid_size(128)
+    with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+        em.field_energy(modes, n_grid=129)
+    helicity.check_mesh_size(256)
+    with pytest.raises(ValueError, match="MAX_MESH_POINTS"):
+        helicity.check_mesh_size(257)
