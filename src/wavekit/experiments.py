@@ -231,6 +231,11 @@ def run_traveling_wave(cfg: TravelingWaveConfig):
     params = lattice.LatticeParams(
         m=cfg.m, omega0=0.0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
     )
+    dt = cfg.dt_factor / params.omega_max
+    # the cap keeps round() finite; a capped step count is over the limit anyway
+    n_steps = max(1, round(min(cfg.t_final / dt, lattice.MAX_SERIES_CELLS)))
+    lattice.check_series_size(n_steps + 1, cfg.n_sites)
+    dt = cfg.t_final / n_steps
     center = params.length / 4.0 if cfg.center is None else cfg.center
 
     def bump(x):
@@ -244,9 +249,6 @@ def run_traveling_wave(cfg: TravelingWaveConfig):
     modes_t = lattice.evolve_modes_exact(modes0, cfg.t_final)
     exact_t = lattice.idft_from_modes(modes_t, t=cfg.t_final)
 
-    dt = cfg.dt_factor / params.omega_max
-    n_steps = max(1, round(cfg.t_final / dt))
-    dt = cfg.t_final / n_steps
     _, energies, leap_t = lattice.leapfrog_energy_series(state0, params, dt, n_steps)
 
     shift = cfg.direction * params.v_ell * cfg.t_final
@@ -551,6 +553,7 @@ class ThermalPlanckConfig:
 
 
 def run_thermal_planck(cfg: ThermalPlanckConfig):
+    _require_positive(cfg, "n_cells")
     u = get_units(cfg.units)
     model = kinetics.SourceModel(cfg.model)
     params = kinetics.KineticParams.in_units(u, cfg.gamma, cfg.temperature, v=cfg.v)
@@ -636,6 +639,8 @@ class VerifyLatticeConfig:
 
 
 def verify_lattice(cfg: VerifyLatticeConfig):
+    sample_every = 10
+    lattice.check_series_size(cfg.n_steps // sample_every + 1, cfg.n_sites)
     u = get_units(cfg.units)
     params = lattice.LatticeParams(
         m=cfg.m, omega0=cfg.omega0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
@@ -684,7 +689,7 @@ def verify_lattice(cfg: VerifyLatticeConfig):
     )
 
     dt = cfg.dt_factor / params.omega_max
-    _, energies, _ = lattice.leapfrog_energy_series(state, params, dt, cfg.n_steps, sample_every=10)
+    _, energies, _ = lattice.leapfrog_energy_series(state, params, dt, cfg.n_steps, sample_every)
     theta = params.omega_max * dt
     checks["leapfrog_energy_bound"] = (
         float(np.max(np.abs(energies - h_site)) / h_site),

@@ -33,6 +33,24 @@ Grid conventions: all public mode arrays are in monotonic k order
 (fftshift of FFT order).  The k = 0 cell is dropped from the action
 picture when omega0 = 0 because its frequency vanishes; a nonzero mean
 displacement there carries no energy and is outside the action chart.
+
+Leapfrog (kick-drift-kick Stormer-Verlet) acts on each real-FFT bin j of
+(u, v) as one fixed 2x2 matrix.  With omega_j as above at k*ell = 2pi*j/n,
+
+    theta_j = 2*arcsin(omega_j*dt/2),   Omega_j = sin(theta_j)/dt,
+    M_j = [[cos theta_j, sin theta_j/(m*Omega_j)], [-m*Omega_j*sin theta_j, cos theta_j]],
+
+so N steps are one rotation by N*theta_j, and a zero-frequency bin drifts
+(u += N*dt*v/m).  arccos(1 - (omega*dt)^2/2) names the same angle but
+loses the low modes' digits to cancellation.  By Parseval the energy after
+N steps is A + Re sum_j Z_j*exp(2i*N*theta_j), with A and Z_j fixed by the
+initial state.  leapfrog_energy_series therefore takes one rfft pair, one
+rotation and one inverse rfft pair for the final state, and a per-bin phase
+recurrence, re-seeded from exact phases, for the energy samples: O(n) memory
+and O(n log n + samples*n) work for any step count.  leapfrog_step is the
+one-step form; the step loop lives on in the tests as the oracle.  See
+Hairer, Lubich & Wanner, Geometric Numerical Integration (2006), sec. I.5
+and XI.
 """
 
 from __future__ import annotations
@@ -44,6 +62,9 @@ from scipy.integrate import quad
 
 ZERO_MODE_ENERGY_TOL = 1e-12
 REALITY_TOL = 1e-10
+# energy samples x sites of one leapfrog series: 4x the largest benchmark run, 2001 x 16384
+MAX_SERIES_CELLS = 2**27
+_RESEED = 256  # energy samples between exact re-seeds of the phase recurrence
 
 
 @dataclass(frozen=True)
@@ -190,10 +211,23 @@ def hamiltonian_energy(state: LatticeState, params: LatticeParams) -> float:
     return float(kin + pin + spring)
 
 
-def leapfrog_step(state: LatticeState, params: LatticeParams, dt: float) -> LatticeState:
-    """One kick-drift-kick step; requires 0 < dt < 2/omega_max for stability."""
+def _check_leapfrog_dt(dt: float, params: LatticeParams) -> None:
     if not 0.0 < dt < 2.0 / params.omega_max:
         raise ValueError(f"dt must lie in (0, {2.0 / params.omega_max:.6g}) for stability")
+
+
+def check_series_size(n_samples: int, n_sites: int) -> None:
+    """Refuse a leapfrog series whose n_samples x n_sites cells exceed MAX_SERIES_CELLS."""
+    if n_samples * n_sites > MAX_SERIES_CELLS:
+        raise ValueError(
+            f"a leapfrog series on {n_sites} sites may take at most {MAX_SERIES_CELLS // n_sites}"
+            f" energy samples (MAX_SERIES_CELLS = {MAX_SERIES_CELLS})"
+        )
+
+
+def leapfrog_step(state: LatticeState, params: LatticeParams, dt: float) -> LatticeState:
+    """One kick-drift-kick step; requires 0 < dt < 2/omega_max for stability."""
+    _check_leapfrog_dt(dt, params)
     # v is momentum: kick by m * du/dt-acceleration, drift by v/m
     a = _accelerations(state.u, params)
     v_half = state.v + 0.5 * dt * params.m * a
@@ -205,17 +239,55 @@ def leapfrog_step(state: LatticeState, params: LatticeParams, dt: float) -> Latt
 def leapfrog_energy_series(
     state: LatticeState, params: LatticeParams, dt: float, n_steps: int, sample_every: int = 1
 ) -> tuple[np.ndarray, np.ndarray, LatticeState]:
-    """Run n_steps of leapfrog, sampling energy; returns (times, energies, final state)."""
+    """n_steps of leapfrog, sampling the energy at steps 0, sample_every, 2*sample_every, ...
+
+    Returns (times, energies, final state), evaluated by the exact discrete
+    propagator described in the module docstring instead of step by step.
+    """
     if n_steps < 1 or sample_every < 1:
         raise ValueError("n_steps and sample_every must be positive")
-    times = [state.t]
-    energies = [hamiltonian_energy(state, params)]
-    for i in range(n_steps):
-        state = leapfrog_step(state, params, dt)
-        if (i + 1) % sample_every == 0:
-            times.append(state.t)
-            energies.append(hamiltonian_energy(state, params))
-    return np.asarray(times), np.asarray(energies), state
+    _check_leapfrog_dt(dt, params)
+    n = state.u.size
+    n_samples = n_steps // sample_every + 1
+    check_series_size(n_samples, n)
+    steps = np.arange(n_samples) * sample_every
+    m = params.m
+    uk = np.fft.rfft(state.u)
+    vk = np.fft.rfft(state.v)
+    j = np.arange(uk.size)
+    half = 0.5 * dt * np.sqrt(params.omega0**2 + 4.0 * params.kappa * np.sin(np.pi * j / n) ** 2)
+    theta = 2.0 * np.arcsin(half)
+    m_omega = m * np.sin(theta) / dt  # m * modified frequency; 0 on a zero mode
+
+    c, s = np.cos(n_steps * theta), np.sin(n_steps * theta)
+    # a zero mode drifts: sin(N theta)/(m Omega) -> N dt/m
+    s_over = np.divide(s, m_omega, out=np.full(uk.size, n_steps * dt / m), where=m_omega > 0)
+    u_final = np.fft.irfft(c * uk + s_over * vk, n)
+    v_final = np.fft.irfft(c * vk - m_omega * s * uk, n)
+
+    # With a = m*Omega*u_k, q = (omega*dt/2)^2 and r = omega^2/Omega^2 = 1/(1 - q), a bin's
+    # energy |v_k|^2/2m + m*omega^2*|u_k|^2/2 after N steps is
+    #   [(1 + r)*(|a|^2 + |v_k|^2) + (r - 1)*Re(conj(a + i*v_k)*(a - i*v_k)*exp(2i*N*theta))]/4m.
+    # Parseval weights: interior rfft bins stand for two modes of the n-site chain.
+    weight = np.full(uk.size, 1.0 / (2.0 * m * n))
+    weight[0] /= 2.0
+    if n % 2 == 0:
+        weight[-1] /= 2.0
+    q = half**2
+    a = m_omega * uk
+    base = float(np.sum(weight * (2.0 - q) / (1.0 - q) * (np.abs(a) ** 2 + np.abs(vk) ** 2)))
+    z = weight * q / (1.0 - q) * np.conj(a + 1j * vk) * (a - 1j * vk)
+    energies = np.empty(n_samples)
+    turn = np.exp(2j * sample_every * theta)
+    for start in range(0, n_samples, _RESEED):
+        # re-seed from exact phases so the recurrence's round-off cannot build up
+        term = z * np.exp(2j * steps[start] * theta)
+        for i in range(start, min(start + _RESEED, n_samples)):
+            energies[i] = np.sum(term.real)
+            term *= turn
+    energies += base
+    times = state.t + steps * dt
+    return times, energies, LatticeState(u=u_final, v=v_final, t=state.t + n_steps * dt)
 
 
 def dispersion(k: np.ndarray | float, params: LatticeParams) -> np.ndarray | float:

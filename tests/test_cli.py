@@ -14,6 +14,12 @@ import wavekit
 from wavekit import cli, experiments
 
 
+# capsys never sees Python warnings (pytest's warnings plugin takes them), so a run that
+# printed RuntimeWarnings before its one JSON line would pass the stderr checks; raising
+# them makes such a run fail instead
+pytestmark = pytest.mark.filterwarnings("error")
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -174,9 +180,11 @@ ZERO_VALUES = [
     # a zero width used to exit 3 only after numpy warnings on stderr
     ("phonon-sim", lambda out: traveling_payload(out, width=0), "width"),
     ("verify", lambda out: scenario_payload(out, "verify-helicity", "helicity", v=0), "v"),
+    ("thermal-relax", lambda out: thermal_payload(out, n_cells=0), "n_cells"),
 ]
 ZERO_IDS = [
     "zero-box-length", "zero-ell", "zero-n-modes", "zero-dt-factor", "zero-width", "zero-v",
+    "zero-n-cells",
 ]
 
 
@@ -210,12 +218,17 @@ ZERO_IDS = [
         ("helicity-check", lambda out: scenario_payload(
             out, "helicity-cylindrical", "helicity", mesh_n=129)),
         ("verify", lambda out: scenario_payload(out, "verify-helicity", "helicity", mesh_n=129)),
+        # 8193 energy samples on 16384 sites are just over lattice.MAX_SERIES_CELLS = 2^27:
+        # 8192 steps of dt = 0.1/2, and verify-lattice's sample every 10 steps
+        ("phonon-sim", lambda out: traveling_payload(out, n_sites=16384, t_final=409.6)),
+        ("verify", lambda out: verify_lattice_payload(out, n_sites=16384, n_steps=81920)),
     ] + [(command, make_payload) for command, make_payload, _ in ZERO_VALUES],
     ids=[
         "string-int", "float-int", "bool-int", "list-int", "string-seed", "bool-temperature",
         "nan-temperature", "infinite-x-max", "unknown-units", "list-scenario", "bool-schema-version",
         "too-many-modes", "zero-modes", "negative-modes", "too-many-pairs", "huge-wigner-grid",
         "huge-phonon-grid", "huge-field-grid", "huge-helicity-mesh", "huge-verify-mesh",
+        "long-wave-series", "long-verify-series",
     ] + ZERO_IDS,
 )
 def test_bad_values_exit_3_with_one_json_line(tmp_path, capsys, command, make_payload):

@@ -307,3 +307,66 @@ def test_leapfrog_drift_envelope_traveling_mode(cells):
     drift = np.max(np.abs(energies - energies[0])) / energies[0]
     envelope = (w * dt) ** 4 / 32.0
     assert drift == pytest.approx(envelope, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# leapfrog series against the step loop it replaced
+
+
+def leapfrog_loop(state, params, dt, n_steps, sample_every=1):
+    """The step-by-step series, kept as the oracle of the closed form."""
+    times = [state.t]
+    energies = [lattice.hamiltonian_energy(state, params)]
+    for i in range(n_steps):
+        state = lattice.leapfrog_step(state, params, dt)
+        if (i + 1) % sample_every == 0:
+            times.append(state.t)
+            energies.append(lattice.hamiltonian_energy(state, params))
+    return np.asarray(times), np.asarray(energies), state
+
+
+def traveling_state(params):
+    x = params.x_grid()
+    width = params.length / 16.0
+    u0 = np.exp(-((x - params.length / 4) ** 2) / (2 * width**2))
+    return lattice.traveling_wave_init(u0, 1, params)
+
+
+def drifting_state(params):
+    # nonzero mean momentum: the k = 0 mode of the gapless chain drifts
+    state = random_state(params, seed=4)
+    return lattice.LatticeState(u=state.u, v=state.v + 0.7, t=1.5)
+
+
+# (params, state, dt in units of 1/omega_max, n_steps, sample_every)
+SERIES_CASES = {
+    "traveling": (chain(64), traveling_state, 0.5, 500, 1),
+    "drifting": (chain(64), drifting_state, 0.5, 500, 1),
+    "gapped": (chain(32, omega0=0.6), lambda p: random_state(p, seed=3), 0.3, 1000, 1),
+    "two-sites": (chain(2), drifting_state, 0.5, 100, 1),
+    "one-step": (chain(16, omega0=0.5), lambda p: random_state(p, seed=5), 0.5, 1, 1),
+    "ragged-samples": (chain(16, omega0=0.5), lambda p: random_state(p, seed=6), 0.5, 100, 7),
+    "long-gapped": (chain(128, omega0=0.5), lambda p: random_state(p, seed=11), 0.05, 6000, 10),
+    # at the stability limit the top mode's energy swings by 1/(1 - (omega dt/2)^2) ~ 500,
+    # which magnifies round-off of loop and closed form alike; a band-limited state keeps
+    # the energy away from it while the top modes still turn by theta ~ pi
+    "stability-limit": (chain(256), traveling_state, 0.999 * 2.0, 1000, 1),
+    "large": (chain(16384), drifting_state, 0.5, 2000, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(SERIES_CASES))
+def test_leapfrog_series_matches_step_loop(case):
+    params, make_state, dt_factor, n_steps, sample_every = SERIES_CASES[case]
+    state = make_state(params)
+    dt = dt_factor / params.omega_max
+    times, energies, final = lattice.leapfrog_energy_series(
+        state, params, dt, n_steps, sample_every
+    )
+    ref_times, ref_energies, ref = leapfrog_loop(state, params, dt, n_steps, sample_every)
+    assert times.shape == ref_times.shape == (n_steps // sample_every + 1,)
+    assert np.allclose(times, ref_times, rtol=1e-12, atol=0.0)
+    assert final.t == pytest.approx(ref.t, rel=1e-12)
+    assert np.max(np.abs(final.u - ref.u)) <= 1e-12 * np.max(np.abs(ref.u))
+    assert np.max(np.abs(final.v - ref.v)) <= 1e-12 * np.max(np.abs(ref.v))
+    assert np.max(np.abs(energies - ref_energies)) <= 1e-13 * ref_energies[0]

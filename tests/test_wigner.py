@@ -535,3 +535,9 @@ def test_size_limits_refuse_just_past_the_limit():
     helicity.check_mesh_size(256)
     with pytest.raises(ValueError, match="MAX_MESH_POINTS"):
         helicity.check_mesh_size(257)
+    lattice.check_series_size(2**26, 2)
+    two_sites = lattice.LatticeParams(n_sites=2)
+    state = lattice.LatticeState(u=np.zeros(2), v=np.ones(2))
+    for n_steps, sample_every in ((2**26, 1), (2**27 + 1, 2)):
+        with pytest.raises(ValueError, match="MAX_SERIES_CELLS"):
+            lattice.leapfrog_energy_series(state, two_sites, 0.1, n_steps, sample_every)
