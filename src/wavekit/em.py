@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 TRANSVERSALITY_TOL = 1e-9
 GRID_TOL = 1e-9
@@ -346,8 +345,19 @@ def normalize_photons(modes: PhotonModeSet, n_quanta: float) -> PhotonModeSet:
 
 def default_grid(max_index: int) -> int:
     """Coarsest fast FFT length that integrates every mode product exactly:
-    the squared real field has harmonics out to twice the largest index."""
-    return next_fast_len(4 * max_index + 1)
+    the squared real field has harmonics out to twice the largest index, so
+    the grid is the smallest 11-smooth n >= 4 max_index + 1."""
+    target = 4 * max_index + 1
+    # every 2^a 3^b 5^c 7^d 11^e below 2 target; a power of two lies in [target, 2 target)
+    lengths = [1]
+    for p in (2, 3, 5, 7, 11):
+        grown = []
+        for n in lengths:
+            while n < 2 * target:
+                grown.append(n)
+                n *= p
+        lengths = grown
+    return min(n for n in lengths if n >= target)
 
 
 def check_grid_size(n_grid: int) -> None:

@@ -226,7 +226,7 @@ class TravelingWaveConfig:
 
 
 def run_traveling_wave(cfg: TravelingWaveConfig):
-    _require_positive(cfg, "dt_factor", "width")
+    _require_positive(cfg, "dt_factor", "width", "t_final")
     u = get_units(cfg.units)
     params = lattice.LatticeParams(
         m=cfg.m, omega0=0.0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
@@ -383,7 +383,9 @@ def _random_mode_set(cfg: PhotonFieldConfig, medium, hbar):
     if cfg.n_random_modes > available:
         raise ConfigError(f"n_random_modes exceeds the {available} nonzero wavevectors")
     wigner.check_pair_count(cfg.n_random_modes)
-    # the field-energy grid of any mode set drawn within max_index
+    # the field-energy grid of any mode set drawn within max_index; it has at
+    # least 4 max_index + 1 points a side, refused before the grid search
+    em.check_grid_size(4 * cfg.max_index + 1)
     em.check_grid_size(em.default_grid(cfg.max_index))
     rng = np.random.default_rng(cfg.seed)
     chosen: list[tuple[int, int, int]] = []

@@ -193,11 +193,6 @@ def interior(U: np.ndarray) -> np.ndarray:
     return np.asarray(U)[:, 1:-1, 1:-1, 1:-1]
 
 
-def field_from_potential(U: np.ndarray, spacing: float) -> np.ndarray:
-    """F = i curl U on the interior of the mesh."""
-    return 1j * stencil_curl(U, spacing)
-
-
 def potential_equation_residual(
     U0: np.ndarray, U1: np.ndarray, dt: float, spacing: float, v: float
 ) -> float:

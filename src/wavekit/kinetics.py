@@ -32,10 +32,14 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .units import UnitSystem
+
+# The spectral energy density in the reduced wavelength u = lambda k_B T/(h v)
+# goes as u^-5 / (e^(1/u) - 1).  It peaks where x = 1/u solves x = 5 (1 - e^-x),
+# at x* = 5 + W0(-5 e^-5) with W0 the principal branch of Lambert W.
+WIEN_X = 4.965114231744276
+ZETA_3 = 1.2020569031595942  # Riemann zeta(3)
 
 
 class SourceModel(str, enum.Enum):
@@ -242,18 +246,12 @@ def spectral_energy_density(lam: np.ndarray | float, params: KineticParams) -> n
 
 def wien_peak(params: KineticParams) -> tuple[float, float]:
     """Wavelength of peak spectral energy and the dimensionless product
-    lambda_max * p_thermal / hbar.
+    lambda_max * p_thermal / hbar, in closed form.
 
-    The maximization runs on the reduced wavelength u = lambda k_B T/(h v),
-    so the product is 2 pi u* independent of temperature.
+    The peak sits at the reduced wavelength u* = lambda k_B T/(h v) = 1/WIEN_X,
+    so the product is 2 pi / WIEN_X independent of temperature.
     """
-    res = minimize_scalar(
-        lambda u: -1.0 / (u**5 * math.expm1(1.0 / u)),
-        bounds=(0.02, 1.0),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    u_star = float(res.x)
+    u_star = 1.0 / WIEN_X
     lam_max = u_star * params.h * params.v / (params.k_B * params.temperature)
     hbar = params.h / (2.0 * math.pi)
     return lam_max, lam_max * params.p_thermal / hbar
@@ -262,21 +260,10 @@ def wien_peak(params: KineticParams) -> tuple[float, float]:
 def thermal_photon_count(params: KineticParams) -> float:
     """Quanta per volume at equilibrium: integral of 4 pi p^2 f_T dp.
 
-    Computed by quadrature in x = v p/(k_B T); the closed form is
-    16 pi zeta(3) (p_thermal / h)^3.
+    In x = v p/(k_B T) the integral of x^2/(e^x - 1) is Gamma(3) zeta(3), so
+    the closed form is 16 pi zeta(3) (p_thermal / h)^3.
     """
-    def integrand(x):
-        # x^2/(e^x - 1) without overflow at large x
-        return x**2 * math.exp(-x) / (-math.expm1(-x))
-
-    integral, _ = quad(integrand, 0.0, np.inf, epsrel=1e-12)
-    return 8.0 * np.pi * (params.p_thermal / params.h) ** 3 * integral
-
-
-def photons_per_peak_cube(params: KineticParams) -> float:
-    """Quanta in a cube one peak wavelength on a side; dimensionless."""
-    lam_max, _ = wien_peak(params)
-    return thermal_photon_count(params) * lam_max**3
+    return 16.0 * np.pi * ZETA_3 * (params.p_thermal / params.h) ** 3
 
 
 def evolve_with_transport(

@@ -179,12 +179,14 @@ ZERO_VALUES = [
     ("phonon-sim", lambda out: traveling_payload(out, dt_factor=0), "dt_factor"),
     # a zero width used to exit 3 only after numpy warnings on stderr
     ("phonon-sim", lambda out: traveling_payload(out, width=0), "width"),
+    # a zero run time used to be refused as an unstable dt, a value the config never sets
+    ("phonon-sim", lambda out: traveling_payload(out, t_final=0), "t_final"),
     ("verify", lambda out: scenario_payload(out, "verify-helicity", "helicity", v=0), "v"),
     ("thermal-relax", lambda out: thermal_payload(out, n_cells=0), "n_cells"),
 ]
 ZERO_IDS = [
-    "zero-box-length", "zero-ell", "zero-n-modes", "zero-dt-factor", "zero-width", "zero-v",
-    "zero-n-cells",
+    "zero-box-length", "zero-ell", "zero-n-modes", "zero-dt-factor", "zero-width",
+    "zero-t-final", "zero-v", "zero-n-cells",
 ]
 
 
@@ -215,6 +217,8 @@ ZERO_IDS = [
         # max_index 32 needs a 132^3 field grid, just over em.MAX_GRID_POINTS = 128^3, and
         # mesh_n 129 a 257^3 half-spacing mesh, just over helicity.MAX_MESH_POINTS = 256^3
         ("photon-field", lambda out: photon_payload(out, max_index=32)),
+        # refused on its 4 * 10^30 + 1 points a side before any grid length is searched
+        ("photon-field", lambda out: photon_payload(out, max_index=10**30)),
         ("helicity-check", lambda out: scenario_payload(
             out, "helicity-cylindrical", "helicity", mesh_n=129)),
         ("verify", lambda out: scenario_payload(out, "verify-helicity", "helicity", mesh_n=129)),
@@ -227,8 +231,8 @@ ZERO_IDS = [
         "string-int", "float-int", "bool-int", "list-int", "string-seed", "bool-temperature",
         "nan-temperature", "infinite-x-max", "unknown-units", "list-scenario", "bool-schema-version",
         "too-many-modes", "zero-modes", "negative-modes", "too-many-pairs", "huge-wigner-grid",
-        "huge-phonon-grid", "huge-field-grid", "huge-helicity-mesh", "huge-verify-mesh",
-        "long-wave-series", "long-verify-series",
+        "huge-phonon-grid", "huge-field-grid", "enormous-field-grid", "huge-helicity-mesh",
+        "huge-verify-mesh", "long-wave-series", "long-verify-series",
     ] + ZERO_IDS,
 )
 def test_bad_values_exit_3_with_one_json_line(tmp_path, capsys, command, make_payload):
@@ -399,15 +403,41 @@ def test_bad_thread_count_exits_2(tmp_path, capsys):
 # real process: entry point, thread independence
 
 
-def run_proc(args, cwd):
+def run_python(args, cwd):
     # the subprocess runs in cwd, so a relative src entry on PYTHONPATH would not resolve
     src = str(Path(wavekit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "wavekit", *args],
-        cwd=cwd, capture_output=True, text=True, timeout=120, env=env,
+        [sys.executable, *args], cwd=cwd, capture_output=True, text=True, timeout=120, env=env,
     )
+
+
+def run_proc(args, cwd):
+    return run_python(["-m", "wavekit", *args], cwd)
+
+
+RUN_SAMPLE_CONFIGS = """
+import json, sys
+from pathlib import Path
+from wavekit import cli
+
+command = {s: c for c, names in cli.COMMAND_SCENARIOS.items() for s in names}
+configs = sorted(Path(sys.argv[1]).glob("*.json"))
+for cfg in configs:
+    scenario = json.loads(cfg.read_text())["scenario"]
+    out = str(Path(sys.argv[2]) / cfg.stem)
+    assert cli.main([command[scenario], "--config", str(cfg), "--out", out]) == 0, cfg.name
+print(json.dumps({"ran": len(configs), "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")}))
+"""
+
+
+def test_sample_configs_run_without_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy serves the tests as an oracle
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    proc = run_python(["-c", RUN_SAMPLE_CONFIGS, str(configs), str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"ran": 9, "scipy": []}
 
 
 def test_module_entry_point(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from wavekit import em
 
@@ -289,6 +290,8 @@ def test_energy_three_routes_agree():
 def test_energy_quadrature_grid_is_exact():
     # fast FFT lengths >= 4 max|n| + 1: 13 and 61 are prime
     assert [em.default_grid(m) for m in (1, 2, 3, 15, 31)] == [5, 9, 14, 63, 125]
+    # the smallest 11-smooth length, as scipy's fast-length search finds it
+    assert all(em.default_grid(m) == next_fast_len(4 * m + 1) for m in range(600))
     modes = transverse_mode_set(seed=37, n_modes=3)
     default = em.field_energy(modes)
     finer = em.field_energy(modes, n_grid=25)

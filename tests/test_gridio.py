@@ -34,6 +34,24 @@ def test_csv_format_details(tmp_path):
         gridio.write_csv(path, {"a": [1.0, 2.0], "b": [1.0]})
 
 
+def test_csv_matches_per_value_formatting(tmp_path):
+    # oracle: an f-string per numpy scalar, row by row
+    rng = np.random.default_rng(3)
+    cols = {
+        "x": rng.normal(size=50) * 10.0**rng.integers(-300, 300, size=50),
+        "n": np.arange(50),
+        "f": rng.normal(size=50),
+    }
+    cols["x"][:6] = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.0 / 3.0]
+    arrays = [np.asarray(c, dtype=float) for c in cols.values()]
+    lines = [",".join(cols)]
+    for row in zip(*arrays):
+        lines.append(",".join(f"{val:.17g}" for val in row))
+    path = tmp_path / "t.csv"
+    gridio.write_csv(path, cols)
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
 def test_csv_bytes_are_reproducible(tmp_path):
     cols = {"v": np.linspace(0.0, 1.0, 7) / 3.0}
     p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
