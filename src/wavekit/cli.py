@@ -5,9 +5,9 @@ thermal-relax, verify.  Each takes --config PATH plus optional --out DIR,
 --units {natural|mev-ps}, --threads N, --verbose.
 
 Exit codes: 0 success, 2 parse error (usage, unreadable or malformed
-config), 3 validation error (schema or parameter), 4 numeric failure
-(failed invariant, non-finite result).  Every error path emits a one-line
-JSON diagnostic on stderr.
+config, unwritable output directory), 3 validation error (schema or
+parameter), 4 numeric failure (failed invariant, non-finite result).  Every
+error path emits a one-line JSON diagnostic on stderr.
 
 Only the standard library is imported at module scope; numerical imports
 happen after --threads has capped the BLAS/OpenMP pools, so thread limits
@@ -119,13 +119,15 @@ def _write_artifacts(out_dir: Path, summary: dict, artifacts: dict, top) -> list
     written.append("summary.json")
     gridio.write_json(out_dir / "effective-config.json", effective_dict(top))
     written.append("effective-config.json")
+    # the file suffix names the format, and the output flags switch each format off
+    writers = {
+        ".csv": (top.output.csv, gridio.write_csv),
+        ".wgrd": (top.output.grid, gridio.write_wigner_grid),
+    }
     for name in sorted(artifacts):
-        fmt, payload = artifacts[name]
-        if fmt == "csv" and top.output.csv:
-            gridio.write_csv(out_dir / name, payload)
-            written.append(name)
-        elif fmt == "grid" and top.output.grid:
-            gridio.write_wigner_grid(out_dir / name, payload)
+        wanted, write = writers[Path(name).suffix]
+        if wanted:
+            write(out_dir / name, artifacts[name])
             written.append(name)
     return written
 
@@ -137,7 +139,11 @@ def _cmd_run(xp, top, args) -> int:
         _diagnostic("numeric", f"non-finite results: {', '.join(bad)}")
         return NUMERIC_EXIT
     out_dir = Path(top.output.dir or f"{top.scenario}-out")
-    written = _write_artifacts(out_dir, summary, artifacts, top)
+    try:
+        written = _write_artifacts(out_dir, summary, artifacts, top)
+    except OSError as exc:
+        _diagnostic("output", f"cannot write to output directory {out_dir}: {exc}")
+        return PARSE_EXIT
     if args.verbose:
         print(json.dumps(xp.effective_dict(top), indent=2, sort_keys=True))
     for key in sorted(summary):

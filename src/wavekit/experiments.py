@@ -2,8 +2,10 @@
 
 Each scenario pairs a frozen config dataclass with a runner returning
 (summary, artifacts): summary is a JSON-ready dict, artifacts maps file
-names to ("csv", columns) or ("grid", WignerGrid).  Runners are pure given
-their config, so identical configs reproduce identical artifacts.
+names to their payloads, a column dict for a .csv name and a WignerGrid for
+a .wgrd name.  run_config heads every summary with its scenario and units.
+Runners are pure given their config, so identical configs reproduce
+identical artifacts.
 """
 
 from __future__ import annotations
@@ -133,6 +135,8 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig):
     state0 = lattice.idft_from_modes(modes)
 
     area = lattice.action_area(wave)
+    if area == 0:
+        raise ConfigError("the Gaussian packet (n_quanta, g, k0) misses every lattice mode")
     h_site = lattice.hamiltonian_energy(state0, params)
     h_mode = lattice.total_mode_energy(modes)
     h_psi = lattice.psi_energy(wave, params)
@@ -157,8 +161,6 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig):
 
     k = wave.k
     summary = {
-        "scenario": "phonon-gaussian",
-        "units": u.name,
         "n_sites": cfg.n_sites,
         "action_area": area,
         "quanta": area / u.h,
@@ -176,33 +178,24 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig):
         "t_final": cfg.t_final,
     }
     artifacts = {
-        "spectrum.csv": (
-            "csv",
-            {
-                "k": k,
-                "omega": np.asarray(lattice.dispersion(k, params)),
-                "eta_initial": wave.eta,
-                "eta_final": wave_t.eta,
-            },
-        ),
-        "profile.csv": (
-            "csv",
-            {
-                "x": params.x_grid(),
-                "u_initial": state0.u,
-                "v_initial": state0.v,
-                "u_final": state_t.u,
-                "v_final": state_t.v,
-            },
-        ),
-        "wigner.csv": (
-            "csv",
-            {
-                "x": xx.ravel(),
-                "p": pp.ravel(),
-                "f": crop.f[:, p_mask].ravel(),
-            },
-        ),
+        "spectrum.csv": {
+            "k": k,
+            "omega": np.asarray(lattice.dispersion(k, params)),
+            "eta_initial": wave.eta,
+            "eta_final": wave_t.eta,
+        },
+        "profile.csv": {
+            "x": params.x_grid(),
+            "u_initial": state0.u,
+            "v_initial": state0.v,
+            "u_final": state_t.u,
+            "v_final": state_t.v,
+        },
+        "wigner.csv": {
+            "x": xx.ravel(),
+            "p": pp.ravel(),
+            "f": crop.f[:, p_mask].ravel(),
+        },
     }
     return summary, artifacts
 
@@ -259,8 +252,6 @@ def run_traveling_wave(cfg: TravelingWaveConfig):
     scale = float(np.max(np.abs(state0.u)))
     wave = lattice.psi_from_modes(modes0, u.hbar)
     summary = {
-        "scenario": "traveling-wave",
-        "units": u.name,
         "sound_speed": params.v_ell,
         "direction": cfg.direction,
         "t_final": cfg.t_final,
@@ -273,16 +264,13 @@ def run_traveling_wave(cfg: TravelingWaveConfig):
         "n_steps": n_steps,
     }
     artifacts = {
-        "profile.csv": (
-            "csv",
-            {
-                "x": x,
-                "u_initial": state0.u,
-                "u_exact": exact_t.u,
-                "u_leapfrog": leap_t.u,
-                "u_transport": predicted,
-            },
-        )
+        "profile.csv": {
+            "x": x,
+            "u_initial": state0.u,
+            "u_exact": exact_t.u,
+            "u_leapfrog": leap_t.u,
+            "u_transport": predicted,
+        },
     }
     return summary, artifacts
 
@@ -312,6 +300,9 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig):
     dk = 2.0 * np.pi / length
     gp = wigner.GaussianEtaParams(n_quanta=cfg.n_quanta, g=cfg.g, k0=cfg.k0_cells * dk, x0=x0)
     wave = wigner.gaussian_action_wave(gp, cfg.ell, cfg.n_modes, u.hbar)
+    quanta = lattice.action_area(wave) / u.h
+    if quanta == 0:
+        raise ConfigError("the Gaussian packet (n_quanta, g, k0_cells) misses every grid mode")
     grid = wigner.wigner_1d(wave)
 
     def omega(k):
@@ -329,11 +320,8 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig):
     marg_x = grid.marginal_x()
     site_h = wigner.doubled_site_values(wave)
     density_h = np.abs(site_h) ** 2 / u.hbar
-    quanta = lattice.action_area(wave) / u.h
 
     summary = {
-        "scenario": "wigner-gaussian",
-        "units": u.name,
         "total_number": grid.total(),
         "quanta": quanta,
         "total_error": abs(grid.total() - quanta) / quanta,
@@ -347,15 +335,12 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig):
         "t_final": cfg.t_final,
     }
     artifacts = {
-        "grid.wgrd": ("grid", grid),
-        "marginals.csv": (
-            "csv",
-            {
-                "x": grid.x,
-                "marginal_x": marg_x,
-                "site_density": density_h,
-            },
-        ),
+        "grid.wgrd": grid,
+        "marginals.csv": {
+            "x": grid.x,
+            "marginal_x": marg_x,
+            "site_density": density_h,
+        },
     }
     return summary, artifacts
 
@@ -420,8 +405,6 @@ def run_photon_field(cfg: PhotonFieldConfig):
 
     modes_t = em.evolve_mode_set(modes, cfg.t_final)
     summary = {
-        "scenario": "photon-field",
-        "units": u.name,
         "n_modes": int(modes.k.shape[0]),
         "photon_number": number,
         "number_vs_wigner": abs(number - n_wigner) / number,
@@ -436,16 +419,13 @@ def run_photon_field(cfg: PhotonFieldConfig):
     }
     k = modes.k
     artifacts = {
-        "modes.csv": (
-            "csv",
-            {
-                "kx": k[:, 0],
-                "ky": k[:, 1],
-                "kz": k[:, 2],
-                "omega": modes.omega(),
-                "eta": modes.eta(),
-            },
-        )
+        "modes.csv": {
+            "kx": k[:, 0],
+            "ky": k[:, 1],
+            "kz": k[:, 2],
+            "omega": modes.omega(),
+            "eta": modes.eta(),
+        },
     }
     return summary, artifacts
 
@@ -505,15 +485,12 @@ def _max_norm(U) -> float:
 
 
 def run_helicity_cylindrical(cfg: HelicityCylindricalConfig):
-    u = get_units(cfg.units)
     mesh, eq_resid, beltrami, field_err, beltrami_h = _cylindrical_block(
         cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, (cfg.center_x, cfg.center_y, cfg.center_z)
     )
     mode = helicity.ComplexPotentialMode(k=np.array([0.0, 0.5, cfg.k]), sigma=1)
     U_plane = mode.evaluate(mesh, v=cfg.v)
     summary = {
-        "scenario": "helicity-cylindrical",
-        "units": u.name,
         "beltrami_residual": beltrami,
         "beltrami_residual_half_h": beltrami_h,
         "stencil_order_ratio": beltrami / max(beltrami_h, 1e-300),
@@ -526,13 +503,10 @@ def run_helicity_cylindrical(cfg: HelicityCylindricalConfig):
         "dt": cfg.dt,
     }
     artifacts = {
-        "residuals.csv": (
-            "csv",
-            {
-                "spacing": np.asarray([cfg.spacing, cfg.spacing / 2.0]),
-                "beltrami_residual": np.asarray([beltrami, beltrami_h]),
-            },
-        )
+        "residuals.csv": {
+            "spacing": np.asarray([cfg.spacing, cfg.spacing / 2.0]),
+            "beltrami_residual": np.asarray([beltrami, beltrami_h]),
+        },
     }
     return summary, artifacts
 
@@ -586,8 +560,6 @@ def run_thermal_planck(cfg: ThermalPlanckConfig):
     lam_max, product = kinetics.wien_peak(params)
     n_density = kinetics.thermal_photon_count(params)
     summary = {
-        "scenario": "thermal-planck",
-        "units": u.name,
         "model": model.value,
         "relative_residual": resid,
         "stationarity_residual": float(np.max(np.abs(rhs)) / rhs_scale),
@@ -601,23 +573,17 @@ def run_thermal_planck(cfg: ThermalPlanckConfig):
     }
     lam = np.linspace(lam_max / 8.0, lam_max * 8.0, 200)
     artifacts = {
-        "distribution.csv": (
-            "csv",
-            {
-                "p": p,
-                "x": x,
-                "f_initial": f0,
-                "f_final": final.f,
-                "f_target": target,
-            },
-        ),
-        "spectrum.csv": (
-            "csv",
-            {
-                "wavelength": lam,
-                "energy_density": np.asarray(kinetics.spectral_energy_density(lam, params)),
-            },
-        ),
+        "distribution.csv": {
+            "p": p,
+            "x": x,
+            "f_initial": f0,
+            "f_final": final.f,
+            "f_target": target,
+        },
+        "spectrum.csv": {
+            "wavelength": lam,
+            "energy_density": np.asarray(kinetics.spectral_energy_density(lam, params)),
+        },
     }
     return summary, artifacts
 
@@ -641,6 +607,7 @@ class VerifyLatticeConfig:
 
 
 def verify_lattice(cfg: VerifyLatticeConfig):
+    _require_positive(cfg, "dt_factor")
     sample_every = 10
     lattice.check_series_size(cfg.n_steps // sample_every + 1, cfg.n_sites)
     u = get_units(cfg.units)
@@ -698,7 +665,7 @@ def verify_lattice(cfg: VerifyLatticeConfig):
         0.5 * theta**2,
     )
 
-    return _check_summary("verify-lattice", u.name, checks)
+    return _check_summary(checks)
 
 
 @dataclass(frozen=True)
@@ -714,7 +681,6 @@ class VerifyHelicityConfig:
 
 def verify_helicity(cfg: VerifyHelicityConfig):
     _require_positive(cfg, "v")
-    u = get_units(cfg.units)
     mesh, resid, r1, _, r2 = _cylindrical_block(
         cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, (0.25, 0.15, -0.3)
     )
@@ -735,28 +701,23 @@ def verify_helicity(cfg: VerifyHelicityConfig):
     checks["stencil_order"] = (abs(r1 / r2 - 4.0), 0.5)
 
     theta_t = 0.7 / omega
-    rotated = helicity.precess_mode(U, mode.k / np.linalg.norm(mode.k), omega, theta_t)
+    # free evolution as a rigid precession about khat by -omega t
+    rotated = helicity.rotate_field(U, mode.k / np.linalg.norm(mode.k), -omega * theta_t)
     phased = U * np.exp(1j * mode.sigma * omega * theta_t)
     checks["precession_phase"] = (
         float(np.max(np.abs(rotated - phased)) / np.max(np.abs(U))),
         1e-12,
     )
 
-    return _check_summary("verify-helicity", u.name, checks)
+    return _check_summary(checks)
 
 
-def _check_summary(scenario, units_name, checks):
+def _check_summary(checks):
     table = {
         name: {"value": value, "bound": bound, "passed": bool(value <= bound)}
         for name, (value, bound) in checks.items()
     }
-    summary = {
-        "scenario": scenario,
-        "units": units_name,
-        "checks": table,
-        "passed": all(row["passed"] for row in table.values()),
-    }
-    return summary, {}
+    return {"checks": table, "passed": all(row["passed"] for row in table.values())}, {}
 
 
 # --- scenario table and config parsing ---------------------------------------
@@ -847,4 +808,5 @@ def effective_dict(top: TopConfig) -> dict:
 
 def run_config(top: TopConfig):
     _, _, runner = SCENARIOS[top.scenario]
-    return runner(top.params)
+    summary, artifacts = runner(top.params)
+    return {"scenario": top.scenario, "units": top.params.units, **summary}, artifacts

@@ -87,9 +87,13 @@ def circular_complex_potential(A_perp: float, k: float, sigma: int, medium: Medi
     return ComplexPotentialMode(k=np.array([0.0, 0.0, k]), sigma=sigma, amplitude=amp)
 
 
-def real_potential(U: np.ndarray, mu: float = 1.0) -> np.ndarray:
-    """A = sqrt(mu) (U + U*)/2."""
-    return np.sqrt(mu) * np.asarray(U).real
+def _cross(a: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """a x U at every point of a component-first field, for a fixed 3-vector a."""
+    return np.stack([
+        a[1] * U[2] - a[2] * U[1],
+        a[2] * U[0] - a[0] * U[2],
+        a[0] * U[1] - a[1] * U[0],
+    ])
 
 
 def helicity_eigencheck(U: np.ndarray, k: np.ndarray, sigma: int) -> float:
@@ -107,12 +111,7 @@ def helicity_eigencheck(U: np.ndarray, k: np.ndarray, sigma: int) -> float:
     norm = float(np.linalg.norm(k))
     if norm == 0:
         raise ValueError("k must be nonzero")
-    kxU = np.stack([
-        k[1] * U[2] - k[2] * U[1],
-        k[2] * U[0] - k[0] * U[2],
-        k[0] * U[1] - k[1] * U[0],
-    ])
-    defect = kxU + 1j * sigma * norm * U
+    defect = _cross(k, U) + 1j * sigma * norm * U
     point_norm = np.sqrt(np.sum(np.abs(defect) ** 2, axis=0))
     ref = norm * np.sqrt(np.sum(np.abs(U) ** 2, axis=0))
     return float(np.max(point_norm) / max(float(np.max(ref)), 1e-300))
@@ -125,25 +124,12 @@ def rotate_field(U: np.ndarray, axis: np.ndarray, theta: float) -> np.ndarray:
         raise ValueError("U must be component-first, shape (3, ...)")
     a = np.asarray(axis, dtype=float)
     a = a / np.linalg.norm(a)
-    axU = np.stack([
-        a[1] * U[2] - a[2] * U[1],
-        a[2] * U[0] - a[0] * U[2],
-        a[0] * U[1] - a[1] * U[0],
-    ])
     adotU = a[0] * U[0] + a[1] * U[1] + a[2] * U[2]
     return (
         U * np.cos(theta)
-        + axU * np.sin(theta)
+        + _cross(a, U) * np.sin(theta)
         + a[(slice(None),) + (None,) * (U.ndim - 1)] * adotU * (1.0 - np.cos(theta))
     )
-
-
-def precess_mode(U: np.ndarray, khat: np.ndarray, omega: float, t: float) -> np.ndarray:
-    """Free evolution as rigid precession: U(t) = R(khat, -omega t) U(0).
-
-    For a helicity eigenmode this equals the phase factor exp(i sigma omega t).
-    """
-    return rotate_field(U, khat, -omega * t)
 
 
 def cylindrical_solution(

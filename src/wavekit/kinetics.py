@@ -111,9 +111,7 @@ class KineticState:
 
 def planck_f(eps: np.ndarray | float, params: KineticParams) -> np.ndarray | float:
     """Thermal law (2/h^3) / (exp(eps/kT) - 1)."""
-    x = np.asarray(params.x_of(eps))
-    out = (2.0 / params.h**3) / np.expm1(x)
-    return out if out.ndim else float(out)
+    return equilibrium_f(eps, params, SourceModel.WIEN_STIMULATED)
 
 
 def equilibrium_f(
@@ -130,7 +128,9 @@ def equilibrium_f(
     elif model is SourceModel.NONE:
         out = np.zeros_like(x)
     else:
-        out = pref / np.expm1(x)
+        # expm1 overflows to inf past x ~ 709, and pref/inf = 0 is the exact limit
+        with np.errstate(over="ignore"):
+            out = pref / np.expm1(x)
     return out if out.ndim else float(out)
 
 
@@ -148,29 +148,23 @@ def effective_rate(
     return out if out.ndim else float(out)
 
 
-def source_Q(
-    eps: np.ndarray | float, f: np.ndarray | float, params: KineticParams, model: SourceModel
-) -> np.ndarray | float:
-    """Gain term G(eps, f); the full right side is G - gamma f."""
-    model = SourceModel(model)
-    x = np.asarray(params.x_of(eps))
-    pref = params.gamma * 2.0 / params.h**3
-    if model is SourceModel.RAYLEIGH_JEANS:
-        out = pref / x
-    elif model is SourceModel.WIEN:
-        out = pref * np.exp(-x) * np.ones_like(np.asarray(f, dtype=float))
-    elif model is SourceModel.NONE:
-        out = np.zeros_like(x * np.asarray(f, dtype=float))
-    else:
-        out = pref * np.exp(-x) * (1.0 + (params.h**3 / 2.0) * np.asarray(f, dtype=float))
-    return out if np.ndim(out) else float(out)
-
-
 def kinetic_rhs(
     eps: np.ndarray | float, f: np.ndarray | float, params: KineticParams, model: SourceModel
 ) -> np.ndarray | float:
-    """df/dt = G(eps, f) - gamma f."""
-    out = np.asarray(source_Q(eps, f, params, model)) - params.gamma * np.asarray(f, dtype=float)
+    """df/dt = G(eps, f) - gamma f, with the gain G of the model."""
+    model = SourceModel(model)
+    x = np.asarray(params.x_of(eps))
+    f = np.asarray(f, dtype=float)
+    pref = params.gamma * 2.0 / params.h**3
+    if model is SourceModel.RAYLEIGH_JEANS:
+        gain = pref / x
+    elif model is SourceModel.WIEN:
+        gain = pref * np.exp(-x)
+    elif model is SourceModel.NONE:
+        gain = np.zeros_like(x)
+    else:
+        gain = pref * np.exp(-x) * (1.0 + (params.h**3 / 2.0) * f)
+    out = np.asarray(gain - params.gamma * f)
     return out if out.ndim else float(out)
 
 
@@ -202,34 +196,6 @@ def relax_to_equilibrium(
     rate = np.asarray(effective_rate(eps, params, model))
     t = n_folds / float(np.min(rate))
     return kinetic_step(state, params, t, model), t
-
-
-def advect_step(f_x: np.ndarray, v: float, dt: float, dx: float) -> np.ndarray:
-    """First-order upwind transport of a periodic spatial profile.
-
-    Requires |v| dt <= dx; conserves the cell sum exactly.
-    """
-    f_x = np.asarray(f_x, dtype=float)
-    if f_x.ndim != 1:
-        raise ValueError("f_x must be 1-D")
-    return _upwind(f_x, _courant(v, dt, dx))
-
-
-def _courant(v: float, dt: float, dx: float) -> float:
-    """Courant number v dt/dx of an upwind step, refused beyond 1."""
-    if dt < 0 or dx <= 0:
-        raise ValueError("dt must be nonnegative and dx positive")
-    cfl = v * dt / dx
-    if abs(cfl) > 1.0 + 1e-12:
-        raise ValueError("CFL violated: |v| dt must not exceed dx")
-    return cfl
-
-
-def _upwind(f: np.ndarray, cfl: float) -> np.ndarray:
-    """One upwind step along axis 0 of a periodic array."""
-    if cfl >= 0:
-        return f - cfl * (f - np.roll(f, 1, axis=0))
-    return f - cfl * (np.roll(f, -1, axis=0) - f)
 
 
 def spectral_energy_density(lam: np.ndarray | float, params: KineticParams) -> np.ndarray | float:
@@ -279,12 +245,16 @@ def evolve_with_transport(
     f = np.array(f_xp, dtype=float)
     if f.ndim != 2 or f.shape[1] != p.size:
         raise ValueError("f_xp must have shape (n_x, len(p))")
-    cfl = _courant(params.v, dt, dx)
+    if dt < 0 or dx <= 0:
+        raise ValueError("dt must be nonnegative and dx positive")
+    cfl = params.v * dt / dx  # Courant number of the upwind step, >= 0 as v > 0
+    if cfl > 1.0 + 1e-12:
+        raise ValueError("CFL violated: v dt must not exceed dx")
     eps = params.v * np.asarray(p, dtype=float)
     f_star = np.asarray(equilibrium_f(eps, params, model))
     rate = np.asarray(effective_rate(eps, params, model))
     decay = np.exp(-rate * dt)
     for _ in range(n_steps):
-        f = _upwind(f, cfl)
+        f = f - cfl * (f - np.roll(f, 1, axis=0))
         f = f_star[None, :] + (f - f_star[None, :]) * decay[None, :]
     return f

@@ -1,23 +1,20 @@
 """Command-line behavior: exit codes, diagnostics, overrides, determinism."""
 
+import importlib
+import inspect
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import wavekit
 from wavekit import cli, experiments
-
-
-# capsys never sees Python warnings (pytest's warnings plugin takes them), so a run that
-# printed RuntimeWarnings before its one JSON line would pass the stderr checks; raising
-# them makes such a run fail instead
-pytestmark = pytest.mark.filterwarnings("error")
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -181,12 +178,14 @@ ZERO_VALUES = [
     ("phonon-sim", lambda out: traveling_payload(out, width=0), "width"),
     # a zero run time used to be refused as an unstable dt, a value the config never sets
     ("phonon-sim", lambda out: traveling_payload(out, t_final=0), "t_final"),
+    # named before the stability check, which speaks of dt, a value the config never sets
+    ("verify", lambda out: verify_lattice_payload(out, dt_factor=0), "dt_factor"),
     ("verify", lambda out: scenario_payload(out, "verify-helicity", "helicity", v=0), "v"),
     ("thermal-relax", lambda out: thermal_payload(out, n_cells=0), "n_cells"),
 ]
 ZERO_IDS = [
     "zero-box-length", "zero-ell", "zero-n-modes", "zero-dt-factor", "zero-width",
-    "zero-t-final", "zero-v", "zero-n-cells",
+    "zero-t-final", "zero-verify-dt-factor", "zero-v", "zero-n-cells",
 ]
 
 
@@ -226,13 +225,20 @@ ZERO_IDS = [
         # 8192 steps of dt = 0.1/2, and verify-lattice's sample every 10 steps
         ("phonon-sim", lambda out: traveling_payload(out, n_sites=16384, t_final=409.6)),
         ("verify", lambda out: verify_lattice_payload(out, n_sites=16384, n_steps=81920)),
+        # Gaussian packets that leave no action on the sampled modes: centred far off the
+        # grid's wavenumbers, or on two sites whose only nonzero cell is the dropped k = 0
+        ("phonon-sim", lambda out: scenario_payload(out, "phonon-gaussian", "lattice", k0=100)),
+        ("phonon-sim", lambda out: scenario_payload(out, "phonon-gaussian", "lattice", n_sites=2)),
+        ("wigner", lambda out: scenario_payload(
+            out, "wigner-gaussian", "wigner", k0_cells=100000)),
     ] + [(command, make_payload) for command, make_payload, _ in ZERO_VALUES],
     ids=[
         "string-int", "float-int", "bool-int", "list-int", "string-seed", "bool-temperature",
         "nan-temperature", "infinite-x-max", "unknown-units", "list-scenario", "bool-schema-version",
         "too-many-modes", "zero-modes", "negative-modes", "too-many-pairs", "huge-wigner-grid",
         "huge-phonon-grid", "huge-field-grid", "enormous-field-grid", "huge-helicity-mesh",
-        "huge-verify-mesh", "long-wave-series", "long-verify-series",
+        "huge-verify-mesh", "long-wave-series", "long-verify-series", "empty-packet-far-k0",
+        "empty-packet-two-sites", "empty-wigner-packet",
     ] + ZERO_IDS,
 )
 def test_bad_values_exit_3_with_one_json_line(tmp_path, capsys, command, make_payload):
@@ -253,6 +259,39 @@ def test_zero_value_diagnostic_names_the_field(tmp_path, capsys, command, make_p
     assert cli.main([command, "--config", str(cfg)]) == 3
     detail = last_stderr_json(capsys.readouterr().err)["detail"]
     assert detail == f"{field} must be positive, got 0"
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_unwritable_output_dir_exits_2_with_one_json_line(tmp_path, capsys, where):
+    # an output directory that is an existing file, or lies beneath one
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    if where == "config":
+        out, argv = blocker, []
+    else:
+        out, argv = blocker / "out", ["--out", str(blocker / "out")]
+    cfg = write_config(tmp_path, thermal_payload(out))
+    code = cli.main(["thermal-relax", "--config", str(cfg), *argv])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert str(out) in json.loads(lines[0])["detail"]
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "kinetics",
+    [{"x_max": 2000.0}, {"x_max": 800.0, "init": "planck", "model": "wien"}],
+    ids=["far-target", "far-planck-init"],
+)
+def test_far_thermal_tail_runs_without_warnings(tmp_path, capsys, kinetics):
+    # 1/expm1(x) overflows past x ~ 709 to its exact limit 0, which is no failure
+    cfg = write_config(tmp_path, thermal_payload(tmp_path / "out", **kinetics))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["thermal-relax", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_photon_field_needs_a_mode(tmp_path, capsys):
@@ -279,6 +318,33 @@ def test_scenario_tables_agree():
     assert sorted((s, cmd) for s, cmd, _ in rows) == routed
     blocks = {s: block for s, (block, _, _) in experiments.SCENARIOS.items()}
     assert dict((s, block) for s, _, block in rows) == blocks
+
+
+# modules whose README "Library layout" bullet ends with "Public:" and their names;
+# experiments and cli answer to the scenario table instead
+LAYOUT_MODULES = ("lattice", "wigner", "em", "helicity", "kinetics", "gridio", "units")
+
+
+def public_names(module):
+    return sorted(
+        name for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    )
+
+
+def test_public_surface_matches_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    layout = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    bullets = {}
+    for bullet in re.split(r"^- ", layout, flags=re.M)[1:]:
+        bullets[re.match(r"`(\w+)`", bullet).group(1)] = bullet
+    for name in LAYOUT_MODULES:
+        _, public, listed = bullets[name].partition("Public:")
+        assert public, f"README bullet for {name} has no Public: list"
+        module = importlib.import_module(f"wavekit.{name}")
+        assert sorted(re.findall(r"`(\w+)`", listed)) == public_names(module), name
 
 
 def test_family_mismatch_exits_3(tmp_path, capsys):

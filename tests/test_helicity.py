@@ -79,8 +79,8 @@ def test_precession_equals_phase():
         omega = mode.omega(v)
         U0 = mode.evaluate(pts, t=0.0, v=v)
         later = mode.evaluate(pts, t=t, v=v)
-        # free evolution is a rigid precession about khat
-        precessed = helicity.precess_mode(U0, k / np.linalg.norm(k), omega, t)
+        # free evolution is a rigid precession about khat by -omega t
+        precessed = helicity.rotate_field(U0, k / np.linalg.norm(k), -omega * t)
         assert np.max(np.abs(precessed - later)) < 1e-12 * np.max(np.abs(U0))
         phase = np.exp(1j * sigma * omega * t)
         assert np.max(np.abs(phase * U0 - later)) < 1e-12 * np.max(np.abs(U0))
@@ -109,7 +109,7 @@ def test_real_potential_matches_circular_wave():
             mode = helicity.circular_complex_potential(A_perp, k, sigma, medium)
             U = mode.evaluate(pts, t=t, v=medium.v)
             A_wave, _, _ = em.circular_plane_wave(pts, A_perp, k, sigma, medium, t=t)
-            A_mode = helicity.real_potential(U, mu=medium.mu)
+            A_mode = np.sqrt(medium.mu) * U.real  # A = sqrt(mu) (U + U*)/2
             assert np.max(np.abs(A_mode - A_wave)) < 1e-12 * A_perp
 
 
