@@ -1,8 +1,8 @@
 """Deterministic phase-space numerics for lattice phonons, free
 electromagnetic fields, and thermal photon kinetics.
 
-Submodules load lazily so the CLI can cap thread pools before any
-numerical import:
+Importing the package loads none of its submodules; each loads when it is
+imported, so the CLI can cap thread pools before any numerical import:
 
     lattice      chain dynamics, mode transforms, action waves
     wigner       1-D and 3-D phase-space densities
@@ -15,30 +15,4 @@ numerical import:
     cli          command-line harness
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "lattice",
-    "wigner",
-    "em",
-    "helicity",
-    "kinetics",
-    "units",
-    "gridio",
-    "experiments",
-    "cli",
-)
-
-__all__ = list(_SUBMODULES) + ["__version__"]
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)

@@ -9,9 +9,9 @@ config, unwritable output directory), 3 validation error (schema or
 parameter), 4 numeric failure (failed invariant, non-finite result).  Every
 error path emits a one-line JSON diagnostic on stderr.
 
-Only the standard library is imported at module scope; numerical imports
-happen after --threads has capped the BLAS/OpenMP pools, so thread limits
-actually take effect.
+Only the standard library and the numpy-free units module are imported at
+module scope; numerical imports happen after --threads has capped the
+BLAS/OpenMP pools, so thread limits actually take effect.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import math
 import os
 import sys
 from pathlib import Path
+
+from .units import PRESETS
 
 PARSE_EXIT = 2
 VALIDATION_EXIT = 3
@@ -47,10 +49,6 @@ COMMAND_SCENARIOS = {
 }
 
 
-class _ParseFailure(Exception):
-    """Config file could not be read or decoded."""
-
-
 def _diagnostic(kind: str, detail: str) -> None:
     print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
 
@@ -70,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, metavar="PATH", help="JSON scenario config")
     common.add_argument("--out", default=None, metavar="DIR", help="output directory override")
     common.add_argument(
-        "--units", default=None, choices=("natural", "mev-ps"), help="unit preset override"
+        "--units", default=None, choices=tuple(PRESETS), help="unit preset override"
     )
     common.add_argument(
         "--threads", type=int, default=None, metavar="N", help="cap numerical thread pools"
@@ -84,29 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"scenarios: {', '.join(scenarios)}",
         )
     return parser
-
-
-def _load_raw(path: str):
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise _ParseFailure(f"cannot read config {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _ParseFailure(f"config is not valid JSON: {exc}") from exc
-
-
-def _nonfinite_keys(value, prefix="") -> list[str]:
-    if isinstance(value, dict):
-        out = []
-        for key in value:
-            out.extend(_nonfinite_keys(value[key], f"{prefix}{key}."))
-        return out
-    if isinstance(value, float) and not math.isfinite(value):
-        return [prefix.rstrip(".")]
-    return []
 
 
 def _write_artifacts(out_dir: Path, summary: dict, artifacts: dict, top) -> list[str]:
@@ -134,7 +109,9 @@ def _write_artifacts(out_dir: Path, summary: dict, artifacts: dict, top) -> list
 
 def _cmd_run(xp, top, args) -> int:
     summary, artifacts = xp.run_config(top)
-    bad = _nonfinite_keys(summary)
+    bad = [
+        key for key, value in summary.items() if isinstance(value, float) and not math.isfinite(value)
+    ]
     if bad:
         _diagnostic("numeric", f"non-finite results: {', '.join(bad)}")
         return NUMERIC_EXIT
@@ -183,9 +160,12 @@ def main(argv=None) -> int:
             os.environ[var] = str(args.threads)
 
     try:
-        raw = _load_raw(args.config)
-    except _ParseFailure as exc:
-        _diagnostic("parse", str(exc))
+        raw = json.loads(Path(args.config).read_bytes())
+    except OSError as exc:
+        _diagnostic("parse", f"cannot read config {args.config}: {exc}")
+        return PARSE_EXIT
+    except ValueError as exc:  # malformed JSON, or bytes that decode as no Unicode text
+        _diagnostic("parse", f"config is not valid JSON: {exc}")
         return PARSE_EXIT
 
     from . import experiments as xp

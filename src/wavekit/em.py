@@ -137,12 +137,12 @@ def energy_flow_residual(
     dt: float,
     medium: MediumParams,
     length: float,
-    scale: float | None = None,
 ) -> float:
     """Relative L-inf defect of dw/dt + div Y = 0 between two snapshots.
 
-    For fields with uniform w and Y both terms vanish; `scale` then sets
-    the reference (default v * max(w) / length).
+    The reference is the larger of max|div Y| and v * max(w) / length; the
+    second keeps it nonzero for fields with uniform w and Y, where both
+    terms vanish.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -151,12 +151,11 @@ def energy_flow_residual(
     _, Y_mid = energy_and_poynting(0.5 * (F0 + F1), medium)
     lhs = (w1 - w0) / dt
     rhs = spectral_divergence(Y_mid, length)
-    if scale is None:
-        scale = max(
-            float(np.max(np.abs(rhs))),
-            medium.v * float(np.max(np.abs(0.5 * (w0 + w1)))) / length,
-            1e-300,
-        )
+    scale = max(
+        float(np.max(np.abs(rhs))),
+        medium.v * float(np.max(np.abs(0.5 * (w0 + w1)))) / length,
+        1e-300,
+    )
     return float(np.max(np.abs(lhs + rhs)) / scale)
 
 

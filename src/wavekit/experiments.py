@@ -30,6 +30,9 @@ class ConfigError(ValueError):
 
 SCHEMA_VERSION = 1
 
+# Size limit, checked before anything is allocated (README "Size limits").
+MAX_THERMAL_CELLS = 2**24  # thermal-planck n_cells: 128 MiB per grid array
+
 
 @dataclass(frozen=True)
 class OutputOptions:
@@ -88,6 +91,11 @@ def _strict(cls, data, where):
     return cls(**data)
 
 
+def _rel(error, scale) -> float:
+    """Largest absolute entry of error over a reference scale."""
+    return float(np.max(np.abs(error)) / scale)
+
+
 def _require_positive(cfg, *names):
     """Refuse zero or negative values in fields that later divide or count."""
     for name in names:
@@ -144,16 +152,14 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig):
     wave_t = lattice.evolve_psi(wave, cfg.t_final, params)
     modes_t = lattice.evolve_modes_exact(modes, cfg.t_final)
     state_t = lattice.idft_from_modes(modes_t, t=cfg.t_final)
-    cross = float(
-        np.max(np.abs(lattice.psi_from_modes(modes_t, u.hbar).psik - wave_t.psik))
-        / max(np.max(np.abs(wave_t.psik)), 1e-300)
-    )
+    psi_t = lattice.psi_from_modes(modes_t, u.hbar).psik
+    cross = _rel(psi_t - wave_t.psik, np.max(np.abs(wave_t.psik)))
 
     grid = wigner.wigner_1d(wave)
     half = grid.window(x0 - params.length / 4.0, x0 + params.length / 4.0)
     closed = wigner.wigner_gaussian_closed(gp, half.x, half.p, u.hbar)
     peak = cfg.n_quanta / (math.pi * u.hbar)
-    wigner_error = float(np.max(np.abs(half.f - closed)) / peak)
+    wigner_error = _rel(half.f - closed, peak)
     # plot-ready crop: +-4 sigma about the packet center in each direction
     crop = grid.window(x0 - 4.0 * math.sqrt(cfg.g / 2.0), x0 + 4.0 * math.sqrt(cfg.g / 2.0))
     p_mask = np.abs(crop.p - u.hbar * cfg.k0) <= 4.0 * u.hbar / math.sqrt(2.0 * cfg.g)
@@ -164,14 +170,14 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig):
         "n_sites": cfg.n_sites,
         "action_area": area,
         "quanta": area / u.h,
-        "projected_area_loss": abs(lattice.action_area(raw) - area) / lattice.action_area(raw),
+        "projected_area_loss": _rel(lattice.action_area(raw) - area, lattice.action_area(raw)),
         "energy_site": h_site,
         "energy_mode": h_mode,
         "energy_action": h_psi,
-        "energy_site_vs_mode": abs(h_site - h_mode) / h_mode,
-        "energy_action_vs_mode": abs(h_psi - h_mode) / h_mode,
-        "energy_drift_exact": abs(lattice.total_mode_energy(modes_t) - h_mode) / h_mode,
-        "eta_drift": float(np.max(np.abs(wave_t.eta - wave.eta)) / np.max(wave.eta)),
+        "energy_site_vs_mode": _rel(h_site - h_mode, h_mode),
+        "energy_action_vs_mode": _rel(h_psi - h_mode, h_mode),
+        "energy_drift_exact": _rel(lattice.total_mode_energy(modes_t) - h_mode, h_mode),
+        "eta_drift": _rel(wave_t.eta - wave.eta, np.max(wave.eta)),
         "psi_vs_mode_evolution": cross,
         "wigner_closed_form_error": wigner_error,
         "wigner_peak": float(np.max(half.f)),
@@ -238,6 +244,10 @@ def run_traveling_wave(cfg: TravelingWaveConfig):
     state0 = lattice.traveling_wave_init(bump(x), cfg.direction, params)
     modes0 = lattice.dft_to_modes(state0, params)
     h0 = lattice.hamiltonian_energy(state0, params)
+    if h0 == 0:
+        raise ConfigError(
+            f"the bump (amplitude, width, center) carries no energy on n_sites = {cfg.n_sites}"
+        )
 
     modes_t = lattice.evolve_modes_exact(modes0, cfg.t_final)
     exact_t = lattice.idft_from_modes(modes_t, t=cfg.t_final)
@@ -256,9 +266,9 @@ def run_traveling_wave(cfg: TravelingWaveConfig):
         "direction": cfg.direction,
         "t_final": cfg.t_final,
         "chirality_leakage": lattice.chirality_leakage(wave, cfg.direction),
-        "transport_error": float(np.max(np.abs(exact_t.u - predicted)) / scale),
-        "leapfrog_vs_exact": float(np.max(np.abs(leap_t.u - exact_t.u)) / scale),
-        "leapfrog_energy_drift": float(np.max(np.abs(energies - h0)) / h0),
+        "transport_error": _rel(exact_t.u - predicted, scale),
+        "leapfrog_vs_exact": _rel(leap_t.u - exact_t.u, scale),
+        "leapfrog_energy_drift": _rel(energies - h0, h0),
         "energy": h0,
         "dt": dt,
         "n_steps": n_steps,
@@ -324,13 +334,13 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig):
     summary = {
         "total_number": grid.total(),
         "quanta": quanta,
-        "total_error": abs(grid.total() - quanta) / quanta,
-        "marginal_x_error": float(np.max(np.abs(marg_x - density_h)) / np.max(density_h)),
-        "marginal_p_error": float(
-            np.max(np.abs(grid.marginal_p() - wave.eta / u.hbar**2)) * u.hbar**2 / np.max(wave.eta)
+        "total_error": _rel(grid.total() - quanta, quanta),
+        "marginal_x_error": _rel(marg_x - density_h, np.max(density_h)),
+        "marginal_p_error": _rel(
+            (grid.marginal_p() - wave.eta / u.hbar**2) * u.hbar**2, np.max(wave.eta)
         ),
-        "closed_form_error_t0": float(np.max(np.abs(windowed.f - closed0)) / peak),
-        "closed_form_error_t": float(np.max(np.abs(win_t.f - closed_t)) / peak),
+        "closed_form_error_t0": _rel(windowed.f - closed0, peak),
+        "closed_form_error_t": _rel(win_t.f - closed_t, peak),
         "marginal_defect": grid.marginal_defect,
         "t_final": cfg.t_final,
     }
@@ -407,14 +417,14 @@ def run_photon_field(cfg: PhotonFieldConfig):
     summary = {
         "n_modes": int(modes.k.shape[0]),
         "photon_number": number,
-        "number_vs_wigner": abs(number - n_wigner) / number,
+        "number_vs_wigner": _rel(number - n_wigner, number),
         "energy_mode": e_mode,
         "energy_field": e_field,
         "energy_wigner": e_wigner,
-        "energy_field_vs_mode": abs(e_field - e_mode) / e_mode,
-        "energy_wigner_vs_mode": abs(e_wigner - e_mode) / e_mode,
-        "energy_drift": abs(em.mode_energy_3d(modes_t) - e_mode) / e_mode,
-        "number_drift": abs(em.photon_number(modes_t) - number) / number,
+        "energy_field_vs_mode": _rel(e_field - e_mode, e_mode),
+        "energy_wigner_vs_mode": _rel(e_wigner - e_mode, e_mode),
+        "energy_drift": _rel(em.mode_energy_3d(modes_t) - e_mode, e_mode),
+        "number_drift": _rel(em.photon_number(modes_t) - number, number),
         "t_final": cfg.t_final,
     }
     k = modes.k
@@ -468,20 +478,15 @@ def _cylindrical_block(k, v, mesh_n, spacing, dt, center):
     equation = helicity.potential_equation_residual(U0, U1, dt, spacing, v)
     curl = helicity.stencil_curl(U0, spacing)
     inner = helicity.interior(U0)
-    ref = k * _max_norm(inner)
-    beltrami = _max_norm(curl - k * inner) / ref
-    field = _max_norm(1j * curl - 1j * k * inner) / ref
+    ref = k * helicity._max_norm(inner)
+    beltrami = helicity._max_norm(curl - k * inner) / ref
+    field = helicity._max_norm(1j * curl - 1j * k * inner) / ref
     del U0, U1, curl, inner  # freed before the eight times larger mesh below
     # halve the spacing on the same physical cube to expose the stencil order
     U_h = helicity.cylindrical_solution(_centered_mesh(2 * mesh_n - 1, spacing / 2.0, center), k, v)
     curl, inner = helicity.stencil_curl(U_h, spacing / 2.0), helicity.interior(U_h)
-    beltrami_h = _max_norm(curl - k * inner) / (k * _max_norm(inner))
+    beltrami_h = helicity._max_norm(curl - k * inner) / (k * helicity._max_norm(inner))
     return mesh, equation, beltrami, field, beltrami_h
-
-
-def _max_norm(U) -> float:
-    """Largest pointwise vector norm of a component-first field."""
-    return float(np.max(np.sqrt(np.sum(np.abs(U) ** 2, axis=0))))
 
 
 def run_helicity_cylindrical(cfg: HelicityCylindricalConfig):
@@ -530,6 +535,8 @@ class ThermalPlanckConfig:
 
 def run_thermal_planck(cfg: ThermalPlanckConfig):
     _require_positive(cfg, "n_cells")
+    if cfg.n_cells > MAX_THERMAL_CELLS:
+        raise ConfigError(f"n_cells {cfg.n_cells} is over MAX_THERMAL_CELLS = {MAX_THERMAL_CELLS}")
     u = get_units(cfg.units)
     model = kinetics.SourceModel(cfg.model)
     params = kinetics.KineticParams.in_units(u, cfg.gamma, cfg.temperature, v=cfg.v)
@@ -539,22 +546,25 @@ def run_thermal_planck(cfg: ThermalPlanckConfig):
     p = x * params.p_thermal
     eps = params.v * p
 
-    if cfg.init == "zero":
-        f0 = np.zeros_like(p)
-    elif cfg.init == "planck":
-        f0 = np.asarray(kinetics.planck_f(eps, params))
-    else:
-        f0 = np.asarray(kinetics.equilibrium_f(eps, params, kinetics.SourceModel(cfg.init)))
-
-    state0 = kinetics.KineticState(p=p, f=f0)
-    final, elapsed = kinetics.relax_to_equilibrium(state0, params, model, cfg.n_folds)
-    target = np.asarray(kinetics.equilibrium_f(eps, params, model))
+    # each initial state is the fixed point of a model: zero of none, Planck of wien-stimulated
+    init = {"zero": "none", "planck": "wien-stimulated"}.get(cfg.init, cfg.init)
+    # 1/x and 1/rate overflow on a grid reaching into subnormal x: refused below, without warnings
+    with np.errstate(all="ignore"):
+        f0 = np.asarray(kinetics.equilibrium_f(eps, params, init))
+        state0 = kinetics.KineticState(p=p, f=f0)
+        final, elapsed = kinetics.relax_to_equilibrium(state0, params, model, cfg.n_folds)
+        target = np.asarray(kinetics.equilibrium_f(eps, params, model))
+        rhs = np.asarray(kinetics.kinetic_rhs(eps, target, params, model))
+    if not all(np.all(np.isfinite(a)) for a in (f0, target, rhs, elapsed)):
+        raise ConfigError(
+            "the fixed point, gain or relaxation time is not finite on the grid"
+            f" from x_min = {cfg.x_min!r}"
+        )
     if model is kinetics.SourceModel.NONE:
         # damping only: the fixed point is zero, so scale by the initial peak
-        resid = float(np.max(np.abs(final.f - target)) / max(float(np.max(f0)), 1e-300))
+        resid = _rel(final.f - target, max(float(np.max(f0)), 1e-300))
     else:
         resid = float(np.max(np.abs(final.f - target) / np.maximum(target, 1e-300)))
-    rhs = np.asarray(kinetics.kinetic_rhs(eps, target, params, model))
     rhs_scale = params.gamma * 2.0 / params.h**3
 
     lam_max, product = kinetics.wien_peak(params)
@@ -562,7 +572,7 @@ def run_thermal_planck(cfg: ThermalPlanckConfig):
     summary = {
         "model": model.value,
         "relative_residual": resid,
-        "stationarity_residual": float(np.max(np.abs(rhs)) / rhs_scale),
+        "stationarity_residual": _rel(rhs, rhs_scale),
         "elapsed": elapsed,
         "n_folds": cfg.n_folds,
         "peak_wavelength": lam_max,
@@ -632,7 +642,7 @@ def verify_lattice(cfg: VerifyLatticeConfig):
     )
 
     h_site = lattice.hamiltonian_energy(state, params)
-    checks["parseval_energy"] = (abs(lattice.total_mode_energy(spec) - h_site) / h_site, 1e-12)
+    checks["parseval_energy"] = (_rel(lattice.total_mode_energy(spec) - h_site, h_site), 1e-12)
 
     checks["reality"] = (lattice.reality_residual(spec), 1e-12)
 
@@ -648,22 +658,15 @@ def verify_lattice(cfg: VerifyLatticeConfig):
 
     modes_t = lattice.evolve_modes_exact(spec, cfg.t_exact)
     checks["exact_energy_drift"] = (
-        abs(lattice.total_mode_energy(modes_t) - h_site) / h_site,
-        1e-10,
+        _rel(lattice.total_mode_energy(modes_t) - h_site, h_site), 1e-10
     )
     wave_t = lattice.evolve_psi(wave, cfg.t_exact, params)
-    checks["eta_invariance"] = (
-        float(np.max(np.abs(wave_t.eta - wave.eta)) / np.max(wave.eta)),
-        1e-12,
-    )
+    checks["eta_invariance"] = (_rel(wave_t.eta - wave.eta, np.max(wave.eta)), 1e-12)
 
     dt = cfg.dt_factor / params.omega_max
     _, energies, _ = lattice.leapfrog_energy_series(state, params, dt, cfg.n_steps, sample_every)
     theta = params.omega_max * dt
-    checks["leapfrog_energy_bound"] = (
-        float(np.max(np.abs(energies - h_site)) / h_site),
-        0.5 * theta**2,
-    )
+    checks["leapfrog_energy_bound"] = (_rel(energies - h_site, h_site), 0.5 * theta**2)
 
     return _check_summary(checks)
 
@@ -704,10 +707,7 @@ def verify_helicity(cfg: VerifyHelicityConfig):
     # free evolution as a rigid precession about khat by -omega t
     rotated = helicity.rotate_field(U, mode.k / np.linalg.norm(mode.k), -omega * theta_t)
     phased = U * np.exp(1j * mode.sigma * omega * theta_t)
-    checks["precession_phase"] = (
-        float(np.max(np.abs(rotated - phased)) / np.max(np.abs(U))),
-        1e-12,
-    )
+    checks["precession_phase"] = (_rel(rotated - phased, np.max(np.abs(U))), 1e-12)
 
     return _check_summary(checks)
 

@@ -194,7 +194,7 @@ def relax_to_equilibrium(
         raise ValueError("n_folds must be positive")
     eps = state.eps(params)
     rate = np.asarray(effective_rate(eps, params, model))
-    t = n_folds / float(np.min(rate))
+    t = float(n_folds / np.min(rate))  # inf, not ZeroDivisionError, if a rate underflows to 0
     return kinetic_step(state, params, t, model), t
 
 

@@ -449,20 +449,10 @@ def modes_from_psi(wave: ActionWave, params: LatticeParams) -> ModeSpectrum:
     return ModeSpectrum(uk=uk, vk=vk, params=params)
 
 
-def evolve_psi(wave: ActionWave, t: float, params: LatticeParams | None = None, omega=None) -> ActionWave:
-    """Rotate each action amplitude: psi'_k(t) = exp(-i*omega_k*t) psi'_k.
-
-    omega may be an array on the wave's grid or a callable of k; defaults to
-    the chain dispersion of params.
-    """
-    if omega is None:
-        if params is None:
-            raise ValueError("provide params or omega")
-        w = np.asarray(dispersion(wave.k, params))
-    elif callable(omega):
-        w = np.asarray(omega(wave.k), dtype=float)
-    else:
-        w = np.asarray(omega, dtype=float)
+def evolve_psi(wave: ActionWave, t: float, params: LatticeParams) -> ActionWave:
+    """Rotate each action amplitude by the chain dispersion:
+    psi'_k(t) = exp(-i*omega_k*t) psi'_k."""
+    w = np.asarray(dispersion(wave.k, params))
     return replace(wave, psik=wave.psik * np.exp(-1j * w * t))
 
 

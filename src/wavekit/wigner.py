@@ -192,10 +192,10 @@ def wigner_1d(wave: ActionWave) -> WignerGrid:
 def quasi_energy_density(wave: ActionWave, omega) -> WignerGrid:
     """Energy-form density built from Phi'_k = sqrt(omega_k) psi'_k.
 
-    omega is an array on the wave's grid or a callable of k; the result
-    integrates to the total energy sum_k dk omega_k eta_k.
+    omega is an array on the wave's grid; the result integrates to the
+    total energy sum_k dk omega_k eta_k.
     """
-    w = np.asarray(omega(wave.k) if callable(omega) else omega, dtype=float)
+    w = np.asarray(omega, dtype=float)
     if np.any(w < 0):
         raise ValueError("omega must be nonnegative")
     phi = replace(wave, psik=np.sqrt(w) * wave.psik)

@@ -87,9 +87,13 @@ def test_verify_lattice_passes(tmp_path, capsys):
 # exit codes and diagnostics
 
 
-def test_malformed_config_exits_2(tmp_path, capsys):
+# the second file is no UTF-8 text and used to escape as a UnicodeDecodeError traceback
+@pytest.mark.parametrize(
+    "content", [b"{ this is not json", b"\xff\xfe\x00{"], ids=["not-json", "not-utf8"]
+)
+def test_malformed_config_exits_2(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"
-    bad.write_text("{ this is not json")
+    bad.write_bytes(content)
     code = cli.main(["thermal-relax", "--config", str(bad)])
     err = capsys.readouterr().err
     assert code == 2
@@ -231,6 +235,14 @@ ZERO_IDS = [
         ("phonon-sim", lambda out: scenario_payload(out, "phonon-gaussian", "lattice", n_sites=2)),
         ("wigner", lambda out: scenario_payload(
             out, "wigner-gaussian", "wigner", k0_cells=100000)),
+        # a traveling-wave bump with no energy to compare against, flat or on two sites
+        ("phonon-sim", lambda out: traveling_payload(out, amplitude=0)),
+        ("phonon-sim", lambda out: traveling_payload(out, n_sites=2)),
+        # a subnormal x_min overflows the 1/x of either model's fixed point and gain
+        ("thermal-relax", lambda out: thermal_payload(out, x_min=1e-320, model="rayleigh-jeans")),
+        ("thermal-relax", lambda out: thermal_payload(out, x_min=1e-320)),
+        # 10^12 cells would take 7.28 TiB a grid; experiments.MAX_THERMAL_CELLS = 2^24
+        ("thermal-relax", lambda out: thermal_payload(out, n_cells=10**12)),
     ] + [(command, make_payload) for command, make_payload, _ in ZERO_VALUES],
     ids=[
         "string-int", "float-int", "bool-int", "list-int", "string-seed", "bool-temperature",
@@ -238,7 +250,8 @@ ZERO_IDS = [
         "too-many-modes", "zero-modes", "negative-modes", "too-many-pairs", "huge-wigner-grid",
         "huge-phonon-grid", "huge-field-grid", "enormous-field-grid", "huge-helicity-mesh",
         "huge-verify-mesh", "long-wave-series", "long-verify-series", "empty-packet-far-k0",
-        "empty-packet-two-sites", "empty-wigner-packet",
+        "empty-packet-two-sites", "empty-wigner-packet", "flat-bump", "two-site-bump",
+        "subnormal-x-min-rayleigh-jeans", "subnormal-x-min-wien-stimulated", "huge-thermal-grid",
     ] + ZERO_IDS,
 )
 def test_bad_values_exit_3_with_one_json_line(tmp_path, capsys, command, make_payload):

@@ -185,7 +185,7 @@ def test_energy_flow_residual_two_wave_superposition():
     dt = 1e-3 / omega
     resid = em.energy_flow_residual(rs_at(0.0), rs_at(dt), dt, DENSE, length)
     assert resid < 1e-5
-    # single wave: both terms vanish, the default scale keeps it well defined
+    # single wave: both terms vanish, the v * max(w) / length reference keeps it well defined
     _, E, H = em.circular_plane_wave(mesh, 0.8, 1.0, 1, DENSE)
     F0 = em.riemann_silberstein(E, H, DENSE)
     _, E, H = em.circular_plane_wave(mesh, 0.8, 1.0, 1, DENSE, t=dt)
