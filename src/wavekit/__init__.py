@@ -2,7 +2,7 @@
 electromagnetic fields, and thermal photon kinetics.
 
 Importing the package loads none of its submodules; each loads when it is
-imported, so the CLI can cap thread pools before any numerical import:
+imported:
 
     lattice      chain dynamics, mode transforms, action waves
     wigner       1-D and 3-D phase-space densities

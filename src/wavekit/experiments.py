@@ -555,10 +555,14 @@ def run_thermal_planck(cfg: ThermalPlanckConfig):
         final, elapsed = kinetics.relax_to_equilibrium(state0, params, model, cfg.n_folds)
         target = np.asarray(kinetics.equilibrium_f(eps, params, model))
         rhs = np.asarray(kinetics.kinetic_rhs(eps, target, params, model))
-    if not all(np.all(np.isfinite(a)) for a in (f0, target, rhs, elapsed)):
+    if not all(np.all(np.isfinite(a)) for a in (f0, target, rhs)):
         raise ConfigError(
-            "the fixed point, gain or relaxation time is not finite on the grid"
-            f" from x_min = {cfg.x_min!r}"
+            f"the fixed point or gain is not finite on the grid from x_min = {cfg.x_min!r}"
+        )
+    if not math.isfinite(elapsed):  # n_folds over the slowest rate, which underflows to 0
+        raise ConfigError(
+            f"the relaxation time is not finite from gamma = {cfg.gamma!r}"
+            f" and n_folds = {cfg.n_folds!r}"
         )
     if model is kinetics.SourceModel.NONE:
         # damping only: the fixed point is zero, so scale by the initial peak
@@ -722,17 +726,19 @@ def _check_summary(checks):
 
 # --- scenario table and config parsing ---------------------------------------
 
-# scenario -> (module block holding its parameters, config dataclass, runner);
-# cli.COMMAND_SCENARIOS routes subcommands onto these names
+# scenario -> (CLI command that runs it, module block holding its parameters,
+# config dataclass, runner); the only table routing scenarios to commands
 SCENARIOS = {
-    "phonon-gaussian": ("lattice", PhononGaussianConfig, run_phonon_gaussian),
-    "traveling-wave": ("lattice", TravelingWaveConfig, run_traveling_wave),
-    "wigner-gaussian": ("wigner", WignerGaussianConfig, run_wigner_gaussian),
-    "photon-field": ("field", PhotonFieldConfig, run_photon_field),
-    "helicity-cylindrical": ("helicity", HelicityCylindricalConfig, run_helicity_cylindrical),
-    "thermal-planck": ("kinetics", ThermalPlanckConfig, run_thermal_planck),
-    "verify-lattice": ("lattice", VerifyLatticeConfig, verify_lattice),
-    "verify-helicity": ("helicity", VerifyHelicityConfig, verify_helicity),
+    "phonon-gaussian": ("phonon-sim", "lattice", PhononGaussianConfig, run_phonon_gaussian),
+    "traveling-wave": ("phonon-sim", "lattice", TravelingWaveConfig, run_traveling_wave),
+    "wigner-gaussian": ("wigner", "wigner", WignerGaussianConfig, run_wigner_gaussian),
+    "photon-field": ("photon-field", "field", PhotonFieldConfig, run_photon_field),
+    "helicity-cylindrical": (
+        "helicity-check", "helicity", HelicityCylindricalConfig, run_helicity_cylindrical
+    ),
+    "thermal-planck": ("thermal-relax", "kinetics", ThermalPlanckConfig, run_thermal_planck),
+    "verify-lattice": ("verify", "lattice", VerifyLatticeConfig, verify_lattice),
+    "verify-helicity": ("verify", "helicity", VerifyHelicityConfig, verify_helicity),
 }
 
 
@@ -743,13 +749,13 @@ class TopConfig:
     output: OutputOptions
 
 
-def parse_config(data, allowed=None, units=None, out_dir=None) -> TopConfig:
+def parse_config(data, command=None, units=None, out_dir=None) -> TopConfig:
     """Validate a raw config dict and build the scenario dataclass.
 
     Layout: schema_version, scenario, units, optional seed, optional output
-    block, plus the one module block SCENARIOS names.  `allowed` restricts
-    the accepted scenarios (subcommand routing); `units` and `out_dir`
-    override the file's values without mutating it.
+    block, plus the one module block SCENARIOS names.  `command` restricts
+    the accepted scenarios to those SCENARIOS routes to it; `units` and
+    `out_dir` override the file's values without mutating it.
     """
     if not isinstance(data, dict):
         raise ConfigError("top level must be an object")
@@ -758,11 +764,10 @@ def parse_config(data, allowed=None, units=None, out_dir=None) -> TopConfig:
     scenario = data.get("scenario")
     if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
-    if allowed is not None and scenario not in allowed:
-        raise ConfigError(
-            f"scenario {scenario!r} is not handled here; expected one of {sorted(allowed)}"
-        )
-    block_name, cls, _ = SCENARIOS[scenario]
+    command_of, block_name, cls, _ = SCENARIOS[scenario]
+    if command is not None and command != command_of:
+        expected = sorted(name for name, row in SCENARIOS.items() if row[0] == command)
+        raise ConfigError(f"scenario {scenario!r} is not handled here; expected one of {expected}")
 
     top_allowed = {"schema_version", "scenario", "units", "output", block_name}
     if "seed" in _type_hints(cls):
@@ -802,11 +807,11 @@ def effective_dict(top: TopConfig) -> dict:
     if "seed" in block:
         result["seed"] = block.pop("seed")
     result["output"] = dataclasses.asdict(top.output)
-    result[SCENARIOS[top.scenario][0]] = block
+    result[SCENARIOS[top.scenario][1]] = block
     return result
 
 
 def run_config(top: TopConfig):
-    _, _, runner = SCENARIOS[top.scenario]
+    runner = SCENARIOS[top.scenario][3]
     summary, artifacts = runner(top.params)
     return {"scenario": top.scenario, "units": top.params.units, **summary}, artifacts

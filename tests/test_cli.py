@@ -87,17 +87,20 @@ def test_verify_lattice_passes(tmp_path, capsys):
 # exit codes and diagnostics
 
 
-# the second file is no UTF-8 text and used to escape as a UnicodeDecodeError traceback
+# the second file is no UTF-8 text and used to escape as a UnicodeDecodeError traceback,
+# the third nests deeper than the decoder recurses and used to escape as a RecursionError
 @pytest.mark.parametrize(
-    "content", [b"{ this is not json", b"\xff\xfe\x00{"], ids=["not-json", "not-utf8"]
+    "content",
+    [b"{ this is not json", b"\xff\xfe\x00{", b"[" * 100_000],
+    ids=["not-json", "not-utf8", "too-deep"],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     code = cli.main(["thermal-relax", "--config", str(bad)])
-    err = capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
     assert code == 2
-    assert last_stderr_json(err)["error"] == "parse"
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "parse"
     # and no partial outputs anywhere
     assert not list(tmp_path.glob("**/summary.json"))
 
@@ -241,6 +244,10 @@ ZERO_IDS = [
         # a subnormal x_min overflows the 1/x of either model's fixed point and gain
         ("thermal-relax", lambda out: thermal_payload(out, x_min=1e-320, model="rayleigh-jeans")),
         ("thermal-relax", lambda out: thermal_payload(out, x_min=1e-320)),
+        # the relaxation time n_folds / (slowest rate) overflows: every rate underflows to 0,
+        # or n_folds is too large
+        ("thermal-relax", lambda out: thermal_payload(out, gamma=5e-324)),
+        ("thermal-relax", lambda out: thermal_payload(out, n_folds=1e308)),
         # 10^12 cells would take 7.28 TiB a grid; experiments.MAX_THERMAL_CELLS = 2^24
         ("thermal-relax", lambda out: thermal_payload(out, n_cells=10**12)),
     ] + [(command, make_payload) for command, make_payload, _ in ZERO_VALUES],
@@ -251,7 +258,8 @@ ZERO_IDS = [
         "huge-phonon-grid", "huge-field-grid", "enormous-field-grid", "huge-helicity-mesh",
         "huge-verify-mesh", "long-wave-series", "long-verify-series", "empty-packet-far-k0",
         "empty-packet-two-sites", "empty-wigner-packet", "flat-bump", "two-site-bump",
-        "subnormal-x-min-rayleigh-jeans", "subnormal-x-min-wien-stimulated", "huge-thermal-grid",
+        "subnormal-x-min-rayleigh-jeans", "subnormal-x-min-wien-stimulated", "subnormal-gamma",
+        "huge-n-folds", "huge-thermal-grid",
     ] + ZERO_IDS,
 )
 def test_bad_values_exit_3_with_one_json_line(tmp_path, capsys, command, make_payload):
@@ -307,6 +315,24 @@ def test_far_thermal_tail_runs_without_warnings(tmp_path, capsys, kinetics):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "kinetics, named",
+    [
+        ({"x_min": 1e-320, "model": "rayleigh-jeans"}, "x_min = 1e-320"),
+        ({"x_min": 1e-320}, "x_min = 1e-320"),
+        ({"gamma": 5e-324}, "gamma = 5e-324"),
+        ({"n_folds": 1e308}, "n_folds = 1e+308"),
+    ],
+    ids=["subnormal-x-min-rayleigh-jeans", "subnormal-x-min", "subnormal-gamma", "huge-n-folds"],
+)
+def test_non_finite_thermal_refusal_names_its_cause(tmp_path, capsys, kinetics, named):
+    cfg = write_config(tmp_path, thermal_payload(tmp_path / "out", **kinetics))
+    assert cli.main(["thermal-relax", "--config", str(cfg)]) == 3
+    detail = last_stderr_json(capsys.readouterr().err)["detail"]
+    assert named in detail
+    assert ("x_min" in detail) == ("x_min" in kinetics)
+
+
 def test_photon_field_needs_a_mode(tmp_path, capsys):
     cfg = write_config(tmp_path, photon_payload(tmp_path / "out", n_random_modes=0))
     assert cli.main(["photon-field", "--config", str(cfg)]) == 3
@@ -324,13 +350,10 @@ def test_int_in_float_field_is_kept_as_given(tmp_path, capsys):
 
 
 def test_scenario_tables_agree():
-    routed = sorted((s, cmd) for cmd, names in cli.COMMAND_SCENARIOS.items() for s in names)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| ([a-z-]+) +\| ([a-z-]+) +\| `([a-z]+)` +\|$", readme, re.M)
-    assert sorted(s for s, _ in routed) == sorted(experiments.SCENARIOS)
-    assert sorted((s, cmd) for s, cmd, _ in rows) == routed
-    blocks = {s: block for s, (block, _, _) in experiments.SCENARIOS.items()}
-    assert dict((s, block) for s, _, block in rows) == blocks
+    table = [(s, cmd, block) for s, (cmd, block, _, _) in experiments.SCENARIOS.items()]
+    assert rows == table
 
 
 # modules whose README "Library layout" bullet ends with "Public:" and their names;
@@ -470,38 +493,40 @@ def test_verbose_prints_effective_config(tmp_path, capsys):
     assert '"scenario": "thermal-planck"' in stdout
 
 
-def test_bad_thread_count_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, thermal_payload(tmp_path / "out"))
-    code = cli.main(["thermal-relax", "--config", str(cfg), "--threads", "0"])
-    err = capsys.readouterr().err
+def test_unknown_option_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, thermal_payload(out))
+    code = cli.main(["thermal-relax", "--config", str(cfg), "--threads", "2"])
+    lines = capsys.readouterr().err.splitlines()
     assert code == 2
-    assert "error" in last_stderr_json(err)
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
 # real process: entry point, thread independence
 
 
-def run_python(args, cwd):
+def run_python(args, cwd, **env_vars):
     # the subprocess runs in cwd, so a relative src entry on PYTHONPATH would not resolve
     src = str(Path(wavekit.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = {**os.environ, **env_vars}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, capture_output=True, text=True, timeout=120, env=env,
     )
 
 
-def run_proc(args, cwd):
-    return run_python(["-m", "wavekit", *args], cwd)
+def run_proc(args, cwd, **env_vars):
+    return run_python(["-m", "wavekit", *args], cwd, **env_vars)
 
 
 RUN_SAMPLE_CONFIGS = """
 import json, sys
 from pathlib import Path
-from wavekit import cli
+from wavekit import cli, experiments
 
-command = {s: c for c, names in cli.COMMAND_SCENARIOS.items() for s in names}
+command = {s: row[0] for s, row in experiments.SCENARIOS.items()}
 configs = sorted(Path(sys.argv[1]).glob("*.json"))
 for cfg in configs:
     scenario = json.loads(cfg.read_text())["scenario"]
@@ -519,8 +544,14 @@ def test_sample_configs_run_without_scipy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == {"ran": 9, "scipy": []}
 
 
+def test_help_lists_every_command(tmp_path):
+    proc = run_proc(["--help"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for command, *_ in experiments.SCENARIOS.values():
+        assert command in proc.stdout, command
+
+
 def test_module_entry_point(tmp_path):
-    assert run_proc(["--help"], tmp_path).returncode == 0
     cfg = write_config(tmp_path, verify_lattice_payload(tmp_path / "out"))
     proc = run_proc(["verify", "--config", str(cfg)], tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -528,12 +559,14 @@ def test_module_entry_point(tmp_path):
 
 
 def test_results_independent_of_thread_count(tmp_path):
+    # thread pools follow the standard variables, read when numpy loads its BLAS
     outs = []
     for threads, sub in (("1", "t1"), ("2", "t2")):
         out = tmp_path / sub
         cfg = write_config(tmp_path, thermal_payload(out), name=f"cfg-{sub}.json")
         proc = run_proc(
-            ["thermal-relax", "--config", str(cfg), "--threads", threads], tmp_path
+            ["thermal-relax", "--config", str(cfg)], tmp_path,
+            OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append((out / "summary.json").read_text())
