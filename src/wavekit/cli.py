@@ -6,8 +6,9 @@ optional --out DIR, --units {natural|mev-ps}, --verbose.
 
 Exit codes: 0 success, 2 parse error (usage, unreadable or malformed
 config, unwritable output directory), 3 validation error (schema or
-parameter), 4 numeric failure (failed invariant, non-finite result).  Every
-error path emits a one-line JSON diagnostic on stderr.
+parameter), 4 numeric failure (failed invariant, non-finite result, float
+overflow or division by zero).  Every error path emits a one-line JSON
+diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -130,6 +131,10 @@ def main(argv=None) -> int:
         # experiments.ConfigError, or a parameter combination that only fails in the physics layer
         _diagnostic("validation", str(exc))
         return VALIDATION_EXIT
+    except ArithmeticError as exc:
+        # float overflow or division by zero in a runner; parse_config does no arithmetic
+        _diagnostic("numeric", f"{top.scenario} failed: {type(exc).__name__}: {exc}")
+        return NUMERIC_EXIT
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Config-driven scenario runners behind the CLI.
 
-Each scenario pairs a frozen config dataclass with a runner returning
-(summary, artifacts): summary is a JSON-ready dict, artifacts maps file
-names to their payloads, a column dict for a .csv name and a WignerGrid for
-a .wgrd name.  run_config heads every summary with its scenario and units.
-Runners are pure given their config, so identical configs reproduce
+Each scenario pairs a frozen config dataclass with a runner that takes its
+config and the run's UnitSystem and returns (summary, artifacts): summary is
+a JSON-ready dict, artifacts maps file names to their payloads, a column
+dict for a .csv name and a WignerGrid for a .wgrd name.  run_config looks up
+the config's top-level units and heads every summary with scenario and units.
+Runners are pure given config and units, so identical configs reproduce
 identical artifacts.
 """
 
@@ -21,7 +22,7 @@ from typing import Literal
 import numpy as np
 
 from . import em, helicity, kinetics, lattice, wigner
-from .units import PRESETS, get_units
+from .units import PRESETS, UnitSystem, get_units
 
 
 class ConfigError(ValueError):
@@ -121,12 +122,10 @@ class PhononGaussianConfig:
     t_final: float = 40.0
     random_phases: bool = False
     seed: int = 0
-    units: Units = "natural"
 
 
-def run_phonon_gaussian(cfg: PhononGaussianConfig):
+def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
     wigner.check_grid_size(cfg.n_sites)
-    u = get_units(cfg.units)
     params = lattice.LatticeParams(
         m=cfg.m, omega0=cfg.omega0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
     )
@@ -186,7 +185,7 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig):
     artifacts = {
         "spectrum.csv": {
             "k": k,
-            "omega": np.asarray(lattice.dispersion(k, params)),
+            "omega": lattice.dispersion(k, params),
             "eta_initial": wave.eta,
             "eta_final": wave_t.eta,
         },
@@ -221,12 +220,10 @@ class TravelingWaveConfig:
     direction: int = 1
     t_final: float = 64.0
     dt_factor: float = 0.1
-    units: Units = "natural"
 
 
-def run_traveling_wave(cfg: TravelingWaveConfig):
+def run_traveling_wave(cfg: TravelingWaveConfig, u: UnitSystem):
     _require_positive(cfg, "dt_factor", "width", "t_final")
-    u = get_units(cfg.units)
     params = lattice.LatticeParams(
         m=cfg.m, omega0=0.0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
     )
@@ -298,13 +295,11 @@ class WignerGaussianConfig:
     x0: float | None = None
     t_final: float = 50.0
     v: float = 1.0
-    units: Units = "natural"
 
 
-def run_wigner_gaussian(cfg: WignerGaussianConfig):
+def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
     _require_positive(cfg, "n_modes", "ell")
     wigner.check_grid_size(cfg.n_modes)
-    u = get_units(cfg.units)
     length = cfg.ell * cfg.n_modes
     x0 = length / 2.0 if cfg.x0 is None else cfg.x0
     dk = 2.0 * np.pi / length
@@ -368,7 +363,6 @@ class PhotonFieldConfig:
     n_quanta: float = 5.0
     seed: int = 7
     t_final: float = 1.0
-    units: Units = "natural"
 
 
 def _random_mode_set(cfg: PhotonFieldConfig, medium, hbar):
@@ -399,9 +393,8 @@ def _random_mode_set(cfg: PhotonFieldConfig, medium, hbar):
     return em.PhotonModeSet(k=k, psik=psik, box_length=cfg.box_length, medium=medium, hbar=hbar)
 
 
-def run_photon_field(cfg: PhotonFieldConfig):
+def run_photon_field(cfg: PhotonFieldConfig, u: UnitSystem):
     _require_positive(cfg, "box_length")
-    u = get_units(cfg.units)
     medium = em.MediumParams(eps=cfg.eps, mu=cfg.mu, c=u.c)
     modes = _random_mode_set(cfg, medium, u.hbar)
     modes = em.normalize_photons(modes, cfg.n_quanta)
@@ -453,7 +446,6 @@ class HelicityCylindricalConfig:
     center_x: float = 0.3
     center_y: float = -0.2
     center_z: float = 0.1
-    units: Units = "natural"
 
 
 def _centered_mesh(n: int, spacing: float, center) -> np.ndarray:
@@ -489,7 +481,7 @@ def _cylindrical_block(k, v, mesh_n, spacing, dt, center):
     return mesh, equation, beltrami, field, beltrami_h
 
 
-def run_helicity_cylindrical(cfg: HelicityCylindricalConfig):
+def run_helicity_cylindrical(cfg: HelicityCylindricalConfig, u: UnitSystem):
     mesh, eq_resid, beltrami, field_err, beltrami_h = _cylindrical_block(
         cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, (cfg.center_x, cfg.center_y, cfg.center_z)
     )
@@ -530,14 +522,12 @@ class ThermalPlanckConfig:
     n_cells: int = 200
     init: Init = "zero"
     n_folds: float = 30.0
-    units: Units = "natural"
 
 
-def run_thermal_planck(cfg: ThermalPlanckConfig):
+def run_thermal_planck(cfg: ThermalPlanckConfig, u: UnitSystem):
     _require_positive(cfg, "n_cells")
     if cfg.n_cells > MAX_THERMAL_CELLS:
         raise ConfigError(f"n_cells {cfg.n_cells} is over MAX_THERMAL_CELLS = {MAX_THERMAL_CELLS}")
-    u = get_units(cfg.units)
     model = kinetics.SourceModel(cfg.model)
     params = kinetics.KineticParams.in_units(u, cfg.gamma, cfg.temperature, v=cfg.v)
     if not 0 < cfg.x_min < cfg.x_max:
@@ -550,11 +540,11 @@ def run_thermal_planck(cfg: ThermalPlanckConfig):
     init = {"zero": "none", "planck": "wien-stimulated"}.get(cfg.init, cfg.init)
     # 1/x and 1/rate overflow on a grid reaching into subnormal x: refused below, without warnings
     with np.errstate(all="ignore"):
-        f0 = np.asarray(kinetics.equilibrium_f(eps, params, init))
+        f0 = kinetics.equilibrium_f(eps, params, init)
         state0 = kinetics.KineticState(p=p, f=f0)
         final, elapsed = kinetics.relax_to_equilibrium(state0, params, model, cfg.n_folds)
-        target = np.asarray(kinetics.equilibrium_f(eps, params, model))
-        rhs = np.asarray(kinetics.kinetic_rhs(eps, target, params, model))
+        target = kinetics.equilibrium_f(eps, params, model)
+        rhs = kinetics.kinetic_rhs(eps, target, params, model)
     if not all(np.all(np.isfinite(a)) for a in (f0, target, rhs)):
         raise ConfigError(
             f"the fixed point or gain is not finite on the grid from x_min = {cfg.x_min!r}"
@@ -596,7 +586,7 @@ def run_thermal_planck(cfg: ThermalPlanckConfig):
         },
         "spectrum.csv": {
             "wavelength": lam,
-            "energy_density": np.asarray(kinetics.spectral_energy_density(lam, params)),
+            "energy_density": kinetics.spectral_energy_density(lam, params),
         },
     }
     return summary, artifacts
@@ -617,14 +607,12 @@ class VerifyLatticeConfig:
     dt_factor: float = 0.05
     n_steps: int = 2000
     negative_control: bool = False
-    units: Units = "natural"
 
 
-def verify_lattice(cfg: VerifyLatticeConfig):
+def verify_lattice(cfg: VerifyLatticeConfig, u: UnitSystem):
     _require_positive(cfg, "dt_factor")
     sample_every = 10
     lattice.check_series_size(cfg.n_steps // sample_every + 1, cfg.n_sites)
-    u = get_units(cfg.units)
     params = lattice.LatticeParams(
         m=cfg.m, omega0=cfg.omega0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
     )
@@ -683,10 +671,9 @@ class VerifyHelicityConfig:
     dt: float = 2e-3
     mesh_n: int = 7
     negative_control: bool = False
-    units: Units = "natural"
 
 
-def verify_helicity(cfg: VerifyHelicityConfig):
+def verify_helicity(cfg: VerifyHelicityConfig, u: UnitSystem):
     _require_positive(cfg, "v")
     mesh, resid, r1, _, r2 = _cylindrical_block(
         cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, (0.25, 0.15, -0.3)
@@ -745,6 +732,7 @@ SCENARIOS = {
 @dataclass(frozen=True)
 class TopConfig:
     scenario: str
+    units: Units
     params: object
     output: OutputOptions
 
@@ -755,7 +743,7 @@ def parse_config(data, command=None, units=None, out_dir=None) -> TopConfig:
     Layout: schema_version, scenario, units, optional seed, optional output
     block, plus the one module block SCENARIOS names.  `command` restricts
     the accepted scenarios to those SCENARIOS routes to it; `units` and
-    `out_dir` override the file's values without mutating it.
+    `out_dir` override the file's checked values without mutating it.
     """
     if not isinstance(data, dict):
         raise ConfigError("top level must be an object")
@@ -783,17 +771,19 @@ def parse_config(data, command=None, units=None, out_dir=None) -> TopConfig:
     if misplaced:
         raise ConfigError(f"{misplaced} belong at the top level, not in {block_name}")
     kwargs = dict(block)
-    if units is not None:
-        kwargs["units"] = units
-    elif "units" in data:
-        kwargs["units"] = data["units"]
     if "seed" in data:
         kwargs["seed"] = data["seed"]
     params = _strict(cls, kwargs, block_name)
+    # the file's units are checked even where the override replaces them
+    chosen = [data.get("units", "natural")] + ([] if units is None else [units])
+    for value in chosen:
+        want = _misfit(value, Units)
+        if want is not None:
+            raise ConfigError(f"bad top-level value: units must be {want}, got {value!r}")
     output = _strict(OutputOptions, data.get("output", {}), "output")
     if out_dir is not None:
         output = dataclasses.replace(output, dir=out_dir)
-    return TopConfig(scenario=scenario, params=params, output=output)
+    return TopConfig(scenario=scenario, units=chosen[-1], params=params, output=output)
 
 
 def effective_dict(top: TopConfig) -> dict:
@@ -802,7 +792,7 @@ def effective_dict(top: TopConfig) -> dict:
     result = {
         "schema_version": SCHEMA_VERSION,
         "scenario": top.scenario,
-        "units": block.pop("units"),
+        "units": top.units,
     }
     if "seed" in block:
         result["seed"] = block.pop("seed")
@@ -813,5 +803,5 @@ def effective_dict(top: TopConfig) -> dict:
 
 def run_config(top: TopConfig):
     runner = SCENARIOS[top.scenario][3]
-    summary, artifacts = runner(top.params)
-    return {"scenario": top.scenario, "units": top.params.units, **summary}, artifacts
+    summary, artifacts = runner(top.params, get_units(top.units))
+    return {"scenario": top.scenario, "units": top.units, **summary}, artifacts

@@ -80,7 +80,7 @@ class KineticParams:
         """Thermal momentum k_B T / v."""
         return self.k_B * self.temperature / self.v
 
-    def x_of(self, eps: np.ndarray | float) -> np.ndarray | float:
+    def x_of(self, eps: np.ndarray | float) -> np.ndarray:
         """Dimensionless energy eps / (k_B T)."""
         return np.asarray(eps, dtype=float) / (self.k_B * self.temperature)
 
@@ -109,17 +109,17 @@ class KineticState:
         return params.v * self.p
 
 
-def planck_f(eps: np.ndarray | float, params: KineticParams) -> np.ndarray | float:
+def planck_f(eps: np.ndarray | float, params: KineticParams) -> np.ndarray:
     """Thermal law (2/h^3) / (exp(eps/kT) - 1)."""
     return equilibrium_f(eps, params, SourceModel.WIEN_STIMULATED)
 
 
 def equilibrium_f(
     eps: np.ndarray | float, params: KineticParams, model: SourceModel
-) -> np.ndarray | float:
+) -> np.ndarray:
     """Fixed point of the relaxation for the given gain model."""
     model = SourceModel(model)
-    x = np.asarray(params.x_of(eps))
+    x = params.x_of(eps)
     pref = 2.0 / params.h**3
     if model is SourceModel.RAYLEIGH_JEANS:
         out = pref / x
@@ -131,29 +131,27 @@ def equilibrium_f(
         # expm1 overflows to inf past x ~ 709, and pref/inf = 0 is the exact limit
         with np.errstate(over="ignore"):
             out = pref / np.expm1(x)
-    return out if out.ndim else float(out)
+    return out
 
 
 def effective_rate(
     eps: np.ndarray | float, params: KineticParams, model: SourceModel
-) -> np.ndarray | float:
+) -> np.ndarray:
     """Linear relaxation rate toward the fixed point; gamma except when
     stimulated gain cancels part of the loss."""
     model = SourceModel(model)
-    x = np.asarray(params.x_of(eps))
+    x = params.x_of(eps)
     if model is SourceModel.WIEN_STIMULATED:
-        out = params.gamma * (-np.expm1(-x))
-    else:
-        out = params.gamma * np.ones_like(x)
-    return out if out.ndim else float(out)
+        return params.gamma * (-np.expm1(-x))
+    return params.gamma * np.ones_like(x)
 
 
 def kinetic_rhs(
     eps: np.ndarray | float, f: np.ndarray | float, params: KineticParams, model: SourceModel
-) -> np.ndarray | float:
+) -> np.ndarray:
     """df/dt = G(eps, f) - gamma f, with the gain G of the model."""
     model = SourceModel(model)
-    x = np.asarray(params.x_of(eps))
+    x = params.x_of(eps)
     f = np.asarray(f, dtype=float)
     pref = params.gamma * 2.0 / params.h**3
     if model is SourceModel.RAYLEIGH_JEANS:
@@ -164,8 +162,7 @@ def kinetic_rhs(
         gain = np.zeros_like(x)
     else:
         gain = pref * np.exp(-x) * (1.0 + (params.h**3 / 2.0) * f)
-    out = np.asarray(gain - params.gamma * f)
-    return out if out.ndim else float(out)
+    return gain - params.gamma * f
 
 
 def kinetic_step(
@@ -175,8 +172,8 @@ def kinetic_step(
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     eps = state.eps(params)
-    f_star = np.asarray(equilibrium_f(eps, params, model))
-    rate = np.asarray(effective_rate(eps, params, model))
+    f_star = equilibrium_f(eps, params, model)
+    rate = effective_rate(eps, params, model)
     decay = np.exp(-rate * dt)
     f_new = f_star + (state.f - f_star) * decay
     return KineticState(p=state.p, f=f_new, t=state.t + dt)
@@ -193,12 +190,12 @@ def relax_to_equilibrium(
     if n_folds <= 0:
         raise ValueError("n_folds must be positive")
     eps = state.eps(params)
-    rate = np.asarray(effective_rate(eps, params, model))
+    rate = effective_rate(eps, params, model)
     t = float(n_folds / np.min(rate))  # inf, not ZeroDivisionError, if a rate underflows to 0
     return kinetic_step(state, params, t, model), t
 
 
-def spectral_energy_density(lam: np.ndarray | float, params: KineticParams) -> np.ndarray | float:
+def spectral_energy_density(lam: np.ndarray | float, params: KineticParams) -> np.ndarray:
     """Energy per volume per wavelength at equilibrium:
     (8 pi h v / lambda^5) / (exp(h v / (lambda k_B T)) - 1)."""
     lam = np.asarray(lam, dtype=float)
@@ -206,8 +203,7 @@ def spectral_energy_density(lam: np.ndarray | float, params: KineticParams) -> n
         raise ValueError("wavelength must be positive")
     x = params.h * params.v / (lam * params.k_B * params.temperature)
     # exp(-x)/(1 - exp(-x)) = 1/expm1(x) without overflow at large x
-    out = (8.0 * np.pi * params.h * params.v / lam**5) * np.exp(-x) / (-np.expm1(-x))
-    return out if out.ndim else float(out)
+    return (8.0 * np.pi * params.h * params.v / lam**5) * np.exp(-x) / (-np.expm1(-x))
 
 
 def wien_peak(params: KineticParams) -> tuple[float, float]:
@@ -251,8 +247,8 @@ def evolve_with_transport(
     if cfl > 1.0 + 1e-12:
         raise ValueError("CFL violated: v dt must not exceed dx")
     eps = params.v * np.asarray(p, dtype=float)
-    f_star = np.asarray(equilibrium_f(eps, params, model))
-    rate = np.asarray(effective_rate(eps, params, model))
+    f_star = equilibrium_f(eps, params, model)
+    rate = effective_rate(eps, params, model)
     decay = np.exp(-rate * dt)
     for _ in range(n_steps):
         f = f - cfl * (f - np.roll(f, 1, axis=0))

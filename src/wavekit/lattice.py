@@ -289,20 +289,18 @@ def leapfrog_energy_series(
     return times, energies, LatticeState(u=u_final, v=v_final, t=state.t + n_steps * dt)
 
 
-def dispersion(k: np.ndarray | float, params: LatticeParams) -> np.ndarray | float:
+def dispersion(k: np.ndarray | float, params: LatticeParams) -> np.ndarray:
     """omega_k = sqrt(omega0^2 + 4*kappa*sin^2(k*ell/2))."""
     k = np.asarray(k, dtype=float)
-    w = np.sqrt(params.omega0**2 + 4.0 * params.kappa * np.sin(k * params.ell / 2.0) ** 2)
-    return w if w.ndim else float(w)
+    return np.sqrt(params.omega0**2 + 4.0 * params.kappa * np.sin(k * params.ell / 2.0) ** 2)
 
 
-def group_velocity(k: np.ndarray | float, params: LatticeParams) -> np.ndarray | float:
+def group_velocity(k: np.ndarray | float, params: LatticeParams) -> np.ndarray:
     """d omega/dk; zero at k = 0 (massless chain included, by symmetry)."""
     k = np.asarray(k, dtype=float)
-    w = np.asarray(dispersion(k, params))
+    w = dispersion(k, params)
     num = params.kappa * params.ell * np.sin(k * params.ell)
-    out = np.divide(num, w, out=np.zeros_like(num), where=w > 0)
-    return out if out.ndim else float(out)
+    return np.divide(num, w, out=np.zeros_like(num), where=w > 0)
 
 
 def dft_to_modes(state: LatticeState, params: LatticeParams) -> ModeSpectrum:
@@ -357,7 +355,7 @@ def evolve_modes_exact(spec: ModeSpectrum, t: float) -> ModeSpectrum:
     Zero-frequency cells drift freely: u'_k += t*v'_{-k}/m.
     """
     p = spec.params
-    w = np.asarray(dispersion(spec.k, p))
+    w = dispersion(spec.k, p)
     c = np.cos(w * t)
     # sin(w t)/w -> t as w -> 0
     s_over_w = np.where(w > 0, np.sin(w * t) / np.where(w > 0, w, 1.0), t)
@@ -383,7 +381,7 @@ def traveling_wave_init(u0: np.ndarray, direction: int, params: LatticeParams) -
     u0 = np.asarray(u0, dtype=float)
     base = dft_to_modes(LatticeState(u=u0, v=np.zeros_like(u0)), params)
     k = base.k
-    w = np.asarray(dispersion(k, params))
+    w = dispersion(k, params)
     sigma = np.sign(k)
     sigma[0] = 0.0  # Nyquist cell: self-conjugate, no direction
     vk = -1j * direction * params.m * sigma * w * _mode_reverse(base.uk)
@@ -408,12 +406,6 @@ def dalembert_solution(u0, du0, x: np.ndarray | float, t: float, v: float) -> np
     return out if np.ndim(x) else out[0]
 
 
-def _zero_frequency_mask(params: LatticeParams) -> np.ndarray:
-    k = params.k_grid()
-    w = np.asarray(dispersion(k, params))
-    return w == 0.0
-
-
 def psi_from_modes(spec: ModeSpectrum, hbar: float) -> ActionWave:
     """Action amplitudes psi'_k = sqrt(m*omega_k/2) ((u'_k)* + i v'_k/(m*omega_k)).
 
@@ -421,8 +413,8 @@ def psi_from_modes(spec: ModeSpectrum, hbar: float) -> ActionWave:
     carries more than a 1e-12 fraction of the total energy.
     """
     p = spec.params
-    w = np.asarray(dispersion(spec.k, p))
-    dead = _zero_frequency_mask(p)
+    w = dispersion(spec.k, p)
+    dead = w == 0.0
     if np.any(dead):
         total = total_mode_energy(spec)
         dead_energy = float(p.dk * np.sum(np.abs(spec.vk[dead]) ** 2) / (2.0 * p.m))
@@ -438,8 +430,8 @@ def modes_from_psi(wave: ActionWave, params: LatticeParams) -> ModeSpectrum:
     """Inverse of psi_from_modes; zero-frequency cells come back as zeros."""
     if wave.psik.size != params.n_sites:
         raise ValueError("wave length does not match params.n_sites")
-    w = np.asarray(dispersion(wave.k, params))
-    dead = _zero_frequency_mask(params)
+    w = dispersion(wave.k, params)
+    dead = w == 0.0
     w_safe = np.where(dead, 1.0, w)
     psi_rev_conj = np.conj(_mode_reverse(wave.psik))
     uk = np.conj((wave.psik + psi_rev_conj) / np.sqrt(2.0 * params.m * w_safe))
@@ -452,7 +444,7 @@ def modes_from_psi(wave: ActionWave, params: LatticeParams) -> ModeSpectrum:
 def evolve_psi(wave: ActionWave, t: float, params: LatticeParams) -> ActionWave:
     """Rotate each action amplitude by the chain dispersion:
     psi'_k(t) = exp(-i*omega_k*t) psi'_k."""
-    w = np.asarray(dispersion(wave.k, params))
+    w = dispersion(wave.k, params)
     return replace(wave, psik=wave.psik * np.exp(-1j * w * t))
 
 
@@ -463,7 +455,7 @@ def action_area(wave: ActionWave) -> float:
 
 def psi_energy(wave: ActionWave, params: LatticeParams) -> float:
     """Total energy in the action picture: sum_k dk * omega_k * eta_k."""
-    w = np.asarray(dispersion(wave.k, params))
+    w = dispersion(wave.k, params)
     return float(wave.dk * np.sum(w * wave.eta))
 
 

@@ -15,7 +15,6 @@ class UnitSystem:
     k_B  : Boltzmann constant (energy / temperature)
     """
 
-    name: str
     hbar: float
     c: float
     k_B: float
@@ -25,26 +24,16 @@ class UnitSystem:
         return 2.0 * math.pi * self.hbar
 
 
-def natural() -> UnitSystem:
-    """hbar = c = k_B = 1."""
-    return UnitSystem(name="natural", hbar=1.0, c=1.0, k_B=1.0)
-
-
-def mev_ps() -> UnitSystem:
-    """meV / ps / um / K system with h = 4.1 meV ps and k_B = 0.086 meV/K."""
-    return UnitSystem(
-        name="mev-ps",
-        hbar=4.1 / (2.0 * math.pi),
-        c=299.792458,  # um per ps
-        k_B=0.086,
-    )
-
-
-PRESETS = {"natural": natural, "mev-ps": mev_ps}
+PRESETS = {
+    # hbar = c = k_B = 1
+    "natural": UnitSystem(hbar=1.0, c=1.0, k_B=1.0),
+    # meV / ps / um / K: h = 4.1 meV ps, c in um per ps, k_B = 0.086 meV/K
+    "mev-ps": UnitSystem(hbar=4.1 / (2.0 * math.pi), c=299.792458, k_B=0.086),
+}
 
 
 def get_units(name: str) -> UnitSystem:
     try:
-        return PRESETS[name]()
+        return PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown unit preset {name!r}; choose from {sorted(PRESETS)}") from None

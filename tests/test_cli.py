@@ -417,6 +417,41 @@ def test_negative_control_exits_4(tmp_path, capsys):
     assert "error" in last_stderr_json(captured.err)
 
 
+# Python float arithmetic in a runner that overflows or divides by zero; each used to
+# escape as a traceback with exit 1
+@pytest.mark.parametrize(
+    "command, scenario, block, params, raised",
+    [
+        ("thermal-relax", "thermal-planck", "kinetics", {"temperature": 1e300}, "OverflowError"),
+        ("thermal-relax", "thermal-planck", "kinetics", {"v": 1e-300}, "OverflowError"),
+        ("photon-field", "photon-field", "field", {"eps": 5e-324}, "OverflowError"),
+        ("phonon-sim", "traveling-wave", "lattice", {"width": 1e300}, "OverflowError"),
+        ("phonon-sim", "traveling-wave", "lattice", {"kappa": 1e308}, "ZeroDivisionError"),
+        ("phonon-sim", "phonon-gaussian", "lattice", {"omega0": 1e300}, "OverflowError"),
+        ("verify", "verify-lattice", "lattice", {"omega0": 1e300}, "OverflowError"),
+        ("verify", "verify-helicity", "helicity", {"dt": 1e300}, "OverflowError"),
+    ],
+    ids=[
+        "huge-temperature", "tiny-thermal-v", "subnormal-eps", "huge-width", "huge-kappa",
+        "huge-phonon-omega0", "huge-verify-omega0", "huge-verify-dt",
+    ],
+)
+def test_float_overflow_exits_4_with_one_json_line(
+    tmp_path, capsys, command, scenario, block, params, raised
+):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, scenario_payload(out, scenario, block, **params))
+    code = cli.main([command, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 4, captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    diagnostic = json.loads(lines[0])
+    assert diagnostic["error"] == "numeric"
+    assert scenario in diagnostic["detail"] and raised in diagnostic["detail"]
+    assert captured.out == "" and not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # overrides and determinism
 
@@ -433,6 +468,31 @@ def test_units_override_without_touching_file(tmp_path, capsys):
     assert summary["units"] == "mev-ps"
     eff = json.loads((out / "effective-config.json").read_text())
     assert eff["units"] == "mev-ps"
+
+
+# an override replaces the file's value but does not excuse it; a bad units value
+# used to be ignored under --units and the run went ahead
+@pytest.mark.parametrize(
+    "key, value, flag, named",
+    [
+        ("units", "kelvin", "--units", "units"),
+        ("units", 5, "--units", "units"),
+        ("units", None, "--units", "units"),
+        ("output", {"dir": 5}, "--out", "dir"),
+    ],
+    ids=["unknown-units", "number-units", "null-units", "number-output-dir"],
+)
+def test_override_still_checks_the_file_value(tmp_path, capsys, key, value, flag, named):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**thermal_payload(out), key: value})
+    override = "natural" if flag == "--units" else str(out)
+    code = cli.main(["thermal-relax", "--config", str(cfg), flag, override])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 3, lines
+    assert len(lines) == 1, lines
+    diagnostic = json.loads(lines[0])
+    assert diagnostic["error"] == "validation" and f"{named} must be" in diagnostic["detail"]
+    assert not out.exists()
 
 
 def test_out_override(tmp_path, capsys):
