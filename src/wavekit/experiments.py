@@ -152,24 +152,25 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
     modes_t = lattice.evolve_modes_exact(modes, cfg.t_final)
     state_t = lattice.idft_from_modes(modes_t, t=cfg.t_final)
     psi_t = lattice.psi_from_modes(modes_t, u.hbar).psik
-    cross = _rel(psi_t - wave_t.psik, np.max(np.abs(wave_t.psik)))
 
     grid = wigner.wigner_1d(wave)
     half = grid.window(x0 - params.length / 4.0, x0 + params.length / 4.0)
-    closed = wigner.wigner_gaussian_closed(gp, half.x, half.p, u.hbar)
     peak = cfg.n_quanta / (math.pi * u.hbar)
-    wigner_error = _rel(half.f - closed, peak)
+    # closed forms first (also in wigner-gaussian): |c - f| is |f - c| exactly, and numpy
+    # writes c - f into an unnamed closed form's buffer instead of a new grid
+    wigner_error = _rel(wigner.wigner_gaussian_closed(gp, half.x, half.p, u.hbar) - half.f, peak)
     # plot-ready crop: +-4 sigma about the packet center in each direction
     crop = grid.window(x0 - 4.0 * math.sqrt(cfg.g / 2.0), x0 + 4.0 * math.sqrt(cfg.g / 2.0))
     p_mask = np.abs(crop.p - u.hbar * cfg.k0) <= 4.0 * u.hbar / math.sqrt(2.0 * cfg.g)
     xx, pp = np.meshgrid(crop.x, crop.p[p_mask], indexing="ij")
 
     k = wave.k
+    raw_area = lattice.action_area(raw)
     summary = {
         "n_sites": cfg.n_sites,
         "action_area": area,
         "quanta": area / u.h,
-        "projected_area_loss": _rel(lattice.action_area(raw) - area, lattice.action_area(raw)),
+        "projected_area_loss": _rel(raw_area - area, raw_area),
         "energy_site": h_site,
         "energy_mode": h_mode,
         "energy_action": h_psi,
@@ -177,7 +178,7 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
         "energy_action_vs_mode": _rel(h_psi - h_mode, h_mode),
         "energy_drift_exact": _rel(lattice.total_mode_energy(modes_t) - h_mode, h_mode),
         "eta_drift": _rel(wave_t.eta - wave.eta, np.max(wave.eta)),
-        "psi_vs_mode_evolution": cross,
+        "psi_vs_mode_evolution": _rel(psi_t - wave_t.psik, np.max(np.abs(wave_t.psik))),
         "wigner_closed_form_error": wigner_error,
         "wigner_peak": float(np.max(half.f)),
         "t_final": cfg.t_final,
@@ -303,6 +304,8 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
     length = cfg.ell * cfg.n_modes
     x0 = length / 2.0 if cfg.x0 is None else cfg.x0
     dk = 2.0 * np.pi / length
+    if not math.isfinite(dk):
+        raise OverflowError(f"ell = {cfg.ell!r} overflows the wavenumber step 2 pi / (ell n)")
     gp = wigner.GaussianEtaParams(n_quanta=cfg.n_quanta, g=cfg.g, k0=cfg.k0_cells * dk, x0=x0)
     wave = wigner.gaussian_action_wave(gp, cfg.ell, cfg.n_modes, u.hbar)
     quanta = lattice.action_area(wave) / u.h
@@ -315,27 +318,32 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
 
     windowed = grid.window(x0 - length / 4.0, x0 + length / 4.0)
     closed0 = wigner.wigner_gaussian_closed(gp, windowed.x, windowed.p, u.hbar)
-    peak = float(np.max(np.abs(closed0)))
+    peak = float(np.max(closed0))  # the closed form is nonnegative
+    error_t0 = _rel(closed0 - windowed.f, peak)
+    del closed0  # freed before the transported grid below
 
     grid_t = wigner.evolve_wigner_group_velocity(grid, omega, cfg.t_final)
     xc = x0 + cfg.v * cfg.t_final
     win_t = grid_t.window(xc - length / 4.0, xc + length / 4.0)
-    closed_t = wigner.wigner_gaussian_closed(gp, win_t.x, win_t.p, u.hbar, t=cfg.t_final, vg=cfg.v)
+    error_t = _rel(
+        wigner.wigner_gaussian_closed(gp, win_t.x, win_t.p, u.hbar, t=cfg.t_final, vg=cfg.v)
+        - win_t.f, peak
+    )
 
     marg_x = grid.marginal_x()
-    site_h = wigner.doubled_site_values(wave)
-    density_h = np.abs(site_h) ** 2 / u.hbar
+    density_h = np.abs(wigner.doubled_site_values(wave)) ** 2 / u.hbar
+    total = grid.total()
 
     summary = {
-        "total_number": grid.total(),
+        "total_number": total,
         "quanta": quanta,
-        "total_error": _rel(grid.total() - quanta, quanta),
+        "total_error": _rel(total - quanta, quanta),
         "marginal_x_error": _rel(marg_x - density_h, np.max(density_h)),
         "marginal_p_error": _rel(
             (grid.marginal_p() - wave.eta / u.hbar**2) * u.hbar**2, np.max(wave.eta)
         ),
-        "closed_form_error_t0": _rel(windowed.f - closed0, peak),
-        "closed_form_error_t": _rel(win_t.f - closed_t, peak),
+        "closed_form_error_t0": error_t0,
+        "closed_form_error_t": error_t,
         "marginal_defect": grid.marginal_defect,
         "t_final": cfg.t_final,
     }
@@ -403,14 +411,13 @@ def run_photon_field(cfg: PhotonFieldConfig, u: UnitSystem):
     e_field = em.field_energy(modes)
     w3 = wigner.wigner_3d(modes)
     e_wigner = wigner.wigner_3d_energy(w3, medium.v)
-    n_wigner = wigner.wigner_3d_total(w3)
     number = em.photon_number(modes)
 
     modes_t = em.evolve_mode_set(modes, cfg.t_final)
     summary = {
         "n_modes": int(modes.k.shape[0]),
         "photon_number": number,
-        "number_vs_wigner": _rel(number - n_wigner, number),
+        "number_vs_wigner": _rel(number - wigner.wigner_3d_total(w3), number),
         "energy_mode": e_mode,
         "energy_field": e_field,
         "energy_wigner": e_wigner,
@@ -448,41 +455,35 @@ class HelicityCylindricalConfig:
     center_z: float = 0.1
 
 
-def _centered_mesh(n: int, spacing: float, center) -> np.ndarray:
-    s = (np.arange(n) - (n - 1) / 2.0) * spacing
-    X, Y, Z = np.meshgrid(s + center[0], s + center[1], s + center[2], indexing="ij")
-    return np.stack([X, Y, Z])
-
-
 def _cylindrical_block(k, v, mesh_n, spacing, dt, center):
     """Stencil checks of the axial Beltrami solution U shared by the helicity runners.
 
-    On the mesh_n^3 mesh: the potential equation residual between U(0) and
-    U(dt), the Beltrami residual |curl U - k U| and the defect of
-    F = i curl U against i k U; on the same cube at half the spacing, the
-    Beltrami residual again.  Each solution and each curl is computed once.
-    Returns (mesh, equation, beltrami, field, beltrami at h/2).
+    Returns the mesh_n^3 mesh, the potential equation residual between U(0) and
+    U(dt), and the Beltrami residual |curl U - k U| / |k U| at h and at h/2.
     """
+    def mesh(n, h):
+        s = (np.arange(n) - (n - 1) / 2.0) * h
+        return np.stack(np.meshgrid(*(s + c for c in center), indexing="ij"))
+
+    def beltrami(U, h):
+        defect = helicity.stencil_curl(U, h) - k * helicity.interior(U)
+        return helicity._max_norm(defect) / (k * helicity._max_norm(helicity.interior(U)))
+
     helicity.check_mesh_size(2 * mesh_n - 1)
-    mesh = _centered_mesh(mesh_n, spacing, center)
-    U0 = helicity.cylindrical_solution(mesh, k, v, t=0.0)
-    U1 = helicity.cylindrical_solution(mesh, k, v, t=dt)
-    equation = helicity.potential_equation_residual(U0, U1, dt, spacing, v)
-    curl = helicity.stencil_curl(U0, spacing)
-    inner = helicity.interior(U0)
-    ref = k * helicity._max_norm(inner)
-    beltrami = helicity._max_norm(curl - k * inner) / ref
-    field = helicity._max_norm(1j * curl - 1j * k * inner) / ref
-    del U0, U1, curl, inner  # freed before the eight times larger mesh below
+    x = mesh(mesh_n, spacing)
+    U0 = helicity.cylindrical_solution(x, k, v)
+    equation = helicity.potential_equation_residual(
+        U0, helicity.cylindrical_solution(x, k, v, t=dt), dt, spacing, v
+    )
+    coarse = beltrami(U0, spacing)
+    del U0  # freed before the eight times larger mesh below
     # halve the spacing on the same physical cube to expose the stencil order
-    U_h = helicity.cylindrical_solution(_centered_mesh(2 * mesh_n - 1, spacing / 2.0, center), k, v)
-    curl, inner = helicity.stencil_curl(U_h, spacing / 2.0), helicity.interior(U_h)
-    beltrami_h = helicity._max_norm(curl - k * inner) / (k * helicity._max_norm(inner))
-    return mesh, equation, beltrami, field, beltrami_h
+    U_h = helicity.cylindrical_solution(mesh(2 * mesh_n - 1, spacing / 2.0), k, v)
+    return x, equation, coarse, beltrami(U_h, spacing / 2.0)
 
 
 def run_helicity_cylindrical(cfg: HelicityCylindricalConfig, u: UnitSystem):
-    mesh, eq_resid, beltrami, field_err, beltrami_h = _cylindrical_block(
+    mesh, eq_resid, beltrami, beltrami_h = _cylindrical_block(
         cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, (cfg.center_x, cfg.center_y, cfg.center_z)
     )
     mode = helicity.ComplexPotentialMode(k=np.array([0.0, 0.5, cfg.k]), sigma=1)
@@ -491,7 +492,8 @@ def run_helicity_cylindrical(cfg: HelicityCylindricalConfig, u: UnitSystem):
         "beltrami_residual": beltrami,
         "beltrami_residual_half_h": beltrami_h,
         "stencil_order_ratio": beltrami / max(beltrami_h, 1e-300),
-        "field_vs_ikU": field_err,
+        # i (curl U - k U) differs from curl U - k U by an exact swap and sign flip
+        "field_vs_ikU": beltrami,
         "equation_residual": eq_resid,
         "eigencheck_same": helicity.helicity_eigencheck(U_plane, mode.k, 1),
         "eigencheck_opposite": helicity.helicity_eigencheck(U_plane, mode.k, -1),
@@ -559,14 +561,13 @@ def run_thermal_planck(cfg: ThermalPlanckConfig, u: UnitSystem):
         resid = _rel(final.f - target, max(float(np.max(f0)), 1e-300))
     else:
         resid = float(np.max(np.abs(final.f - target) / np.maximum(target, 1e-300)))
-    rhs_scale = params.gamma * 2.0 / params.h**3
 
     lam_max, product = kinetics.wien_peak(params)
     n_density = kinetics.thermal_photon_count(params)
     summary = {
         "model": model.value,
         "relative_residual": resid,
-        "stationarity_residual": _rel(rhs, rhs_scale),
+        "stationarity_residual": _rel(rhs, params.gamma * 2.0 / params.h**3),
         "elapsed": elapsed,
         "n_folds": cfg.n_folds,
         "peak_wavelength": lam_max,
@@ -675,7 +676,7 @@ class VerifyHelicityConfig:
 
 def verify_helicity(cfg: VerifyHelicityConfig, u: UnitSystem):
     _require_positive(cfg, "v")
-    mesh, resid, r1, _, r2 = _cylindrical_block(
+    mesh, resid, r1, r2 = _cylindrical_block(
         cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, (0.25, 0.15, -0.3)
     )
     mode = helicity.ComplexPotentialMode(k=np.array([0.3, -0.4, cfg.k]), sigma=1)

@@ -55,6 +55,7 @@ and XI.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,6 +88,14 @@ class LatticeParams:
             raise ValueError("ell must be positive")
         if self.n_sites < 2 or self.n_sites % 2 != 0:
             raise ValueError("n_sites must be an even integer >= 2")
+        try:
+            finite = math.isfinite(self.omega_max)
+        except OverflowError:  # omega0**2 beyond the float range
+            finite = False
+        if not finite:
+            raise OverflowError(f"omega0 = {self.omega0!r}, kappa = {self.kappa!r} overflow omega_max")
+        if not math.isfinite(self.dk):
+            raise OverflowError(f"ell = {self.ell!r} overflows the wavenumber step 2 pi / (ell n)")
 
     @property
     def omega_max(self) -> float:

@@ -83,6 +83,69 @@ def test_verify_lattice_passes(tmp_path, capsys):
     assert lines and all(line.startswith("PASS") for line in lines)
 
 
+SAMPLE_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+# figure -> (target, tolerance) for each sample config's summary; the traveling-wave
+# leapfrog drift is held to (omega_max dt)^2 / 2, which depends on its dt_factor
+FIGURE_BOUNDS = {
+    "wigner-gaussian": {
+        "closed_form_error_t0": (0.0, 1e-6),
+        "closed_form_error_t": (0.0, 1e-6),
+        "total_error": (0.0, 1e-8),
+        "marginal_x_error": (0.0, 1e-8),
+        "marginal_p_error": (0.0, 1e-8),
+    },
+    "phonon-gaussian": {
+        "wigner_closed_form_error": (0.0, 1e-6),
+        "energy_site_vs_mode": (0.0, 1e-10),
+        "energy_action_vs_mode": (0.0, 1e-10),
+        "energy_drift_exact": (0.0, 1e-10),
+        "eta_drift": (0.0, 1e-10),
+        "psi_vs_mode_evolution": (0.0, 1e-10),
+    },
+    "traveling-wave": {},
+    "photon-field": {
+        "energy_field_vs_mode": (0.0, 1e-6),
+        "energy_wigner_vs_mode": (0.0, 1e-6),
+        "number_vs_wigner": (0.0, 1e-6),
+        "energy_drift": (0.0, 1e-10),
+        "number_drift": (0.0, 1e-10),
+    },
+    "helicity-cylindrical": {
+        "eigencheck_same": (0.0, 1e-12),
+        "eigencheck_opposite": (2.0, 1e-12),
+        "stencil_order_ratio": (4.0, 0.5),
+    },
+    "thermal-planck": {"relative_residual": (0.0, 1e-10)},
+}
+
+
+@pytest.mark.parametrize("path", SAMPLE_CONFIGS, ids=lambda path: path.stem)
+def test_sample_config_figures_within_bounds(tmp_path, capsys, path):
+    scenario = json.loads(path.read_text())["scenario"]
+    out = tmp_path / "out"
+    code = cli.main([experiments.SCENARIOS[scenario][0], "--config", str(path), "--out", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    if scenario.startswith("verify-"):
+        assert stdout.splitlines()[-1] == "all checks passed", stdout
+        return
+    summary = json.loads((out / "summary.json").read_text())
+    bounds = dict(FIGURE_BOUNDS[scenario])
+    if scenario == "traveling-wave":
+        dt_factor = json.loads((out / "effective-config.json").read_text())["lattice"]["dt_factor"]
+        bounds["leapfrog_energy_drift"] = (0.0, 0.5 * dt_factor**2)
+    misses = {
+        name: summary[name]
+        for name, (target, tolerance) in bounds.items()
+        if not abs(summary[name] - target) <= tolerance
+    }
+    assert not misses, misses
+    if scenario == "helicity-cylindrical":
+        # F = i curl U against i k U is the Beltrami defect times i, so the two agree exactly
+        assert summary["field_vs_ikU"] == summary["beltrami_residual"]
+
+
 # ---------------------------------------------------------------------------
 # exit codes and diagnostics
 
@@ -418,7 +481,8 @@ def test_negative_control_exits_4(tmp_path, capsys):
 
 
 # Python float arithmetic in a runner that overflows or divides by zero; each used to
-# escape as a traceback with exit 1
+# escape as a traceback with exit 1.  The lattice constants whose top frequency or
+# wavenumber step overflows used to exit 3 naming dt or a non-finite state instead.
 @pytest.mark.parametrize(
     "command, scenario, block, params, raised",
     [
@@ -426,14 +490,22 @@ def test_negative_control_exits_4(tmp_path, capsys):
         ("thermal-relax", "thermal-planck", "kinetics", {"v": 1e-300}, "OverflowError"),
         ("photon-field", "photon-field", "field", {"eps": 5e-324}, "OverflowError"),
         ("phonon-sim", "traveling-wave", "lattice", {"width": 1e300}, "OverflowError"),
-        ("phonon-sim", "traveling-wave", "lattice", {"kappa": 1e308}, "ZeroDivisionError"),
+        ("phonon-sim", "traveling-wave", "lattice", {"kappa": 1e308}, "OverflowError"),
         ("phonon-sim", "phonon-gaussian", "lattice", {"omega0": 1e300}, "OverflowError"),
         ("verify", "verify-lattice", "lattice", {"omega0": 1e300}, "OverflowError"),
         ("verify", "verify-helicity", "helicity", {"dt": 1e300}, "OverflowError"),
+        ("verify", "verify-lattice", "lattice", {"kappa": 1e308}, "OverflowError"),
+        ("phonon-sim", "phonon-gaussian", "lattice", {"kappa": 1e308}, "OverflowError"),
+        ("verify", "verify-lattice", "lattice", {"ell": 5e-324}, "OverflowError"),
+        ("phonon-sim", "phonon-gaussian", "lattice", {"ell": 5e-324}, "OverflowError"),
+        ("phonon-sim", "traveling-wave", "lattice", {"ell": 5e-324}, "OverflowError"),
+        ("wigner", "wigner-gaussian", "wigner", {"ell": 5e-324}, "OverflowError"),
     ],
     ids=[
         "huge-temperature", "tiny-thermal-v", "subnormal-eps", "huge-width", "huge-kappa",
-        "huge-phonon-omega0", "huge-verify-omega0", "huge-verify-dt",
+        "huge-phonon-omega0", "huge-verify-omega0", "huge-verify-dt", "huge-verify-kappa",
+        "huge-phonon-kappa", "subnormal-verify-ell", "subnormal-phonon-ell",
+        "subnormal-traveling-ell", "subnormal-wigner-ell",
     ],
 )
 def test_float_overflow_exits_4_with_one_json_line(
@@ -449,6 +521,9 @@ def test_float_overflow_exits_4_with_one_json_line(
     diagnostic = json.loads(lines[0])
     assert diagnostic["error"] == "numeric"
     assert scenario in diagnostic["detail"] and raised in diagnostic["detail"]
+    if set(params) <= {"omega0", "kappa", "ell"}:
+        # the refusal of overflowing lattice constants names the field
+        assert all(f"{name} = " in diagnostic["detail"] for name in params), diagnostic
     assert captured.out == "" and not out.exists()
 
 
@@ -547,10 +622,15 @@ def test_csv_flag_suppresses_tables(tmp_path, capsys):
 
 
 def test_verbose_prints_effective_config(tmp_path, capsys):
-    cfg = write_config(tmp_path, thermal_payload(tmp_path / "out"))
-    assert cli.main(["thermal-relax", "--config", str(cfg), "--verbose"]) == 0
-    stdout = capsys.readouterr().out
-    assert '"scenario": "thermal-planck"' in stdout
+    for command, payload in (
+        ("thermal-relax", thermal_payload(tmp_path / "out")),
+        ("verify", verify_lattice_payload(tmp_path / "out")),
+    ):
+        cfg = write_config(tmp_path, payload)
+        assert cli.main([command, "--config", str(cfg), "--verbose"]) == 0
+        stdout = capsys.readouterr().out
+        effective = experiments.effective_dict(experiments.parse_config(payload))
+        assert stdout.startswith(json.dumps(effective, indent=2, sort_keys=True) + "\n")
 
 
 def test_unknown_option_exits_2(tmp_path, capsys):
