@@ -17,7 +17,7 @@ import math
 import sys
 import typing
 from dataclasses import dataclass
-from typing import Literal
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -46,8 +46,11 @@ class OutputOptions:
 Units = Literal[tuple(PRESETS)]
 Model = Literal[tuple(m.value for m in kinetics.SourceModel)]
 Init = Literal["zero", "rayleigh-jeans", "wien", "planck"]
+# field annotations of values that divide or count, which must be positive
+_PositiveInt = Annotated[int, "positive"]
+_PositiveFloat = Annotated[float, "positive"]
 
-_type_hints = functools.cache(typing.get_type_hints)
+_type_hints = functools.cache(functools.partial(typing.get_type_hints, include_extras=True))
 
 
 _TYPE_NAMES = {
@@ -65,6 +68,9 @@ def _misfit(value, hint) -> str | None:
     Values are never coerced: an integer in a float field stays an integer.
     """
     args = typing.get_args(hint)
+    if typing.get_origin(hint) is Annotated:  # a positive field
+        want = _misfit(value, args[0])
+        return "positive" if want is None and value <= 0 else want
     if typing.get_origin(hint) is Literal:
         return None if value in args else "one of " + ", ".join(map(repr, args))
     if args:  # X | None
@@ -95,14 +101,6 @@ def _strict(cls, data, where):
 def _rel(error, scale) -> float:
     """Largest absolute entry of error over a reference scale."""
     return float(np.max(np.abs(error)) / scale)
-
-
-def _require_positive(cfg, *names):
-    """Refuse zero or negative values in fields that later divide or count."""
-    for name in names:
-        value = getattr(cfg, name)
-        if value <= 0:
-            raise ConfigError(f"{name} must be positive, got {value!r}")
 
 
 # --- phonon-gaussian ---------------------------------------------------------
@@ -216,15 +214,14 @@ class TravelingWaveConfig:
     kappa: float = 1.0
     ell: float = 1.0
     amplitude: float = 1.0
-    width: float = 12.0
+    width: _PositiveFloat = 12.0
     center: float | None = None
     direction: int = 1
-    t_final: float = 64.0
-    dt_factor: float = 0.1
+    t_final: _PositiveFloat = 64.0
+    dt_factor: _PositiveFloat = 0.1
 
 
 def run_traveling_wave(cfg: TravelingWaveConfig, u: UnitSystem):
-    _require_positive(cfg, "dt_factor", "width", "t_final")
     params = lattice.LatticeParams(
         m=cfg.m, omega0=0.0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
     )
@@ -288,8 +285,8 @@ def run_traveling_wave(cfg: TravelingWaveConfig, u: UnitSystem):
 
 @dataclass(frozen=True)
 class WignerGaussianConfig:
-    n_modes: int = 512
-    ell: float = 1.0
+    n_modes: _PositiveInt = 512
+    ell: _PositiveFloat = 1.0
     n_quanta: float = 16.0
     g: float = 100.0
     k0_cells: int = 128
@@ -299,11 +296,12 @@ class WignerGaussianConfig:
 
 
 def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
-    _require_positive(cfg, "n_modes", "ell")
     wigner.check_grid_size(cfg.n_modes)
     length = cfg.ell * cfg.n_modes
     x0 = length / 2.0 if cfg.x0 is None else cfg.x0
     dk = 2.0 * np.pi / length
+    if not math.isfinite(length):
+        raise OverflowError(f"ell = {cfg.ell!r} overflows the ring length ell n")
     if not math.isfinite(dk):
         raise OverflowError(f"ell = {cfg.ell!r} overflows the wavenumber step 2 pi / (ell n)")
     gp = wigner.GaussianEtaParams(n_quanta=cfg.n_quanta, g=cfg.g, k0=cfg.k0_cells * dk, x0=x0)
@@ -312,17 +310,14 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
     if quanta == 0:
         raise ConfigError("the Gaussian packet (n_quanta, g, k0_cells) misses every grid mode")
     grid = wigner.wigner_1d(wave)
-
-    def omega(k):
-        return cfg.v * np.abs(k)
-
     windowed = grid.window(x0 - length / 4.0, x0 + length / 4.0)
     closed0 = wigner.wigner_gaussian_closed(gp, windowed.x, windowed.p, u.hbar)
     peak = float(np.max(closed0))  # the closed form is nonnegative
     error_t0 = _rel(closed0 - windowed.f, peak)
     del closed0  # freed before the transported grid below
 
-    grid_t = wigner.evolve_wigner_group_velocity(grid, omega, cfg.t_final)
+    # omega = v|k| moves every nonzero momentum at speed v
+    grid_t = wigner.evolve_wigner_group_velocity(grid, cfg.v * np.sign(grid.p), cfg.t_final)
     xc = x0 + cfg.v * cfg.t_final
     win_t = grid_t.window(xc - length / 4.0, xc + length / 4.0)
     error_t = _rel(
@@ -363,10 +358,10 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
 
 @dataclass(frozen=True)
 class PhotonFieldConfig:
-    box_length: float = 2.0 * math.pi
+    box_length: _PositiveFloat = 2.0 * math.pi
     eps: float = 1.0
     mu: float = 1.0
-    n_random_modes: int = 4
+    n_random_modes: _PositiveInt = 4
     max_index: int = 2
     n_quanta: float = 5.0
     seed: int = 7
@@ -374,8 +369,6 @@ class PhotonFieldConfig:
 
 
 def _random_mode_set(cfg: PhotonFieldConfig, medium, hbar):
-    if cfg.n_random_modes < 1:
-        raise ConfigError("n_random_modes must be at least 1")
     available = (2 * max(cfg.max_index, 0) + 1) ** 3 - 1  # nonzero index triples
     if cfg.n_random_modes > available:
         raise ConfigError(f"n_random_modes exceeds the {available} nonzero wavevectors")
@@ -402,7 +395,6 @@ def _random_mode_set(cfg: PhotonFieldConfig, medium, hbar):
 
 
 def run_photon_field(cfg: PhotonFieldConfig, u: UnitSystem):
-    _require_positive(cfg, "box_length")
     medium = em.MediumParams(eps=cfg.eps, mu=cfg.mu, c=u.c)
     modes = _random_mode_set(cfg, medium, u.hbar)
     modes = em.normalize_photons(modes, cfg.n_quanta)
@@ -521,13 +513,12 @@ class ThermalPlanckConfig:
     model: Model = "wien-stimulated"
     x_min: float = 0.05
     x_max: float = 20.0
-    n_cells: int = 200
+    n_cells: _PositiveInt = 200
     init: Init = "zero"
     n_folds: float = 30.0
 
 
 def run_thermal_planck(cfg: ThermalPlanckConfig, u: UnitSystem):
-    _require_positive(cfg, "n_cells")
     if cfg.n_cells > MAX_THERMAL_CELLS:
         raise ConfigError(f"n_cells {cfg.n_cells} is over MAX_THERMAL_CELLS = {MAX_THERMAL_CELLS}")
     model = kinetics.SourceModel(cfg.model)
@@ -605,13 +596,12 @@ class VerifyLatticeConfig:
     ell: float = 1.0
     seed: int = 11
     t_exact: float = 7.3
-    dt_factor: float = 0.05
+    dt_factor: _PositiveFloat = 0.05
     n_steps: int = 2000
     negative_control: bool = False
 
 
 def verify_lattice(cfg: VerifyLatticeConfig, u: UnitSystem):
-    _require_positive(cfg, "dt_factor")
     sample_every = 10
     lattice.check_series_size(cfg.n_steps // sample_every + 1, cfg.n_sites)
     params = lattice.LatticeParams(
@@ -667,7 +657,7 @@ def verify_lattice(cfg: VerifyLatticeConfig, u: UnitSystem):
 @dataclass(frozen=True)
 class VerifyHelicityConfig:
     k: float = 1.5
-    v: float = 0.9
+    v: _PositiveFloat = 0.9
     spacing: float = 2e-3
     dt: float = 2e-3
     mesh_n: int = 7
@@ -675,7 +665,6 @@ class VerifyHelicityConfig:
 
 
 def verify_helicity(cfg: VerifyHelicityConfig, u: UnitSystem):
-    _require_positive(cfg, "v")
     mesh, resid, r1, r2 = _cylindrical_block(
         cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, (0.25, 0.15, -0.3)
     )

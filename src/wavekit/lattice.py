@@ -94,8 +94,12 @@ class LatticeParams:
             finite = False
         if not finite:
             raise OverflowError(f"omega0 = {self.omega0!r}, kappa = {self.kappa!r} overflow omega_max")
+        if not math.isfinite(self.length):
+            raise OverflowError(f"ell = {self.ell!r} overflows the ring length ell n")
         if not math.isfinite(self.dk):
             raise OverflowError(f"ell = {self.ell!r} overflows the wavenumber step 2 pi / (ell n)")
+        if not math.isfinite(1.0 / self.m):
+            raise OverflowError(f"m = {self.m!r} overflows 1/m")
 
     @property
     def omega_max(self) -> float:

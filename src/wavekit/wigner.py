@@ -52,6 +52,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .em import PhotonModeSet
 from .lattice import ActionWave
 
 # Rows (transform) or momentum columns (transport) per FFT batch.
@@ -243,28 +244,19 @@ def wigner_gaussian_closed(
     return np.outer(amplitude * np.exp(-xc**2 / gp.g), np.exp(-gp.g * pc**2 / hbar**2))
 
 
-def evolve_wigner_group_velocity(grid: WignerGrid, omega, t: float, vg=None) -> WignerGrid:
+def evolve_wigner_group_velocity(grid: WignerGrid, vg, t: float) -> WignerGrid:
     """Transport each momentum row by its group velocity: f(x,p) -> f(x - vg(p) t, p).
 
-    omega is a callable of wavenumber k = p/hbar; its derivative is taken
-    by central differences at the step that balances truncation against
-    round-off, or supplied exactly via vg (callable of k, or an array on
-    the momentum grid).  The shift itself is an exact Fourier translation,
-    so rigid transport incurs no smearing.  marginal_defect is carried over
-    from the input grid.
+    vg is one speed for every row or an array on the momentum grid, such as
+    lattice.group_velocity at the rows' wavenumbers p/hbar.  The shift itself
+    is an exact Fourier translation, so rigid transport incurs no smearing.
+    marginal_defect is carried over from the input grid.
     """
     if not grid.full_period:
         raise ValueError("evolution needs the full-period grid")
     n2 = grid.x.size
     q = 2.0 * np.pi * np.fft.rfftfreq(n2, d=grid.dx)
-    k_of_p = grid.p / grid.hbar
-    if vg is None:
-        h = np.finfo(float).eps ** (1.0 / 3.0) * max(1.0, float(np.max(np.abs(k_of_p))))
-        vg = (np.asarray(omega(k_of_p + h)) - np.asarray(omega(k_of_p - h))) / (2.0 * h)
-    elif callable(vg):
-        vg = np.asarray(vg(k_of_p), dtype=float)
-    else:
-        vg = np.broadcast_to(np.asarray(vg, dtype=float), grid.p.shape)
+    vg = np.broadcast_to(np.asarray(vg, dtype=float), grid.p.shape)
     f_new = np.empty_like(grid.f)
     for lo in range(0, grid.p.size, _CHUNK):
         cols = slice(lo, lo + _CHUNK)
@@ -327,15 +319,13 @@ def check_pair_count(n_modes: int) -> None:
         )
 
 
-def wigner_3d(modes: "PhotonModeSet") -> Wigner3D:  # noqa: F821 - forward name, resolved in em
+def wigner_3d(modes: PhotonModeSet) -> Wigner3D:
     """Number-form density of a photon mode set as delta columns in momentum.
 
     Every pair (a, b) with a nonzero overlap psi'_a . psi'_b* joins the column
     keyed by ints_a + ints_b, where ints = k L/(2 pi); pairs stay in (a, b)
     order inside a column.
     """
-    from .em import PhotonModeSet  # local import to avoid a cycle
-
     if not isinstance(modes, PhotonModeSet):
         raise TypeError("wigner_3d expects a PhotonModeSet")
     m = modes.k.shape[0]

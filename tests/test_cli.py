@@ -237,9 +237,11 @@ def scenario_payload(out_dir, scenario, block, **params):
     }
 
 
-# fields that later divide by their value or count with it: (command, payload, field)
+# the fields the config schema declares positive, since they later divide by their
+# value or count with it: (command, payload, field)
 ZERO_VALUES = [
     ("photon-field", lambda out: photon_payload(out, box_length=0), "box_length"),
+    ("photon-field", lambda out: photon_payload(out, n_random_modes=0), "n_random_modes"),
     ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", ell=0), "ell"),
     ("wigner", lambda out: scenario_payload(
         out, "wigner-gaussian", "wigner", n_modes=0), "n_modes"),
@@ -254,7 +256,7 @@ ZERO_VALUES = [
     ("thermal-relax", lambda out: thermal_payload(out, n_cells=0), "n_cells"),
 ]
 ZERO_IDS = [
-    "zero-box-length", "zero-ell", "zero-n-modes", "zero-dt-factor", "zero-width",
+    "zero-box-length", "zero-modes", "zero-ell", "zero-n-modes", "zero-dt-factor", "zero-width",
     "zero-t-final", "zero-verify-dt-factor", "zero-v", "zero-n-cells",
 ]
 
@@ -275,7 +277,6 @@ ZERO_IDS = [
         ("thermal-relax", lambda out: {**thermal_payload(out), "schema_version": True}),
         # max_index 1 leaves 3^3 - 1 = 26 nonzero wavevectors to draw from
         ("photon-field", lambda out: photon_payload(out, n_random_modes=27)),
-        ("photon-field", lambda out: photon_payload(out, n_random_modes=0)),
         ("photon-field", lambda out: photon_payload(out, n_random_modes=-3)),
         # size limits, refused before anything is allocated: 1025^2 pairs is just
         # over wigner.MAX_PAIRS, a 10^6-mode grid would take about 29 TiB, and
@@ -313,16 +314,22 @@ ZERO_IDS = [
         ("thermal-relax", lambda out: thermal_payload(out, n_folds=1e308)),
         # 10^12 cells would take 7.28 TiB a grid; experiments.MAX_THERMAL_CELLS = 2^24
         ("thermal-relax", lambda out: thermal_payload(out, n_cells=10**12)),
+        # chain constants that lattice.LatticeParams refuses
+        ("phonon-sim", lambda out: traveling_payload(out, m=0)),
+        ("phonon-sim", lambda out: traveling_payload(out, kappa=-1)),
+        ("phonon-sim", lambda out: traveling_payload(out, n_sites=63)),
+        ("phonon-sim", lambda out: scenario_payload(out, "phonon-gaussian", "lattice", omega0=-1)),
     ] + [(command, make_payload) for command, make_payload, _ in ZERO_VALUES],
     ids=[
         "string-int", "float-int", "bool-int", "list-int", "string-seed", "bool-temperature",
         "nan-temperature", "infinite-x-max", "unknown-units", "list-scenario", "bool-schema-version",
-        "too-many-modes", "zero-modes", "negative-modes", "too-many-pairs", "huge-wigner-grid",
+        "too-many-modes", "negative-modes", "too-many-pairs", "huge-wigner-grid",
         "huge-phonon-grid", "huge-field-grid", "enormous-field-grid", "huge-helicity-mesh",
         "huge-verify-mesh", "long-wave-series", "long-verify-series", "empty-packet-far-k0",
         "empty-packet-two-sites", "empty-wigner-packet", "flat-bump", "two-site-bump",
         "subnormal-x-min-rayleigh-jeans", "subnormal-x-min-wien-stimulated", "subnormal-gamma",
-        "huge-n-folds", "huge-thermal-grid",
+        "huge-n-folds", "huge-thermal-grid", "zero-mass", "negative-kappa", "odd-sites",
+        "negative-omega0",
     ] + ZERO_IDS,
 )
 def test_bad_values_exit_3_with_one_json_line(tmp_path, capsys, command, make_payload):
@@ -339,10 +346,29 @@ def test_bad_values_exit_3_with_one_json_line(tmp_path, capsys, command, make_pa
 
 @pytest.mark.parametrize("command, make_payload, field", ZERO_VALUES, ids=ZERO_IDS)
 def test_zero_value_diagnostic_names_the_field(tmp_path, capsys, command, make_payload, field):
-    cfg = write_config(tmp_path, make_payload(tmp_path / "out"))
+    payload = make_payload(tmp_path / "out")
+    cfg = write_config(tmp_path, payload)
     assert cli.main([command, "--config", str(cfg)]) == 3
     detail = last_stderr_json(capsys.readouterr().err)["detail"]
-    assert detail == f"{field} must be positive, got 0"
+    block = experiments.SCENARIOS[payload["scenario"]][1]
+    assert detail == f"bad value in {block}: {field} must be positive, got 0"
+
+
+def test_positive_fields_match_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme.split("must be positive:", 1)[1].split(".", 1)[0]
+    listed, scenario = set(), None
+    for name, field in re.findall(r"([a-z]+(?:-[a-z]+)+)|`(\w+)`", sentence):
+        scenario = name or scenario
+        if field:
+            listed.add((scenario, field))
+    declared = {
+        (scenario, field)
+        for scenario, (_, _, cls, _) in experiments.SCENARIOS.items()
+        for field, hint in experiments._type_hints(cls).items()
+        if experiments._misfit(0, hint) == "positive"
+    }
+    assert listed == declared
 
 
 @pytest.mark.parametrize("where", ["config", "flag"])
@@ -394,13 +420,6 @@ def test_non_finite_thermal_refusal_names_its_cause(tmp_path, capsys, kinetics, 
     detail = last_stderr_json(capsys.readouterr().err)["detail"]
     assert named in detail
     assert ("x_min" in detail) == ("x_min" in kinetics)
-
-
-def test_photon_field_needs_a_mode(tmp_path, capsys):
-    cfg = write_config(tmp_path, photon_payload(tmp_path / "out", n_random_modes=0))
-    assert cli.main(["photon-field", "--config", str(cfg)]) == 3
-    detail = last_stderr_json(capsys.readouterr().err)["detail"]
-    assert detail == "n_random_modes must be at least 1"
 
 
 def test_int_in_float_field_is_kept_as_given(tmp_path, capsys):
@@ -481,8 +500,9 @@ def test_negative_control_exits_4(tmp_path, capsys):
 
 
 # Python float arithmetic in a runner that overflows or divides by zero; each used to
-# escape as a traceback with exit 1.  The lattice constants whose top frequency or
-# wavenumber step overflows used to exit 3 naming dt or a non-finite state instead.
+# escape as a traceback with exit 1.  The lattice constants whose top frequency, ring
+# length, wavenumber step or 1/m overflows used to exit 3 or 4 naming dt, the packet,
+# a non-finite state or NaN invariants instead.
 @pytest.mark.parametrize(
     "command, scenario, block, params, raised",
     [
@@ -500,12 +520,21 @@ def test_negative_control_exits_4(tmp_path, capsys):
         ("phonon-sim", "phonon-gaussian", "lattice", {"ell": 5e-324}, "OverflowError"),
         ("phonon-sim", "traveling-wave", "lattice", {"ell": 5e-324}, "OverflowError"),
         ("wigner", "wigner-gaussian", "wigner", {"ell": 5e-324}, "OverflowError"),
+        ("phonon-sim", "traveling-wave", "lattice", {"ell": 1e308}, "OverflowError"),
+        ("wigner", "wigner-gaussian", "wigner", {"ell": 1e308}, "OverflowError"),
+        ("phonon-sim", "phonon-gaussian", "lattice", {"ell": 1e308}, "OverflowError"),
+        ("verify", "verify-lattice", "lattice", {"ell": 1e308}, "OverflowError"),
+        ("verify", "verify-lattice", "lattice", {"m": 5e-324}, "OverflowError"),
+        ("phonon-sim", "phonon-gaussian", "lattice", {"m": 5e-324}, "OverflowError"),
+        ("phonon-sim", "traveling-wave", "lattice", {"m": 5e-324}, "OverflowError"),
     ],
     ids=[
         "huge-temperature", "tiny-thermal-v", "subnormal-eps", "huge-width", "huge-kappa",
         "huge-phonon-omega0", "huge-verify-omega0", "huge-verify-dt", "huge-verify-kappa",
         "huge-phonon-kappa", "subnormal-verify-ell", "subnormal-phonon-ell",
-        "subnormal-traveling-ell", "subnormal-wigner-ell",
+        "subnormal-traveling-ell", "subnormal-wigner-ell", "huge-traveling-ell",
+        "huge-wigner-ell", "huge-phonon-ell", "huge-verify-ell", "subnormal-verify-m",
+        "subnormal-phonon-m", "subnormal-traveling-m",
     ],
 )
 def test_float_overflow_exits_4_with_one_json_line(
@@ -521,7 +550,7 @@ def test_float_overflow_exits_4_with_one_json_line(
     diagnostic = json.loads(lines[0])
     assert diagnostic["error"] == "numeric"
     assert scenario in diagnostic["detail"] and raised in diagnostic["detail"]
-    if set(params) <= {"omega0", "kappa", "ell"}:
+    if set(params) <= {"omega0", "kappa", "ell", "m"}:
         # the refusal of overflowing lattice constants names the field
         assert all(f"{name} = " in diagnostic["detail"] for name in params), diagnostic
     assert captured.out == "" and not out.exists()
@@ -596,6 +625,30 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     assert list(first) == list(second)
     for name in first:
         assert first[name] == second[name], name
+
+
+def test_random_phases_are_seeded(tmp_path, capsys):
+    # the granular phase-space picture: random mode phases drawn from the top-level seed
+    out = tmp_path / "out"
+
+    def run(seed=None):
+        payload = scenario_payload(out, "phonon-gaussian", "lattice", n_sites=128)
+        if seed is not None:
+            payload["lattice"]["random_phases"] = True
+            payload["seed"] = seed
+        for p in out.glob("*"):
+            p.unlink()
+        assert cli.main(["phonon-sim", "--config", str(write_config(tmp_path, payload))]) == 0
+        capsys.readouterr()
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    coherent, first, again, other = run(), run(1), run(1), run(2)
+    assert first == again
+    assert first["wigner.csv"] != other["wigner.csv"]
+    summary = json.loads(first["summary.json"])
+    assert abs(summary["quanta"] - json.loads(coherent["summary.json"])["quanta"]) <= 1e-12
+    for key in ("energy_site_vs_mode", "energy_action_vs_mode", "energy_drift_exact"):
+        assert summary[key] <= 1e-10, key
 
 
 def test_effective_config_reproduces_summary(tmp_path, capsys):
