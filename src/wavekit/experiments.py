@@ -103,6 +103,22 @@ def _rel(error, scale) -> float:
     return float(np.max(np.abs(error)) / scale)
 
 
+def _closed_error(gp, grid, hbar, **motion):
+    """(max|closed - f|, max closed) of the Gaussian closed form over a windowed grid.
+
+    A closed-form row depends only on its x, so 256-row blocks hold the same numbers
+    as the full outer product without a window-sized temporary; np.max keeps a NaN.
+    """
+    errors, peaks = [], []
+    for lo in range(0, grid.x.size, 256):
+        rows = slice(lo, lo + 256)
+        block = wigner.wigner_gaussian_closed(gp, grid.x[rows], grid.p, hbar, **motion)
+        peaks.append(np.max(block))
+        np.subtract(block, grid.f[rows], out=block)
+        errors.append(np.max(np.abs(block, out=block)))
+    return np.max(errors), np.max(peaks)
+
+
 # --- phonon-gaussian ---------------------------------------------------------
 
 
@@ -153,10 +169,8 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
 
     grid = wigner.wigner_1d(wave)
     half = grid.window(x0 - params.length / 4.0, x0 + params.length / 4.0)
-    peak = cfg.n_quanta / (math.pi * u.hbar)
-    # closed forms first (also in wigner-gaussian): |c - f| is |f - c| exactly, and numpy
-    # writes c - f into an unnamed closed form's buffer instead of a new grid
-    wigner_error = _rel(wigner.wigner_gaussian_closed(gp, half.x, half.p, u.hbar) - half.f, peak)
+    error, _ = _closed_error(gp, half, u.hbar)
+    wigner_error = _rel(error, cfg.n_quanta / (math.pi * u.hbar))
     # plot-ready crop: +-4 sigma about the packet center in each direction
     crop = grid.window(x0 - 4.0 * math.sqrt(cfg.g / 2.0), x0 + 4.0 * math.sqrt(cfg.g / 2.0))
     p_mask = np.abs(crop.p - u.hbar * cfg.k0) <= 4.0 * u.hbar / math.sqrt(2.0 * cfg.g)
@@ -310,20 +324,22 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
     if quanta == 0:
         raise ConfigError("the Gaussian packet (n_quanta, g, k0_cells) misses every grid mode")
     grid = wigner.wigner_1d(wave)
-    windowed = grid.window(x0 - length / 4.0, x0 + length / 4.0)
-    closed0 = wigner.wigner_gaussian_closed(gp, windowed.x, windowed.p, u.hbar)
-    peak = float(np.max(closed0))  # the closed form is nonnegative
-    error_t0 = _rel(closed0 - windowed.f, peak)
-    del closed0  # freed before the transported grid below
-
+    xc = x0 + cfg.v * cfg.t_final
+    # neither center is wrapped onto the ring [0, ell n), so either half window can miss
+    # the grid; both are checked before the transport, whose grid has the same x
+    for center, cause in (
+        (x0, f"x0 = {x0!r} puts the packet center"),
+        (xc, f"v = {cfg.v!r} and t_final = {cfg.t_final!r} move the packet center to {xc!r},"),
+    ):
+        if not np.any((grid.x >= center - length / 4.0) & (grid.x < center + length / 4.0)):
+            raise ConfigError(
+                f"{cause} off the ring [0, {length!r}): its half window holds no grid point"
+            )
+    error_t0, peak = _closed_error(gp, grid.window(x0 - length / 4.0, x0 + length / 4.0), u.hbar)
     # omega = v|k| moves every nonzero momentum at speed v
     grid_t = wigner.evolve_wigner_group_velocity(grid, cfg.v * np.sign(grid.p), cfg.t_final)
-    xc = x0 + cfg.v * cfg.t_final
     win_t = grid_t.window(xc - length / 4.0, xc + length / 4.0)
-    error_t = _rel(
-        wigner.wigner_gaussian_closed(gp, win_t.x, win_t.p, u.hbar, t=cfg.t_final, vg=cfg.v)
-        - win_t.f, peak
-    )
+    error_t, _ = _closed_error(gp, win_t, u.hbar, t=cfg.t_final, vg=cfg.v)
 
     marg_x = grid.marginal_x()
     density_h = np.abs(wigner.doubled_site_values(wave)) ** 2 / u.hbar
@@ -337,8 +353,8 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
         "marginal_p_error": _rel(
             (grid.marginal_p() - wave.eta / u.hbar**2) * u.hbar**2, np.max(wave.eta)
         ),
-        "closed_form_error_t0": error_t0,
-        "closed_form_error_t": error_t,
+        "closed_form_error_t0": _rel(error_t0, peak),
+        "closed_form_error_t": _rel(error_t, peak),
         "marginal_defect": grid.marginal_defect,
         "t_final": cfg.t_final,
     }

@@ -19,9 +19,9 @@ therefore live on a half window centered on the packet.
 
 The lag product psi(x + y) psi*(x - y) is Hermitian in y, so each x row is
 built from lags 0..n only and transformed with a Hermitian FFT (hfft) that
-returns real numbers; rows are processed in fixed blocks written straight
-into f, so the working memory stays near the size of the output.  Since f is
-real, group-velocity transport uses rfft/irfft along x in column blocks.
+returns real numbers; rows go in fixed blocks written straight into f, so the
+working memory stays near the size of the output.  Transport of the real f
+uses rfft/irfft along x in column blocks, one phase row per distinct speed.
 WignerGrid.marginal_defect records how well the computed f satisfies the
 marginal-x identity above, relative to the peak of |psi|^2/hbar.
 
@@ -261,7 +261,9 @@ def evolve_wigner_group_velocity(grid: WignerGrid, vg, t: float) -> WignerGrid:
     for lo in range(0, grid.p.size, _CHUNK):
         cols = slice(lo, lo + _CHUNK)
         spectrum = np.fft.rfft(grid.f[:, cols], axis=0)
-        spectrum *= np.exp(-1j * q[:, None] * vg[None, cols] * t)
+        # one phase row per distinct speed, each the same product as a row per column
+        speeds, which = np.unique(vg[cols], return_inverse=True)
+        spectrum *= np.exp(-1j * q[:, None] * speeds[None, :] * t)[:, which]
         # irfft keeps only the real part of the Nyquist bin, as .real of a full ifft would
         f_new[:, cols] = np.fft.irfft(spectrum, n=n2, axis=0)
     return WignerGrid(x=grid.x, p=grid.p, f=f_new, hbar=grid.hbar,

@@ -422,6 +422,28 @@ def test_non_finite_thermal_refusal_names_its_cause(tmp_path, capsys, kinetics, 
     assert ("x_min" in detail) == ("x_min" in kinetics)
 
 
+@pytest.mark.parametrize(
+    "params, named",
+    [
+        # the default t_final 50 moves the center of a 64-cell ring from 32 to 82
+        ({"n_modes": 64, "k0_cells": 16}, "v = 1.0 and t_final = 50.0"),
+        ({"x0": 1000}, "x0 = 1000"),
+    ],
+    ids=["moved-center", "far-x0"],
+)
+def test_packet_off_the_ring_names_its_fields(tmp_path, capsys, monkeypatch, params, named):
+    # the packet center is not wrapped onto the ring, so its half window holds no grid point
+    monkeypatch.setattr(experiments.wigner, "evolve_wigner_group_velocity", None)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, scenario_payload(out, "wigner-gaussian", "wigner", **params))
+    assert cli.main(["wigner", "--config", str(cfg)]) == 3  # refused before the transport
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    detail = json.loads(lines[0])["detail"]
+    assert detail.startswith(named) and "off the ring" in detail
+    assert not out.exists()
+
+
 def test_int_in_float_field_is_kept_as_given(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, thermal_payload(out, temperature=2))

@@ -1,14 +1,17 @@
 """Phase-space densities: direct-summation cross-check, closed forms, marginals,
-transport, and the 3-D photon column picture."""
+transport, the runners' closed-form errors, and the 3-D photon column picture."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wavekit import em, helicity, lattice, wigner
+from wavekit import em, experiments, helicity, lattice, wigner
+from wavekit.units import get_units
 
 
 def random_wave(n, seed, ell=0.8, hbar=0.9):
@@ -92,6 +95,21 @@ def complex_fft_transport(grid, speeds, t):
     return np.fft.ifft(rows * np.exp(-1j * q[:, None] * speeds[None, :] * t), axis=0).real
 
 
+def dense_phase_transport(grid, vg, t):
+    """The rfft transport loop with one phase row per column, as it was before the
+    table was keyed on the distinct speeds of a column block."""
+    n2 = grid.x.size
+    q = 2.0 * np.pi * np.fft.rfftfreq(n2, d=grid.dx)
+    vg = np.broadcast_to(np.asarray(vg, dtype=float), grid.p.shape)
+    f_new = np.empty_like(grid.f)
+    for lo in range(0, grid.p.size, wigner._CHUNK):
+        cols = slice(lo, lo + wigner._CHUNK)
+        spectrum = np.fft.rfft(grid.f[:, cols], axis=0)
+        spectrum *= np.exp(-1j * q[:, None] * vg[None, cols] * t)
+        f_new[:, cols] = np.fft.irfft(spectrum, n=n2, axis=0)
+    return f_new
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
 def test_half_lag_core_matches_full_matrix(n):
     if n == 300:
@@ -120,6 +138,19 @@ def test_rfft_transport_matches_complex_fft():
         ref = complex_fft_transport(grid, speeds, t)
         assert np.max(np.abs(moved.f - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert moved.marginal_defect == grid.marginal_defect
+
+
+def test_per_speed_phase_rows_match_dense_table():
+    grid = wigner.wigner_1d(random_wave(150, seed=6))
+    # p = 0 is column 150, inside the block of columns 128..191
+    assert np.unique(np.sign(grid.p[128:192])).size == 3
+    chain = lattice.LatticeParams(m=1.0, omega0=0.3, kappa=1.0, ell=0.8, n_sites=150)
+    chain_speeds = lattice.group_velocity(grid.p / grid.hbar, chain)
+    assert np.unique(chain_speeds).size == grid.p.size  # every speed distinct
+    t = 23.9
+    for vg in (np.sign(grid.p), chain_speeds, 0.7):
+        moved = wigner.evolve_wigner_group_velocity(grid, vg, t)
+        assert np.array_equal(moved.f, dense_phase_transport(grid, vg, t))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +325,50 @@ def test_transport_requires_full_period():
     win = wigner.wigner_1d(wave).window(0.0, 10.0)
     with pytest.raises(ValueError):
         wigner.evolve_wigner_group_velocity(win, 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# runner figures of merit: closed-form errors in row blocks
+
+
+def test_blocked_closed_error_matches_full_outer_product():
+    gp, wave = gaussian_wave(n=400)
+    grid = wigner.wigner_1d(wave)
+    length = wave.ell * wave.psik.size
+    t, vg = 17.32, 0.9
+    moved = wigner.evolve_wigner_group_velocity(grid, vg, t)
+    for source, motion, center in ((grid, {}, gp.x0), (moved, {"t": t, "vg": vg}, gp.x0 + vg * t)):
+        half = source.window(center - length / 4.0, center + length / 4.0)
+        assert half.x.size > 256 and half.x.size % 256  # a short last block
+        closed = wigner.wigner_gaussian_closed(gp, half.x, half.p, wave.hbar, **motion)
+        error, peak = experiments._closed_error(gp, half, wave.hbar, **motion)
+        assert peak == np.max(closed)
+        assert experiments._rel(error, peak) == experiments._rel(closed - half.f, np.max(closed))
+    # a NaN in the last block only makes the error NaN, as in the full array
+    broken = replace(half, f=half.f.copy())
+    broken.f[-1, 5] = np.nan
+    error, _ = experiments._closed_error(gp, broken, wave.hbar, **motion)
+    assert np.isnan(error)
+
+
+@pytest.mark.parametrize(
+    "scenario, size, bound",
+    [("wigner-gaussian", {"n_modes": 512}, 2.75), ("phonon-gaussian", {"n_sites": 512}, 1.75)],
+)
+def test_runner_peak_memory_per_grid(scenario, size, bound):
+    # wigner-gaussian holds the grid and its transported copy; phonon-gaussian the grid
+    # alone. Closed-form errors take 256-row blocks, not half-window temporaries.
+    _, _, config_class, run = experiments.SCENARIOS[scenario]
+    cfg = config_class(**size)
+    units = get_units("natural")
+    run(cfg, units)  # warm-up, so one-time caches are not counted
+    tracemalloc.start()
+    try:
+        run(cfg, units)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * (2 * 512) ** 2 * 8
 
 
 # ---------------------------------------------------------------------------
