@@ -463,31 +463,54 @@ class HelicityCylindricalConfig:
     center_z: float = 0.1
 
 
+# interior x-planes per slab of the helicity stencil checks
+_SLAB = 8
+
+
 def _cylindrical_block(k, v, mesh_n, spacing, dt, center):
     """Stencil checks of the axial Beltrami solution U shared by the helicity runners.
 
     Returns the mesh_n^3 mesh, the potential equation residual between U(0) and
     U(dt), and the Beltrami residual |curl U - k U| / |k U| at h and at h/2.
+    Each residual is a ratio of max-norms, reduced slab by slab: _SLAB interior
+    x-planes at a time with a one-plane halo, so no check holds more than one
+    slab of its mesh. A max does not depend on the visiting order, so each
+    residual equals the whole-mesh one bit for bit.
     """
-    def mesh(n, h):
+    def axes(n, h):
         s = (np.arange(n) - (n - 1) / 2.0) * h
-        return np.stack(np.meshgrid(*(s + c for c in center), indexing="ij"))
+        return [s + c for c in center]
+
+    def slabs(n, h):
+        ax = axes(n, h)
+        # one slab at least, so a mesh under 3 planes still meets stencil_curl's refusal
+        for i0 in range(1, max(n - 1, 2), _SLAB):
+            i1 = min(i0 + _SLAB, n - 1)
+            yield np.stack(np.meshgrid(ax[0][i0 - 1 : i1 + 1], ax[1], ax[2], indexing="ij"))
 
     def beltrami(U, h):
         defect = helicity.stencil_curl(U, h) - k * helicity.interior(U)
-        return helicity._max_norm(defect) / (k * helicity._max_norm(helicity.interior(U)))
+        return helicity._max_norm(defect), helicity._max_norm(helicity.interior(U))
+
+    def ratio(parts, scale=1.0):
+        # np.max, unlike max(), keeps a NaN met in any one slab
+        num, den = np.max(np.asarray(parts), axis=0)
+        return float(num) / (scale * float(den))
+
+    def coarse_parts(xs):
+        U0 = helicity.cylindrical_solution(xs, k, v)
+        U1 = helicity.cylindrical_solution(xs, k, v, t=dt)
+        return helicity._equation_parts(U0, U1, dt, spacing, v), beltrami(U0, spacing)
 
     helicity.check_mesh_size(2 * mesh_n - 1)
-    x = mesh(mesh_n, spacing)
-    U0 = helicity.cylindrical_solution(x, k, v)
-    equation = helicity.potential_equation_residual(
-        U0, helicity.cylindrical_solution(x, k, v, t=dt), dt, spacing, v
-    )
-    coarse = beltrami(U0, spacing)
-    del U0  # freed before the eight times larger mesh below
+    x = np.stack(np.meshgrid(*axes(mesh_n, spacing), indexing="ij"))
+    equation, coarse = zip(*(coarse_parts(xs) for xs in slabs(mesh_n, spacing)))
     # halve the spacing on the same physical cube to expose the stencil order
-    U_h = helicity.cylindrical_solution(mesh(2 * mesh_n - 1, spacing / 2.0), k, v)
-    return x, equation, coarse, beltrami(U_h, spacing / 2.0)
+    fine = [
+        beltrami(helicity.cylindrical_solution(xs, k, v), spacing / 2.0)
+        for xs in slabs(2 * mesh_n - 1, spacing / 2.0)
+    ]
+    return x, ratio(equation), ratio(coarse, k), ratio(fine, k)
 
 
 def run_helicity_cylindrical(cfg: HelicityCylindricalConfig, u: UnitSystem):

@@ -578,6 +578,48 @@ def test_float_overflow_exits_4_with_one_json_line(
     assert captured.out == "" and not out.exists()
 
 
+# the helicity stencil checks reduce their max-norms slab by slab; these inputs pin the
+# outcomes that a slab loop gets wrong when it drops a slab's NaN, divides numpy scalars,
+# visits no slab on a mesh under 3 planes, or skips the equation residual's dt refusal
+NONFINITE_HELICITY = (
+    "beltrami_residual, beltrami_residual_half_h, stencil_order_ratio, field_vs_ikU, "
+    "equation_residual"
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, scenario, params, code, diagnostic",
+    [
+        ("helicity-check", "helicity-cylindrical", {"mesh_n": 2}, 3,
+         {"error": "validation", "detail": "need at least 3 points per axis"}),
+        ("verify", "verify-helicity", {"mesh_n": 2}, 3,
+         {"error": "validation", "detail": "need at least 3 points per axis"}),
+        ("helicity-check", "helicity-cylindrical", {"dt": 0}, 3,
+         {"error": "validation", "detail": "dt must be positive"}),
+        ("verify", "verify-helicity", {"dt": 0}, 3,
+         {"error": "validation", "detail": "dt must be positive"}),
+        ("helicity-check", "helicity-cylindrical", {"spacing": 1e-320}, 4,
+         {"error": "numeric", "detail": f"non-finite results: {NONFINITE_HELICITY}"}),
+        ("helicity-check", "helicity-cylindrical", {"k": 5e-324}, 4,
+         {"error": "numeric", "detail": f"non-finite results: {NONFINITE_HELICITY}"}),
+        ("verify", "verify-helicity", {"spacing": 1e-320}, 4,
+         {"error": "numeric", "detail": "failed invariants: equation_residual, stencil_order"}),
+    ],
+    ids=[
+        "two-plane-mesh", "two-plane-verify-mesh", "zero-dt", "zero-verify-dt",
+        "subnormal-spacing", "subnormal-k", "subnormal-verify-spacing",
+    ],
+)
+def test_helicity_edge_outcomes(tmp_path, capsys, command, scenario, params, code, diagnostic):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, scenario_payload(out, scenario, "helicity", **params))
+    assert cli.main([command, "--config", str(cfg)]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in lines] == [diagnostic]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # overrides and determinism
 

@@ -2,12 +2,14 @@
 rotation equivalence, and the axial Beltrami solution on a stencil."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from wavekit import em, helicity
+from wavekit import em, experiments, helicity
+from wavekit.units import get_units
 
 DENSE = em.MediumParams(eps=2.25, mu=1.1, c=1.0)
 
@@ -212,3 +214,84 @@ def test_stencil_validation():
         )
     with pytest.raises(ValueError):
         helicity.cylindrical_solution(np.zeros((3, 4)), -1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the runners' stencil checks, reduced slab by slab
+
+
+def whole_mesh_checks(k, v, mesh_n, spacing, dt, center):
+    """The three figures of experiments._cylindrical_block, each on one whole mesh."""
+
+    def mesh(n, h):
+        s = (np.arange(n) - (n - 1) / 2.0) * h
+        return np.stack(np.meshgrid(*(s + c for c in center), indexing="ij"))
+
+    def max_norm(U):
+        return float(np.max(np.sqrt(np.sum(np.abs(U) ** 2, axis=0))))
+
+    def beltrami(U, h):
+        defect = helicity.stencil_curl(U, h) - k * helicity.interior(U)
+        return max_norm(defect) / (k * max_norm(helicity.interior(U)))
+
+    x = mesh(mesh_n, spacing)
+    U0 = helicity.cylindrical_solution(x, k, v)
+    U1 = helicity.cylindrical_solution(x, k, v, t=dt)
+    U_h = helicity.cylindrical_solution(mesh(2 * mesh_n - 1, spacing / 2.0), k, v)
+    return (
+        x,
+        helicity.potential_equation_residual(U0, U1, dt, spacing, v),
+        beltrami(U0, spacing),
+        beltrami(U_h, spacing / 2.0),
+    )
+
+
+SLAB_CASE = {
+    "k": 1.3, "v": 0.8, "mesh_n": 12, "spacing": 2e-3, "dt": 1e-3, "center": (0.3, -0.2, 0.1)
+}
+
+
+def test_slab_checks_equal_whole_mesh_checks():
+    # the half-spacing mesh of mesh_n 12 has 21 interior planes: two full slabs and a short one
+    interior_planes = 2 * SLAB_CASE["mesh_n"] - 3
+    assert interior_planes > 2 * experiments._SLAB and interior_planes % experiments._SLAB
+    x, *figures = experiments._cylindrical_block(**SLAB_CASE)
+    oracle, *expected = whole_mesh_checks(**SLAB_CASE)
+    assert np.array_equal(x, oracle)
+    assert figures == expected
+    assert all(math.isfinite(value) and value > 0 for value in figures)
+
+
+def test_slab_checks_keep_a_nan_of_one_slab(monkeypatch):
+    solution = helicity.cylindrical_solution
+    last_fine_planes = (2 * SLAB_CASE["mesh_n"] - 3) % experiments._SLAB + 2
+
+    def nan_in_last_fine_slab(x, *args, **kwargs):
+        U = solution(x, *args, **kwargs)
+        if x.shape[1] == last_fine_planes:
+            U[1, -2, 3, 3] = np.nan
+        return U
+
+    _, *expected = whole_mesh_checks(**SLAB_CASE)
+    monkeypatch.setattr(helicity, "cylindrical_solution", nan_in_last_fine_slab)
+    _, equation, coarse, fine = experiments._cylindrical_block(**SLAB_CASE)
+    assert [equation, coarse] == expected[:2]
+    assert math.isnan(fine)
+
+
+@pytest.mark.parametrize("scenario", ["helicity-cylindrical", "verify-helicity"])
+def test_helicity_runner_peak_memory_under_one_half_spacing_field(scenario):
+    # the half-spacing checks hold one slab at a time, not the whole (2 mesh_n - 1)^3 mesh
+    mesh_n = 33
+    _, _, config_class, run = experiments.SCENARIOS[scenario]
+    cfg = config_class(mesh_n=mesh_n)
+    units = get_units("natural")
+    run(cfg, units)  # warm-up, so one-time caches are not counted
+    tracemalloc.start()
+    try:
+        run(cfg, units)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field_bytes = 3 * (2 * mesh_n - 1) ** 3 * np.dtype(complex).itemsize
+    assert peak <= 1.0 * field_bytes
