@@ -143,7 +143,8 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
     params = lattice.LatticeParams(
         m=cfg.m, omega0=cfg.omega0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
     )
-    x0 = params.length / 2.0 if cfg.x0 is None else cfg.x0
+    # a position on the periodic ring exists only mod ell n
+    x0 = (params.length / 2.0 if cfg.x0 is None else cfg.x0) % params.length
     gp = wigner.GaussianEtaParams(n_quanta=cfg.n_quanta, g=cfg.g, k0=cfg.k0, x0=x0)
     raw = wigner.gaussian_action_wave(gp, cfg.ell, cfg.n_sites, u.hbar)
     if cfg.random_phases:
@@ -247,7 +248,9 @@ def run_traveling_wave(cfg: TravelingWaveConfig, u: UnitSystem):
     center = params.length / 4.0 if cfg.center is None else cfg.center
 
     def bump(x):
-        return cfg.amplitude * np.exp(-((x - center) ** 2) / (2.0 * cfg.width**2))
+        # the ring is periodic, so the bump sits at the nearest image of its center
+        offset = (x - center + params.length / 2.0) % params.length - params.length / 2.0
+        return cfg.amplitude * np.exp(-(offset**2) / (2.0 * cfg.width**2))
 
     x = params.x_grid()
     state0 = lattice.traveling_wave_init(bump(x), cfg.direction, params)
@@ -263,10 +266,7 @@ def run_traveling_wave(cfg: TravelingWaveConfig, u: UnitSystem):
 
     _, energies, leap_t = lattice.leapfrog_energy_series(state0, params, dt, n_steps)
 
-    shift = cfg.direction * params.v_ell * cfg.t_final
-    # wrap the continuum prediction onto the ring
-    x_back = np.mod(x - shift - center + params.length / 2.0, params.length) + center - params.length / 2.0
-    predicted = bump(x_back)
+    predicted = bump(x - cfg.direction * params.v_ell * cfg.t_final)
 
     scale = float(np.max(np.abs(state0.u)))
     wave = lattice.psi_from_modes(modes0, u.hbar)
@@ -312,34 +312,33 @@ class WignerGaussianConfig:
 def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
     wigner.check_grid_size(cfg.n_modes)
     length = cfg.ell * cfg.n_modes
-    x0 = length / 2.0 if cfg.x0 is None else cfg.x0
     dk = 2.0 * np.pi / length
     if not math.isfinite(length):
         raise OverflowError(f"ell = {cfg.ell!r} overflows the ring length ell n")
     if not math.isfinite(dk):
         raise OverflowError(f"ell = {cfg.ell!r} overflows the wavenumber step 2 pi / (ell n)")
+    # a position on the periodic ring exists only mod ell n
+    x0 = (length / 2.0 if cfg.x0 is None else cfg.x0) % length
+    xc = x0 + cfg.v * cfg.t_final
+    if not (math.isfinite(xc) and math.isfinite(2.0 * np.pi / cfg.ell * cfg.v * cfg.t_final)):
+        raise ConfigError(
+            f"v = {cfg.v!r} and t_final = {cfg.t_final!r} overflow the moved center x0 + v t"
+            f" or its transport phase 2 pi v t / ell at ell = {cfg.ell!r}"
+        )
     gp = wigner.GaussianEtaParams(n_quanta=cfg.n_quanta, g=cfg.g, k0=cfg.k0_cells * dk, x0=x0)
     wave = wigner.gaussian_action_wave(gp, cfg.ell, cfg.n_modes, u.hbar)
     quanta = lattice.action_area(wave) / u.h
     if quanta == 0:
         raise ConfigError("the Gaussian packet (n_quanta, g, k0_cells) misses every grid mode")
     grid = wigner.wigner_1d(wave)
-    xc = x0 + cfg.v * cfg.t_final
-    # neither center is wrapped onto the ring [0, ell n), so either half window can miss
-    # the grid; both are checked before the transport, whose grid has the same x
-    for center, cause in (
-        (x0, f"x0 = {x0!r} puts the packet center"),
-        (xc, f"v = {cfg.v!r} and t_final = {cfg.t_final!r} move the packet center to {xc!r},"),
-    ):
-        if not np.any((grid.x >= center - length / 4.0) & (grid.x < center + length / 4.0)):
-            raise ConfigError(
-                f"{cause} off the ring [0, {length!r}): its half window holds no grid point"
-            )
     error_t0, peak = _closed_error(gp, grid.window(x0 - length / 4.0, x0 + length / 4.0), u.hbar)
     # omega = v|k| moves every nonzero momentum at speed v
     grid_t = wigner.evolve_wigner_group_velocity(grid, cfg.v * np.sign(grid.p), cfg.t_final)
-    win_t = grid_t.window(xc - length / 4.0, xc + length / 4.0)
-    error_t, _ = _closed_error(gp, win_t, u.hbar, t=cfg.t_final, vg=cfg.v)
+    # the moved center comes back onto the ring by whole turns, and so does the closed form's
+    moved = xc % length
+    win_t = grid_t.window(moved - length / 4.0, moved + length / 4.0)
+    gp_t = dataclasses.replace(gp, x0=x0 - (xc - moved))
+    error_t, _ = _closed_error(gp_t, win_t, u.hbar, t=cfg.t_final, vg=cfg.v)
 
     marg_x = grid.marginal_x()
     density_h = np.abs(wigner.doubled_site_values(wave)) ** 2 / u.hbar
@@ -564,6 +563,13 @@ def run_thermal_planck(cfg: ThermalPlanckConfig, u: UnitSystem):
     params = kinetics.KineticParams.in_units(u, cfg.gamma, cfg.temperature, v=cfg.v)
     if not 0 < cfg.x_min < cfg.x_max:
         raise ConfigError("need 0 < x_min < x_max")
+    # every x lies in (0, x_max] and v > 0, so the top momentum and energy bound the grid's
+    p_top = cfg.x_max * params.p_thermal
+    if not (math.isfinite(p_top) and math.isfinite(params.v * p_top)):
+        raise ConfigError(
+            f"the top momentum x_max k_B T / v or its energy is not finite from x_max ="
+            f" {cfg.x_max!r}, temperature = {cfg.temperature!r} and v = {params.v!r}"
+        )
     x = np.linspace(cfg.x_min, cfg.x_max, cfg.n_cells)
     p = x * params.p_thermal
     eps = params.v * p

@@ -63,6 +63,8 @@ def write_wigner_grid(path, grid: WignerGrid) -> None:
 
 def read_wigner_grid(path) -> WignerGrid:
     raw = Path(path).read_bytes()
+    if len(raw) < _HEADER.size:
+        raise ValueError("grid file is shorter than its header")
     magic, version, flags, nx, npts, hbar, defect = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
         raise ValueError("not a phase-space grid file")

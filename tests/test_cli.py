@@ -261,6 +261,19 @@ ZERO_IDS = [
 ]
 
 
+# wigner-gaussian motions whose moved center x0 + v t_final or transport phase
+# 2 pi v t_final / ell overflows: (command, payload, named)
+OVERFLOWING_MOTION = [
+    ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", t_final=1e308),
+     "v = 1.0 and t_final = 1e+308"),
+    ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", t_final=5e307),
+     "v = 1.0 and t_final = 5e+307"),
+    ("wigner", lambda out: scenario_payload(
+        out, "wigner-gaussian", "wigner", v=2.0, t_final=1e308), "v = 2.0 and t_final = 1e+308"),
+]
+OVERFLOWING_IDS = ["overflowing-phase", "overflowing-phase-5e307", "overflowing-center"]
+
+
 @pytest.mark.parametrize(
     "command, make_payload",
     [
@@ -319,7 +332,7 @@ ZERO_IDS = [
         ("phonon-sim", lambda out: traveling_payload(out, kappa=-1)),
         ("phonon-sim", lambda out: traveling_payload(out, n_sites=63)),
         ("phonon-sim", lambda out: scenario_payload(out, "phonon-gaussian", "lattice", omega0=-1)),
-    ] + [(command, make_payload) for command, make_payload, _ in ZERO_VALUES],
+    ] + [(command, payload) for command, payload, _ in ZERO_VALUES + OVERFLOWING_MOTION],
     ids=[
         "string-int", "float-int", "bool-int", "list-int", "string-seed", "bool-temperature",
         "nan-temperature", "infinite-x-max", "unknown-units", "list-scenario", "bool-schema-version",
@@ -330,7 +343,7 @@ ZERO_IDS = [
         "subnormal-x-min-rayleigh-jeans", "subnormal-x-min-wien-stimulated", "subnormal-gamma",
         "huge-n-folds", "huge-thermal-grid", "zero-mass", "negative-kappa", "odd-sites",
         "negative-omega0",
-    ] + ZERO_IDS,
+    ] + ZERO_IDS + OVERFLOWING_IDS,
 )
 def test_bad_values_exit_3_with_one_json_line(tmp_path, capsys, command, make_payload):
     out = tmp_path / "out"
@@ -352,6 +365,14 @@ def test_zero_value_diagnostic_names_the_field(tmp_path, capsys, command, make_p
     detail = last_stderr_json(capsys.readouterr().err)["detail"]
     block = experiments.SCENARIOS[payload["scenario"]][1]
     assert detail == f"bad value in {block}: {field} must be positive, got 0"
+
+
+@pytest.mark.parametrize("command, make_payload, named", OVERFLOWING_MOTION, ids=OVERFLOWING_IDS)
+def test_overflowing_motion_names_v_and_t_final(tmp_path, capsys, command, make_payload, named):
+    cfg = write_config(tmp_path, make_payload(tmp_path / "out"))
+    assert cli.main([command, "--config", str(cfg)]) == 3
+    detail = last_stderr_json(capsys.readouterr().err)["detail"]
+    assert detail.startswith(named) and "overflow" in detail
 
 
 def test_positive_fields_match_readme():
@@ -411,8 +432,14 @@ def test_far_thermal_tail_runs_without_warnings(tmp_path, capsys, kinetics):
         ({"x_min": 1e-320}, "x_min = 1e-320"),
         ({"gamma": 5e-324}, "gamma = 5e-324"),
         ({"n_folds": 1e308}, "n_folds = 1e+308"),
+        # the top momentum x_max k_B T / v of the grid overflows
+        ({"x_max": 1e308, "temperature": 10.0}, "x_max = 1e+308, temperature = 10.0"),
+        ({"temperature": 1e308}, "x_max = 8.0, temperature = 1e+308"),
     ],
-    ids=["subnormal-x-min-rayleigh-jeans", "subnormal-x-min", "subnormal-gamma", "huge-n-folds"],
+    ids=[
+        "subnormal-x-min-rayleigh-jeans", "subnormal-x-min", "subnormal-gamma", "huge-n-folds",
+        "huge-x-max", "huge-temperature",
+    ],
 )
 def test_non_finite_thermal_refusal_names_its_cause(tmp_path, capsys, kinetics, named):
     cfg = write_config(tmp_path, thermal_payload(tmp_path / "out", **kinetics))
@@ -422,26 +449,56 @@ def test_non_finite_thermal_refusal_names_its_cause(tmp_path, capsys, kinetics, 
     assert ("x_min" in detail) == ("x_min" in kinetics)
 
 
+def run_summary(scenario, **params):
+    block = experiments.SCENARIOS[scenario][1]
+    payload = {"schema_version": 1, "scenario": scenario, "units": "natural", block: params}
+    return experiments.run_config(experiments.parse_config(payload))[0]
+
+
+# a position on the periodic ring exists only mod its length ell n, so packet and bump
+# centers anywhere on the real line are measured on the ring
 @pytest.mark.parametrize(
-    "params, named",
+    "command, scenario, block, params",
     [
-        # the default t_final 50 moves the center of a 64-cell ring from 32 to 82
-        ({"n_modes": 64, "k0_cells": 16}, "v = 1.0 and t_final = 50.0"),
-        ({"x0": 1000}, "x0 = 1000"),
+        # the default t_final 50 moves the center of a 64-cell ring from 32 to 82, i.e. 18
+        ("wigner", "wigner-gaussian", "wigner", {"n_modes": 64, "k0_cells": 16}),
+        # x0 1000 on 256 sites is 232
+        ("phonon-sim", "phonon-gaussian", "lattice", {"x0": 1000}),
     ],
     ids=["moved-center", "far-x0"],
 )
-def test_packet_off_the_ring_names_its_fields(tmp_path, capsys, monkeypatch, params, named):
-    # the packet center is not wrapped onto the ring, so its half window holds no grid point
-    monkeypatch.setattr(experiments.wigner, "evolve_wigner_group_velocity", None)
+def test_packet_off_the_ring_wraps_onto_it(tmp_path, capsys, command, scenario, block, params):
     out = tmp_path / "out"
-    cfg = write_config(tmp_path, scenario_payload(out, "wigner-gaussian", "wigner", **params))
-    assert cli.main(["wigner", "--config", str(cfg)]) == 3  # refused before the transport
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    detail = json.loads(lines[0])["detail"]
-    assert detail.startswith(named) and "off the ring" in detail
-    assert not out.exists()
+    cfg = write_config(tmp_path, scenario_payload(out, scenario, block, **params))
+    assert cli.main([command, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "summary.json").read_text())["scenario"] == scenario
+
+
+@pytest.mark.parametrize("scenario, length", [("wigner-gaussian", 512), ("phonon-gaussian", 256)])
+def test_packet_start_is_taken_mod_the_ring(scenario, length):
+    # 100.3 + turns is inexact, so the wrapped starts differ in their last bits
+    base = run_summary(scenario, x0=100.3)
+    for turns in (1, -1):
+        assert run_summary(scenario, x0=100.3 + turns * length) == pytest.approx(
+            base, rel=1e-12, abs=1e-12
+        )
+
+
+def test_packet_moved_past_the_ring_end_meets_the_closed_form():
+    # v t_final = 400 moves the center from 256 to 656 on a ring of 512, i.e. to 144
+    summary = run_summary("wigner-gaussian", n_modes=512, t_final=400.0)
+    assert summary["closed_form_error_t0"] <= 1e-6
+    assert summary["closed_form_error_t"] <= 1e-6
+
+
+def test_bump_center_is_taken_mod_the_ring():
+    # the default center is 512 / 4 = 128 sites; a whole-site shift moves the bump rigidly
+    base = run_summary("traveling-wave")
+    for center in (0.0, 511.0, -3.0, 3 * 512.0):
+        summary = run_summary("traveling-wave", center=center)
+        assert summary["transport_error"] == pytest.approx(base["transport_error"], rel=1e-9)
+        assert summary["chirality_leakage"] <= 1e-12
 
 
 def test_int_in_float_field_is_kept_as_given(tmp_path, capsys):

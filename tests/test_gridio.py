@@ -91,9 +91,10 @@ def test_wigner_grid_rejects_corrupt_files(tmp_path):
     with pytest.raises(ValueError):
         gridio.read_wigner_grid(bad_magic)
     truncated = tmp_path / "bad2.bin"
-    truncated.write_bytes(raw[:-8])
-    with pytest.raises(ValueError):
-        gridio.read_wigner_grid(truncated)
+    for cut in (raw[:-8], raw[:20], b""):  # the last two end inside the 48-byte header
+        truncated.write_bytes(cut)
+        with pytest.raises(ValueError):
+            gridio.read_wigner_grid(truncated)
     # version 1 stored a different header float; it must not be read as version 2
     old_version = tmp_path / "bad3.bin"
     old_version.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
