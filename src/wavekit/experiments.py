@@ -175,7 +175,6 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
     # plot-ready crop: +-4 sigma about the packet center in each direction
     crop = grid.window(x0 - 4.0 * math.sqrt(cfg.g / 2.0), x0 + 4.0 * math.sqrt(cfg.g / 2.0))
     p_mask = np.abs(crop.p - u.hbar * cfg.k0) <= 4.0 * u.hbar / math.sqrt(2.0 * cfg.g)
-    xx, pp = np.meshgrid(crop.x, crop.p[p_mask], indexing="ij")
 
     k = wave.k
     raw_area = lattice.action_area(raw)
@@ -210,11 +209,7 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
             "u_final": state_t.u,
             "v_final": state_t.v,
         },
-        "wigner.csv": {
-            "x": xx.ravel(),
-            "p": pp.ravel(),
-            "f": crop.f[:, p_mask].ravel(),
-        },
+        "wigner.wgrd": dataclasses.replace(crop, p=crop.p[p_mask], f=crop.f[:, p_mask]),
     }
     return summary, artifacts
 
@@ -522,8 +517,6 @@ def run_helicity_cylindrical(cfg: HelicityCylindricalConfig, u: UnitSystem):
         "beltrami_residual": beltrami,
         "beltrami_residual_half_h": beltrami_h,
         "stencil_order_ratio": beltrami / max(beltrami_h, 1e-300),
-        # i (curl U - k U) differs from curl U - k U by an exact swap and sign flip
-        "field_vs_ikU": beltrami,
         "equation_residual": eq_resid,
         "eigencheck_same": helicity.helicity_eigencheck(U_plane, mode.k, 1),
         "eigencheck_opposite": helicity.helicity_eigencheck(U_plane, mode.k, -1),
@@ -531,13 +524,7 @@ def run_helicity_cylindrical(cfg: HelicityCylindricalConfig, u: UnitSystem):
         "spacing": cfg.spacing,
         "dt": cfg.dt,
     }
-    artifacts = {
-        "residuals.csv": {
-            "spacing": np.asarray([cfg.spacing, cfg.spacing / 2.0]),
-            "beltrami_residual": np.asarray([beltrami, beltrami_h]),
-        },
-    }
-    return summary, artifacts
+    return summary, {}
 
 
 # --- thermal-planck ----------------------------------------------------------
@@ -615,7 +602,6 @@ def run_thermal_planck(cfg: ThermalPlanckConfig, u: UnitSystem):
     lam = np.linspace(lam_max / 8.0, lam_max * 8.0, 200)
     artifacts = {
         "distribution.csv": {
-            "p": p,
             "x": x,
             "f_initial": f0,
             "f_final": final.f,

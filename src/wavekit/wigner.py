@@ -122,7 +122,9 @@ class WignerGrid:
         """
         mask = (self.x >= x_lo) & (self.x < x_hi)
         if not np.any(mask):
-            raise ValueError("window contains no grid points")
+            raise ValueError(
+                f"window [{x_lo}, {x_hi}) contains none of the grid's x in [{self.x[0]}, {self.x[-1]}]"
+            )
         first, last = np.flatnonzero(mask)[[0, -1]]
         rows = slice(first, last + 1)
         return WignerGrid(

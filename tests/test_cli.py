@@ -11,10 +11,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wavekit
-from wavekit import cli, experiments
+from wavekit import cli, experiments, gridio, lattice, wigner
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -141,9 +142,6 @@ def test_sample_config_figures_within_bounds(tmp_path, capsys, path):
         if not abs(summary[name] - target) <= tolerance
     }
     assert not misses, misses
-    if scenario == "helicity-cylindrical":
-        # F = i curl U against i k U is the Beltrami defect times i, so the two agree exactly
-        assert summary["field_vs_ikU"] == summary["beltrami_residual"]
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +373,21 @@ def test_overflowing_motion_names_v_and_t_final(tmp_path, capsys, command, make_
     assert detail.startswith(named) and "overflow" in detail
 
 
+def test_empty_half_window_names_its_interval(tmp_path, capsys):
+    # one mode on a ring of 1 has rows at x = 0 and 0.5, and the half window about the moved
+    # center 0.5 + 0.3 falls between them
+    out = tmp_path / "out"
+    payload = scenario_payload(out, "wigner-gaussian", "wigner", n_modes=1, k0_cells=0, t_final=0.3)
+    assert cli.main(["wigner", "--config", str(write_config(tmp_path, payload))]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "validation",
+        "detail": "window [0.55, 1.05) contains none of the grid's x in [0.0, 0.5]",
+    }
+    assert not out.exists()
+
+
 def test_positive_fields_match_readme():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     sentence = readme.split("must be positive:", 1)[1].split(".", 1)[0]
@@ -510,11 +523,27 @@ def test_int_in_float_field_is_kept_as_given(tmp_path, capsys):
     assert temperature == 2 and isinstance(temperature, int)
 
 
-def test_scenario_tables_agree():
+def test_scenario_tables_agree(tmp_path, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    rows = re.findall(r"^\| ([a-z-]+) +\| ([a-z-]+) +\| `([a-z]+)` +\|$", readme, re.M)
+    rows = re.findall(r"^\| ([a-z-]+) +\| ([a-z-]+) +\| `([a-z]+)` +\| (.+?) +\|$", readme, re.M)
     table = [(s, cmd, block) for s, (cmd, block, _, _) in experiments.SCENARIOS.items()]
-    assert rows == table
+    assert [row[:3] for row in rows] == table
+    # the artifacts column: what a sample config writes besides the two JSON files
+    listed = {s: [] if files == "none" else re.findall(r"`([^`]+)`", files) for s, *_, files in rows}
+    sampled = set()
+    for path in SAMPLE_CONFIGS:
+        scenario = json.loads(path.read_text())["scenario"]
+        out = tmp_path / path.stem
+        command = experiments.SCENARIOS[scenario][0]
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        written = [
+            p.name for p in sorted(out.glob("*"))
+            if p.name not in ("summary.json", "effective-config.json")
+        ]
+        assert written == listed[scenario], path.stem
+        sampled.add(scenario)
+    assert sampled == set(listed)
 
 
 # modules whose README "Library layout" bullet ends with "Public:" and their names;
@@ -639,8 +668,7 @@ def test_float_overflow_exits_4_with_one_json_line(
 # outcomes that a slab loop gets wrong when it drops a slab's NaN, divides numpy scalars,
 # visits no slab on a mesh under 3 planes, or skips the equation residual's dt refusal
 NONFINITE_HELICITY = (
-    "beltrami_residual, beltrami_residual_half_h, stencil_order_ratio, field_vs_ikU, "
-    "equation_residual"
+    "beltrami_residual, beltrami_residual_half_h, stencil_order_ratio, equation_residual"
 )
 
 
@@ -731,21 +759,18 @@ def test_out_override(tmp_path, capsys):
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path, thermal_payload(out))
+    def rerun(path, out):
+        # the same output directory both times, since effective-config.json records it
+        for p in out.glob("*"):
+            p.unlink()
+        command = experiments.SCENARIOS[json.loads(path.read_text())["scenario"]][0]
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+        # verify runs write no files, so their printed checks are compared as well
+        return capsys.readouterr().out, {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
 
-    def artifact_bytes():
-        assert cli.main(["thermal-relax", "--config", str(cfg)]) == 0
-        capsys.readouterr()
-        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-    first = artifact_bytes()
-    for p in out.iterdir():
-        p.unlink()
-    second = artifact_bytes()
-    assert list(first) == list(second)
-    for name in first:
-        assert first[name] == second[name], name
+    for path in SAMPLE_CONFIGS:
+        out = tmp_path / path.stem
+        assert rerun(path, out) == rerun(path, out), path.stem
 
 
 def test_random_phases_are_seeded(tmp_path, capsys):
@@ -765,11 +790,38 @@ def test_random_phases_are_seeded(tmp_path, capsys):
 
     coherent, first, again, other = run(), run(1), run(1), run(2)
     assert first == again
-    assert first["wigner.csv"] != other["wigner.csv"]
+    assert first["wigner.wgrd"] != other["wigner.wgrd"]
     summary = json.loads(first["summary.json"])
     assert abs(summary["quanta"] - json.loads(coherent["summary.json"])["quanta"]) <= 1e-12
     for key in ("energy_site_vs_mode", "energy_action_vs_mode", "energy_drift_exact"):
         assert summary[key] <= 1e-10, key
+
+
+def test_phonon_crop_is_the_windowed_transform(tmp_path, capsys):
+    # wigner.wgrd holds the packet's transform within 4 sigma of its center in x and in p
+    out = tmp_path / "out"
+    payload = scenario_payload(out, "phonon-gaussian", "lattice", n_sites=128)
+    assert cli.main(["phonon-sim", "--config", str(write_config(tmp_path, payload))]) == 0
+    capsys.readouterr()
+    crop = gridio.read_wigner_grid(out / "wigner.wgrd")
+
+    cfg = experiments.PhononGaussianConfig(n_sites=128)
+    params = lattice.LatticeParams(
+        m=cfg.m, omega0=cfg.omega0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
+    )
+    x0 = params.length / 2.0
+    gp = wigner.GaussianEtaParams(n_quanta=cfg.n_quanta, g=cfg.g, k0=cfg.k0, x0=x0)
+    raw = wigner.gaussian_action_wave(gp, cfg.ell, cfg.n_sites, 1.0)
+    grid = wigner.wigner_1d(lattice.psi_from_modes(lattice.modes_from_psi(raw, params), 1.0))
+    sigma_x, sigma_p = math.sqrt(cfg.g / 2.0), 1.0 / math.sqrt(2.0 * cfg.g)
+    window = grid.window(x0 - 4.0 * sigma_x, x0 + 4.0 * sigma_x)
+    p_mask = np.abs(window.p - cfg.k0) <= 4.0 * sigma_p
+    assert crop.f.size > 0
+    assert np.array_equal(crop.x, window.x)
+    assert np.array_equal(crop.p, window.p[p_mask])
+    assert np.array_equal(crop.f, window.f[:, p_mask])
+    assert crop.full_period is False and crop.hbar == 1.0
+    assert crop.marginal_defect == grid.marginal_defect
 
 
 def test_effective_config_reproduces_summary(tmp_path, capsys):
@@ -785,14 +837,22 @@ def test_effective_config_reproduces_summary(tmp_path, capsys):
 
 
 def test_csv_flag_suppresses_tables(tmp_path, capsys):
-    out = tmp_path / "out"
-    payload = thermal_payload(out)
-    payload["output"]["csv"] = False
-    cfg = write_config(tmp_path, payload)
-    assert cli.main(["thermal-relax", "--config", str(cfg)]) == 0
-    capsys.readouterr()
-    assert (out / "summary.json").exists()
-    assert not list(out.glob("*.csv"))
+    # each output flag switches off its own format and leaves the other one written
+    cases = [
+        ("thermal-relax", thermal_payload(tmp_path / "thermal"), "csv", []),
+        ("wigner", scenario_payload(
+            tmp_path / "wigner", "wigner-gaussian", "wigner", n_modes=64, k0_cells=16
+        ), "grid", ["marginals.csv"]),
+        ("phonon-sim", scenario_payload(
+            tmp_path / "phonon", "phonon-gaussian", "lattice", n_sites=128
+        ), "grid", ["profile.csv", "spectrum.csv"]),
+    ]
+    for command, payload, flag, kept in cases:
+        payload["output"][flag] = False
+        assert cli.main([command, "--config", str(write_config(tmp_path, payload))]) == 0
+        capsys.readouterr()
+        written = sorted(p.name for p in Path(payload["output"]["dir"]).iterdir())
+        assert written == sorted(["effective-config.json", "summary.json", *kept]), command
 
 
 def test_verbose_prints_effective_config(tmp_path, capsys):
