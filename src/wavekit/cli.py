@@ -2,13 +2,13 @@
 
 Commands: phonon-sim, wigner, photon-field, helicity-check, thermal-relax,
 verify, as routed by experiments.SCENARIOS.  Each takes --config PATH plus
-optional --out DIR, --units {natural|mev-ps}, --verbose.
+an optional --out DIR; the config file sets everything else about the run.
 
 Exit codes: 0 success, 2 parse error (usage, unreadable or malformed
 config, unwritable output directory), 3 validation error (schema or
 parameter), 4 numeric failure (failed invariant, non-finite result, float
-overflow or division by zero).  Every error path emits a one-line JSON
-diagnostic on stderr.
+overflow, division by zero or invalid operation).  Every error path emits a
+one-line JSON diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, experiments, gridio
-from .units import PRESETS
 
 PARSE_EXIT = 2
 VALIDATION_EXIT = 3
@@ -46,29 +47,20 @@ _PARSER.add_argument(
 )
 _PARSER.add_argument("--config", required=True, metavar="PATH", help="JSON scenario config")
 _PARSER.add_argument("--out", default=None, metavar="DIR", help="output directory override")
-_PARSER.add_argument("--units", default=None, choices=tuple(PRESETS), help="unit preset override")
-_PARSER.add_argument("--verbose", action="store_true", help="also print the effective config")
 
 
 def _write_artifacts(out_dir: Path, summary: dict, artifacts: dict, top) -> list[str]:
     out_dir.mkdir(parents=True, exist_ok=True)
     gridio.write_json(out_dir / "summary.json", {"version": __version__, **summary})
     gridio.write_json(out_dir / "effective-config.json", experiments.effective_dict(top))
-    written = ["summary.json", "effective-config.json"]
-    # the file suffix names the format, and the output flags switch each format off
-    writers = {
-        ".csv": (top.output.csv, gridio.write_csv),
-        ".wgrd": (top.output.grid, gridio.write_wigner_grid),
-    }
+    # the file suffix names the format
+    writers = {".csv": gridio.write_csv, ".wgrd": gridio.write_wigner_grid}
     for name in sorted(artifacts):
-        wanted, write = writers[Path(name).suffix]
-        if wanted:
-            write(out_dir / name, artifacts[name])
-            written.append(name)
-    return written
+        writers[Path(name).suffix](out_dir / name, artifacts[name])
+    return ["summary.json", "effective-config.json", *sorted(artifacts)]
 
 
-def _report_run(top, verbose: bool) -> int:
+def _report_run(top) -> int:
     summary, artifacts = experiments.run_config(top)
     bad = [
         key for key, value in summary.items() if isinstance(value, float) and not math.isfinite(value)
@@ -82,18 +74,14 @@ def _report_run(top, verbose: bool) -> int:
     except OSError as exc:
         _diagnostic("output", f"cannot write to output directory {out_dir}: {exc}")
         return PARSE_EXIT
-    if verbose:
-        print(json.dumps(experiments.effective_dict(top), indent=2, sort_keys=True))
     for key in sorted(summary):
         print(f"{key} = {summary[key]}")
     print(f"wrote {', '.join(written)} to {out_dir}")
     return 0
 
 
-def _report_checks(top, verbose: bool) -> int:
+def _report_checks(top) -> int:
     summary, _ = experiments.run_config(top)
-    if verbose:
-        print(json.dumps(experiments.effective_dict(top), indent=2, sort_keys=True))
     for name, row in summary["checks"].items():
         tag = "PASS" if row["passed"] else "FAIL"
         print(f"{tag} {name}: value={row['value']:.6g} bound={row['bound']:.6g}")
@@ -123,16 +111,18 @@ def main(argv=None) -> int:
         return PARSE_EXIT
 
     try:
-        top = experiments.parse_config(raw, args.command, units=args.units, out_dir=args.out)
-        if args.command == "verify":
-            return _report_checks(top, args.verbose)
-        return _report_run(top, args.verbose)
+        top = experiments.parse_config(raw, args.command, out_dir=args.out)
+        report = _report_checks if args.command == "verify" else _report_run
+        # one numeric-failure boundary: overflow, division by zero and invalid operations
+        # raise FloatingPointError, an ArithmeticError; Gaussian tails underflow by design
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return report(top)
     except ValueError as exc:
         # experiments.ConfigError, or a parameter combination that only fails in the physics layer
         _diagnostic("validation", str(exc))
         return VALIDATION_EXIT
     except ArithmeticError as exc:
-        # float overflow or division by zero in a runner; parse_config does no arithmetic
+        # float overflow, division by zero or invalid operation; parse_config does no arithmetic
         _diagnostic("numeric", f"{top.scenario} failed: {type(exc).__name__}: {exc}")
         return NUMERIC_EXIT
 

@@ -38,8 +38,6 @@ MAX_THERMAL_CELLS = 2**24  # thermal-planck n_cells: 128 MiB per grid array
 @dataclass(frozen=True)
 class OutputOptions:
     dir: str | None = None
-    csv: bool = True
-    grid: bool = True
 
 
 # field annotations that name a fixed set of strings
@@ -315,10 +313,13 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
     # a position on the periodic ring exists only mod ell n
     x0 = (length / 2.0 if cfg.x0 is None else cfg.x0) % length
     xc = x0 + cfg.v * cfg.t_final
-    if not (math.isfinite(xc) and math.isfinite(2.0 * np.pi / cfg.ell * cfg.v * cfg.t_final)):
+    phase = 2.0 * np.pi / cfg.ell * cfg.v * cfg.t_final
+    # a center whose last digit is coarser than the grid spacing ell / 2 is noise on the grid
+    if not (math.isfinite(xc) and math.isfinite(phase)) or math.ulp(xc) > cfg.ell / 2.0:
         raise ConfigError(
             f"v = {cfg.v!r} and t_final = {cfg.t_final!r} overflow the moved center x0 + v t"
-            f" or its transport phase 2 pi v t / ell at ell = {cfg.ell!r}"
+            f" or its transport phase 2 pi v t / ell, or leave the center no digit at the"
+            f" grid spacing ell / 2, at ell = {cfg.ell!r}"
         )
     gp = wigner.GaussianEtaParams(n_quanta=cfg.n_quanta, g=cfg.g, k0=cfg.k0_cells * dk, x0=x0)
     wave = wigner.gaussian_action_wave(gp, cfg.ell, cfg.n_modes, u.hbar)
@@ -758,13 +759,13 @@ class TopConfig:
     output: OutputOptions
 
 
-def parse_config(data, command=None, units=None, out_dir=None) -> TopConfig:
+def parse_config(data, command=None, out_dir=None) -> TopConfig:
     """Validate a raw config dict and build the scenario dataclass.
 
     Layout: schema_version, scenario, units, optional seed, optional output
     block, plus the one module block SCENARIOS names.  `command` restricts
-    the accepted scenarios to those SCENARIOS routes to it; `units` and
-    `out_dir` override the file's checked values without mutating it.
+    the accepted scenarios to those SCENARIOS routes to it; `out_dir`
+    overrides the file's checked output directory without mutating it.
     """
     if not isinstance(data, dict):
         raise ConfigError("top level must be an object")
@@ -795,16 +796,14 @@ def parse_config(data, command=None, units=None, out_dir=None) -> TopConfig:
     if "seed" in data:
         kwargs["seed"] = data["seed"]
     params = _strict(cls, kwargs, block_name)
-    # the file's units are checked even where the override replaces them
-    chosen = [data.get("units", "natural")] + ([] if units is None else [units])
-    for value in chosen:
-        want = _misfit(value, Units)
-        if want is not None:
-            raise ConfigError(f"bad top-level value: units must be {want}, got {value!r}")
+    units = data.get("units", "natural")
+    want = _misfit(units, Units)
+    if want is not None:
+        raise ConfigError(f"bad top-level value: units must be {want}, got {units!r}")
     output = _strict(OutputOptions, data.get("output", {}), "output")
     if out_dir is not None:
         output = dataclasses.replace(output, dir=out_dir)
-    return TopConfig(scenario=scenario, units=chosen[-1], params=params, output=output)
+    return TopConfig(scenario=scenario, units=units, params=params, output=output)
 
 
 def effective_dict(top: TopConfig) -> dict:

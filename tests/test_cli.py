@@ -6,8 +6,10 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
+import typing
 import warnings
 from pathlib import Path
 
@@ -260,7 +262,8 @@ ZERO_IDS = [
 
 
 # wigner-gaussian motions whose moved center x0 + v t_final or transport phase
-# 2 pi v t_final / ell overflows: (command, payload, named)
+# 2 pi v t_final / ell overflows, or whose moved center keeps no digit at the grid
+# spacing ell / 2: (command, payload, named)
 OVERFLOWING_MOTION = [
     ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", t_final=1e308),
      "v = 1.0 and t_final = 1e+308"),
@@ -268,8 +271,19 @@ OVERFLOWING_MOTION = [
      "v = 1.0 and t_final = 5e+307"),
     ("wigner", lambda out: scenario_payload(
         out, "wigner-gaussian", "wigner", v=2.0, t_final=1e308), "v = 2.0 and t_final = 1e+308"),
+    # a moved center whose last digit is coarser than ell / 2 leaves the transported grid
+    # and its closed form as noise; at ell 1e-300, k0 = k0_cells 2 pi / (ell n) overflows
+    ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", t_final=1e300),
+     "v = 1.0 and t_final = 1e+300"),
+    ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", v=1e300),
+     "v = 1e+300 and t_final = 50.0"),
+    ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", ell=1e-300),
+     "v = 1.0 and t_final = 50.0"),
 ]
-OVERFLOWING_IDS = ["overflowing-phase", "overflowing-phase-5e307", "overflowing-center"]
+OVERFLOWING_IDS = [
+    "overflowing-phase", "overflowing-phase-5e307", "overflowing-center", "coarse-center",
+    "coarse-center-fast", "coarse-center-tiny-ell",
+]
 
 
 @pytest.mark.parametrize(
@@ -284,6 +298,8 @@ OVERFLOWING_IDS = ["overflowing-phase", "overflowing-phase-5e307", "overflowing-
         ("thermal-relax", lambda out: thermal_payload(out, temperature=math.nan)),
         ("thermal-relax", lambda out: thermal_payload(out, x_max=-math.inf)),
         ("thermal-relax", lambda out: {**thermal_payload(out), "units": "kelvin"}),
+        ("thermal-relax", lambda out: {**thermal_payload(out), "units": 5}),
+        ("thermal-relax", lambda out: {**thermal_payload(out), "units": None}),
         ("thermal-relax", lambda out: {**thermal_payload(out), "scenario": ["thermal-planck"]}),
         ("thermal-relax", lambda out: {**thermal_payload(out), "schema_version": True}),
         # max_index 1 leaves 3^3 - 1 = 26 nonzero wavevectors to draw from
@@ -333,7 +349,8 @@ OVERFLOWING_IDS = ["overflowing-phase", "overflowing-phase-5e307", "overflowing-
     ] + [(command, payload) for command, payload, _ in ZERO_VALUES + OVERFLOWING_MOTION],
     ids=[
         "string-int", "float-int", "bool-int", "list-int", "string-seed", "bool-temperature",
-        "nan-temperature", "infinite-x-max", "unknown-units", "list-scenario", "bool-schema-version",
+        "nan-temperature", "infinite-x-max", "unknown-units", "number-units", "null-units",
+        "list-scenario", "bool-schema-version",
         "too-many-modes", "negative-modes", "too-many-pairs", "huge-wigner-grid",
         "huge-phonon-grid", "huge-field-grid", "enormous-field-grid", "huge-helicity-mesh",
         "huge-verify-mesh", "long-wave-series", "long-verify-series", "empty-packet-far-k0",
@@ -367,10 +384,12 @@ def test_zero_value_diagnostic_names_the_field(tmp_path, capsys, command, make_p
 
 @pytest.mark.parametrize("command, make_payload, named", OVERFLOWING_MOTION, ids=OVERFLOWING_IDS)
 def test_overflowing_motion_names_v_and_t_final(tmp_path, capsys, command, make_payload, named):
-    cfg = write_config(tmp_path, make_payload(tmp_path / "out"))
+    payload = make_payload(tmp_path / "out")
+    cfg = write_config(tmp_path, payload)
     assert cli.main([command, "--config", str(cfg)]) == 3
     detail = last_stderr_json(capsys.readouterr().err)["detail"]
     assert detail.startswith(named) and "overflow" in detail
+    assert detail.endswith(f"at ell = {payload['wigner'].get('ell', 1.0)!r}")
 
 
 def test_empty_half_window_names_its_interval(tmp_path, capsys):
@@ -664,15 +683,56 @@ def test_float_overflow_exits_4_with_one_json_line(
     assert captured.out == "" and not out.exists()
 
 
+# an edge-value sweep: one numeric field of one scenario config at a time, every other
+# field at its default.  Each run exits 0, 3 or 4, a failure writes exactly one JSON line
+# and no files, and no run raises a warning: numpy's overflow, division by zero and
+# invalid operations stop the run at the CLI's numeric boundary instead
+SWEEP_REALS = (0, 5e-324, 1e-300, 1e300)
+SWEEP_INTS = (0, 1, 2)
+SWEEP_ERRORS = {3: "validation", 4: "numeric"}
+
+
+def scalar_types(hint):
+    """The JSON scalar types a field annotation admits, through Annotated and X | None."""
+    if typing.get_origin(hint) is typing.Annotated:
+        return scalar_types(typing.get_args(hint)[0])
+    if typing.get_origin(hint) is typing.Literal:
+        return set()
+    args = typing.get_args(hint)
+    return set().union(*map(scalar_types, args)) if args else {hint}
+
+
+@pytest.mark.parametrize("scenario", list(experiments.SCENARIOS))
+def test_edge_value_sweep_fails_cleanly(tmp_path, capsys, scenario):
+    command, block, cls, _ = experiments.SCENARIOS[scenario]
+    out, ran = tmp_path / "out", 0
+    for field, hint in experiments._type_hints(cls).items():
+        types = scalar_types(hint)
+        for value in SWEEP_REALS if float in types else SWEEP_INTS if int in types else ():
+            payload = scenario_payload(out, scenario, block)
+            (payload if field == "seed" else payload[block])[field] = value
+            cfg = write_config(tmp_path, payload)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main([command, "--config", str(cfg)])
+            err = capsys.readouterr().err
+            where = f"{field} = {value!r}: {err}"
+            if code == 0:
+                assert err == "", where
+            else:
+                lines = err.splitlines()
+                assert code in SWEEP_ERRORS and len(lines) == 1, where
+                assert json.loads(lines[0])["error"] == SWEEP_ERRORS[code], where
+                assert not out.exists(), where
+            shutil.rmtree(out, ignore_errors=True)
+            ran += 1
+    assert ran
+
+
 # the helicity stencil checks reduce their max-norms slab by slab; these inputs pin the
-# outcomes that a slab loop gets wrong when it drops a slab's NaN, divides numpy scalars,
-# visits no slab on a mesh under 3 planes, or skips the equation residual's dt refusal
-NONFINITE_HELICITY = (
-    "beltrami_residual, beltrami_residual_half_h, stencil_order_ratio, equation_residual"
-)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# outcomes that a slab loop gets wrong when it visits no slab on a mesh under 3 planes or
+# skips the equation residual's dt refusal.  The subnormal inputs stop at the CLI's
+# numeric boundary, at their first overflow.
 @pytest.mark.parametrize(
     "command, scenario, params, code, diagnostic",
     [
@@ -685,11 +745,14 @@ NONFINITE_HELICITY = (
         ("verify", "verify-helicity", {"dt": 0}, 3,
          {"error": "validation", "detail": "dt must be positive"}),
         ("helicity-check", "helicity-cylindrical", {"spacing": 1e-320}, 4,
-         {"error": "numeric", "detail": f"non-finite results: {NONFINITE_HELICITY}"}),
+         {"error": "numeric", "detail": "helicity-cylindrical failed: FloatingPointError:"
+          " overflow encountered in divide"}),
         ("helicity-check", "helicity-cylindrical", {"k": 5e-324}, 4,
-         {"error": "numeric", "detail": f"non-finite results: {NONFINITE_HELICITY}"}),
+         {"error": "numeric", "detail": "helicity-cylindrical failed: FloatingPointError:"
+          " overflow encountered in scalar divide"}),
         ("verify", "verify-helicity", {"spacing": 1e-320}, 4,
-         {"error": "numeric", "detail": "failed invariants: equation_residual, stencil_order"}),
+         {"error": "numeric", "detail": "verify-helicity failed: FloatingPointError:"
+          " overflow encountered in divide"}),
     ],
     ids=[
         "two-plane-mesh", "two-plane-verify-mesh", "zero-dt", "zero-verify-dt",
@@ -709,42 +772,17 @@ def test_helicity_edge_outcomes(tmp_path, capsys, command, scenario, params, cod
 # overrides and determinism
 
 
-def test_units_override_without_touching_file(tmp_path, capsys):
+# --out replaces the file's output directory but does not excuse a bad one
+@pytest.mark.parametrize("output", [{"dir": 5}], ids=["number-output-dir"])
+def test_override_still_checks_the_file_value(tmp_path, capsys, output):
     out = tmp_path / "out"
-    cfg = write_config(tmp_path, thermal_payload(out))
-    before = cfg.read_bytes()
-    code = cli.main(["thermal-relax", "--config", str(cfg), "--units", "mev-ps"])
-    capsys.readouterr()
-    assert code == 0
-    assert cfg.read_bytes() == before
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["units"] == "mev-ps"
-    eff = json.loads((out / "effective-config.json").read_text())
-    assert eff["units"] == "mev-ps"
-
-
-# an override replaces the file's value but does not excuse it; a bad units value
-# used to be ignored under --units and the run went ahead
-@pytest.mark.parametrize(
-    "key, value, flag, named",
-    [
-        ("units", "kelvin", "--units", "units"),
-        ("units", 5, "--units", "units"),
-        ("units", None, "--units", "units"),
-        ("output", {"dir": 5}, "--out", "dir"),
-    ],
-    ids=["unknown-units", "number-units", "null-units", "number-output-dir"],
-)
-def test_override_still_checks_the_file_value(tmp_path, capsys, key, value, flag, named):
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path, {**thermal_payload(out), key: value})
-    override = "natural" if flag == "--units" else str(out)
-    code = cli.main(["thermal-relax", "--config", str(cfg), flag, override])
+    cfg = write_config(tmp_path, {**thermal_payload(out), "output": output})
+    code = cli.main(["thermal-relax", "--config", str(cfg), "--out", str(out)])
     lines = capsys.readouterr().err.splitlines()
     assert code == 3, lines
     assert len(lines) == 1, lines
     diagnostic = json.loads(lines[0])
-    assert diagnostic["error"] == "validation" and f"{named} must be" in diagnostic["detail"]
+    assert diagnostic["error"] == "validation" and "dir must be" in diagnostic["detail"]
     assert not out.exists()
 
 
@@ -836,37 +874,6 @@ def test_effective_config_reproduces_summary(tmp_path, capsys):
     assert s1 == s2
 
 
-def test_csv_flag_suppresses_tables(tmp_path, capsys):
-    # each output flag switches off its own format and leaves the other one written
-    cases = [
-        ("thermal-relax", thermal_payload(tmp_path / "thermal"), "csv", []),
-        ("wigner", scenario_payload(
-            tmp_path / "wigner", "wigner-gaussian", "wigner", n_modes=64, k0_cells=16
-        ), "grid", ["marginals.csv"]),
-        ("phonon-sim", scenario_payload(
-            tmp_path / "phonon", "phonon-gaussian", "lattice", n_sites=128
-        ), "grid", ["profile.csv", "spectrum.csv"]),
-    ]
-    for command, payload, flag, kept in cases:
-        payload["output"][flag] = False
-        assert cli.main([command, "--config", str(write_config(tmp_path, payload))]) == 0
-        capsys.readouterr()
-        written = sorted(p.name for p in Path(payload["output"]["dir"]).iterdir())
-        assert written == sorted(["effective-config.json", "summary.json", *kept]), command
-
-
-def test_verbose_prints_effective_config(tmp_path, capsys):
-    for command, payload in (
-        ("thermal-relax", thermal_payload(tmp_path / "out")),
-        ("verify", verify_lattice_payload(tmp_path / "out")),
-    ):
-        cfg = write_config(tmp_path, payload)
-        assert cli.main([command, "--config", str(cfg), "--verbose"]) == 0
-        stdout = capsys.readouterr().out
-        effective = experiments.effective_dict(experiments.parse_config(payload))
-        assert stdout.startswith(json.dumps(effective, indent=2, sort_keys=True) + "\n")
-
-
 def test_unknown_option_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, thermal_payload(out))
@@ -875,6 +882,46 @@ def test_unknown_option_exits_2(tmp_path, capsys):
     assert code == 2
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
     assert not out.exists()
+
+
+# the config file alone sets a run: there is no unit or verbosity option, and no output
+# flag that switches an artifact format off
+@pytest.mark.parametrize(
+    "argv", [["--units", "natural"], ["--verbose"]], ids=["units-option", "verbose-option"]
+)
+def test_removed_options_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, thermal_payload(out))
+    code = cli.main(["thermal-relax", "--config", str(cfg), *argv])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert [json.loads(line) for line in lines] == [
+        {"error": "usage", "detail": f"unrecognized arguments: {' '.join(argv)}"}
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["csv", "grid"])
+def test_removed_output_flags_exit_3(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    payload = thermal_payload(out)
+    payload["output"][flag] = False
+    code = cli.main(["thermal-relax", "--config", str(write_config(tmp_path, payload))])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert [json.loads(line) for line in lines] == [
+        {"error": "validation", "detail": f"unknown keys ['{flag}'] in output"}
+    ]
+    assert not out.exists()
+
+
+def test_cli_usage_matches_readme(monkeypatch):
+    # README documents the command line by the parser's own usage line, so every option
+    # and metavar listed there is one the parser takes, and the other way round
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = re.findall(r"^usage: wavekit .*$", readme, re.M)
+    monkeypatch.setenv("COLUMNS", "200")  # one unwrapped line
+    assert documented == [cli._PARSER.format_usage().strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +966,8 @@ def test_sample_configs_run_without_scipy(tmp_path):
 
 
 def test_help_lists_every_command(tmp_path):
-    proc = run_proc(["--help"], tmp_path)
+    # wide enough that argparse does not wrap the command list at a hyphen
+    proc = run_proc(["--help"], tmp_path, COLUMNS="200")
     assert proc.returncode == 0, proc.stderr
     for command, *_ in experiments.SCENARIOS.values():
         assert command in proc.stdout, command
