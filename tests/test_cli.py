@@ -772,17 +772,22 @@ def test_helicity_edge_outcomes(tmp_path, capsys, command, scenario, params, cod
 # overrides and determinism
 
 
-# --out replaces the file's output directory but does not excuse a bad one
-@pytest.mark.parametrize("output", [{"dir": 5}], ids=["number-output-dir"])
-def test_override_still_checks_the_file_value(tmp_path, capsys, output):
+# --out replaces the file's output directory but excuses neither a bad one nor any
+# other bad value in the file
+@pytest.mark.parametrize(
+    "key, value, named",
+    [("units", "kelvin", "units"), ("output", {"dir": 5}, "dir")],
+    ids=["unknown-units", "number-output-dir"],
+)
+def test_override_still_checks_the_file_value(tmp_path, capsys, key, value, named):
     out = tmp_path / "out"
-    cfg = write_config(tmp_path, {**thermal_payload(out), "output": output})
+    cfg = write_config(tmp_path, {**thermal_payload(out), key: value})
     code = cli.main(["thermal-relax", "--config", str(cfg), "--out", str(out)])
     lines = capsys.readouterr().err.splitlines()
     assert code == 3, lines
     assert len(lines) == 1, lines
     diagnostic = json.loads(lines[0])
-    assert diagnostic["error"] == "validation" and "dir must be" in diagnostic["detail"]
+    assert diagnostic["error"] == "validation" and f"{named} must be" in diagnostic["detail"]
     assert not out.exists()
 
 
