@@ -21,7 +21,9 @@ The lag product psi(x + y) psi*(x - y) is Hermitian in y, so each x row is
 built from lags 0..n only and transformed with a Hermitian FFT (hfft) that
 returns real numbers; rows go in fixed blocks written straight into f, so the
 working memory stays near the size of the output.  Transport of the real f
-uses rfft/irfft along x in column blocks, one phase row per distinct speed.
+uses rfft/irfft along x in column blocks, one phase row per distinct speed;
+the blocks come as a stream, so a caller that reduces them (the wigner-gaussian
+closed-form check) never holds a transported grid.
 WignerGrid.marginal_defect records how well the computed f satisfies the
 marginal-x identity above, relative to the peak of |psi|^2/hbar.
 
@@ -246,6 +248,27 @@ def wigner_gaussian_closed(
     return np.outer(amplitude * np.exp(-xc**2 / gp.g), np.exp(-gp.g * pc**2 / hbar**2))
 
 
+def _transport_blocks(grid: WignerGrid, vg, t: float):
+    """Yield (cols, block): the transported f(x - vg(p) t, p) at _CHUNK momentum columns.
+
+    Each block holds every x row of its columns and is a fresh array, so a caller
+    can reduce the transport block by block without ever holding a second grid.
+    """
+    if not grid.full_period:
+        raise ValueError("evolution needs the full-period grid")
+    n2 = grid.x.size
+    q = 2.0 * np.pi * np.fft.rfftfreq(n2, d=grid.dx)
+    vg = np.broadcast_to(np.asarray(vg, dtype=float), grid.p.shape)
+    for lo in range(0, grid.p.size, _CHUNK):
+        cols = slice(lo, lo + _CHUNK)
+        spectrum = np.fft.rfft(grid.f[:, cols], axis=0)
+        # one phase row per distinct speed, each the same product as a row per column
+        speeds, which = np.unique(vg[cols], return_inverse=True)
+        spectrum *= np.exp(-1j * q[:, None] * speeds[None, :] * t)[:, which]
+        # irfft keeps only the real part of the Nyquist bin, as .real of a full ifft would
+        yield cols, np.fft.irfft(spectrum, n=n2, axis=0)
+
+
 def evolve_wigner_group_velocity(grid: WignerGrid, vg, t: float) -> WignerGrid:
     """Transport each momentum row by its group velocity: f(x,p) -> f(x - vg(p) t, p).
 
@@ -254,20 +277,9 @@ def evolve_wigner_group_velocity(grid: WignerGrid, vg, t: float) -> WignerGrid:
     is an exact Fourier translation, so rigid transport incurs no smearing.
     marginal_defect is carried over from the input grid.
     """
-    if not grid.full_period:
-        raise ValueError("evolution needs the full-period grid")
-    n2 = grid.x.size
-    q = 2.0 * np.pi * np.fft.rfftfreq(n2, d=grid.dx)
-    vg = np.broadcast_to(np.asarray(vg, dtype=float), grid.p.shape)
     f_new = np.empty_like(grid.f)
-    for lo in range(0, grid.p.size, _CHUNK):
-        cols = slice(lo, lo + _CHUNK)
-        spectrum = np.fft.rfft(grid.f[:, cols], axis=0)
-        # one phase row per distinct speed, each the same product as a row per column
-        speeds, which = np.unique(vg[cols], return_inverse=True)
-        spectrum *= np.exp(-1j * q[:, None] * speeds[None, :] * t)[:, which]
-        # irfft keeps only the real part of the Nyquist bin, as .real of a full ifft would
-        f_new[:, cols] = np.fft.irfft(spectrum, n=n2, axis=0)
+    for cols, block in _transport_blocks(grid, vg, t):
+        f_new[:, cols] = block
     return WignerGrid(x=grid.x, p=grid.p, f=f_new, hbar=grid.hbar,
                       marginal_defect=grid.marginal_defect)
 

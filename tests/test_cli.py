@@ -253,11 +253,17 @@ ZERO_VALUES = [
     # named before the stability check, which speaks of dt, a value the config never sets
     ("verify", lambda out: verify_lattice_payload(out, dt_factor=0), "dt_factor"),
     ("verify", lambda out: scenario_payload(out, "verify-helicity", "helicity", v=0), "v"),
+    # named before the slab meshes, where a spacing of -1e308 would overflow first
+    ("helicity-check", lambda out: scenario_payload(
+        out, "helicity-cylindrical", "helicity", spacing=0), "spacing"),
+    ("verify", lambda out: scenario_payload(
+        out, "verify-helicity", "helicity", spacing=0), "spacing"),
     ("thermal-relax", lambda out: thermal_payload(out, n_cells=0), "n_cells"),
 ]
 ZERO_IDS = [
     "zero-box-length", "zero-modes", "zero-ell", "zero-n-modes", "zero-dt-factor", "zero-width",
-    "zero-t-final", "zero-verify-dt-factor", "zero-v", "zero-n-cells",
+    "zero-t-final", "zero-verify-dt-factor", "zero-v", "zero-spacing", "zero-verify-spacing",
+    "zero-n-cells",
 ]
 
 
@@ -753,10 +759,17 @@ def test_edge_value_sweep_fails_cleanly(tmp_path, capsys, scenario):
         ("verify", "verify-helicity", {"spacing": 1e-320}, 4,
          {"error": "numeric", "detail": "verify-helicity failed: FloatingPointError:"
           " overflow encountered in divide"}),
+        ("helicity-check", "helicity-cylindrical", {"spacing": -1e308}, 3,
+         {"error": "validation",
+          "detail": "bad value in helicity: spacing must be positive, got -1e+308"}),
+        ("verify", "verify-helicity", {"spacing": -1e308}, 3,
+         {"error": "validation",
+          "detail": "bad value in helicity: spacing must be positive, got -1e+308"}),
     ],
     ids=[
         "two-plane-mesh", "two-plane-verify-mesh", "zero-dt", "zero-verify-dt",
-        "subnormal-spacing", "subnormal-k", "subnormal-verify-spacing",
+        "subnormal-spacing", "subnormal-k", "subnormal-verify-spacing", "huge-negative-spacing",
+        "huge-negative-verify-spacing",
     ],
 )
 def test_helicity_edge_outcomes(tmp_path, capsys, command, scenario, params, code, diagnostic):

@@ -153,6 +153,17 @@ def test_per_speed_phase_rows_match_dense_table():
         assert np.array_equal(moved.f, dense_phase_transport(grid, vg, t))
 
 
+def test_transport_blocks_assemble_the_transported_grid():
+    grid = wigner.wigner_1d(random_wave(150, seed=7))
+    t = 11.3
+    for vg in (0.7, np.cos(grid.p / grid.hbar)):
+        blocks = list(wigner._transport_blocks(grid, vg, t))
+        assert len(blocks) > 1 and blocks[-1][1].shape[1] < wigner._CHUNK  # a short last block
+        assert [cols.start for cols, _ in blocks] == list(range(0, grid.p.size, wigner._CHUNK))
+        joined = np.concatenate([block for _, block in blocks], axis=1)
+        assert np.array_equal(joined, wigner.evolve_wigner_group_velocity(grid, vg, t).f)
+
+
 # ---------------------------------------------------------------------------
 # exact discrete identities
 
@@ -351,13 +362,57 @@ def test_blocked_closed_error_matches_full_outer_product():
     assert np.isnan(error)
 
 
+def whole_grid_error_t(cfg, hbar):
+    """closed_form_error_t as the wigner-gaussian runner took it from the whole transported
+    grid, before the transport was streamed into the check."""
+    length = cfg.ell * cfg.n_modes
+    x0 = (length / 2.0 if cfg.x0 is None else cfg.x0) % length
+    xc = x0 + cfg.v * cfg.t_final
+    moved = xc % length
+    gp = wigner.GaussianEtaParams(cfg.n_quanta, cfg.g, cfg.k0_cells * 2.0 * math.pi / length, x0)
+    grid = wigner.wigner_1d(wigner.gaussian_action_wave(gp, cfg.ell, cfg.n_modes, hbar))
+    _, peak = experiments._closed_error(gp, grid.window(x0 - length / 4.0, x0 + length / 4.0), hbar)
+    grid_t = wigner.evolve_wigner_group_velocity(grid, cfg.v * np.sign(grid.p), cfg.t_final)
+    win_t = grid_t.window(moved - length / 4.0, moved + length / 4.0)
+    gp_t = replace(gp, x0=x0 - (xc - moved))
+    error, _ = experiments._closed_error(gp_t, win_t, hbar, t=cfg.t_final, vg=cfg.v)
+    return experiments._rel(error, peak)
+
+
+# a centred packet, and one whose moved center 160 wraps to 10, so the ring's edge cuts
+# the moved half window [-27.5, 47.5) to its rows from x = 0
+@pytest.mark.parametrize("x0, t_final", [(None, 17.32), (140.0, 20.0)], ids=["centred", "edge-cut"])
+def test_streamed_closed_error_matches_whole_grid(x0, t_final):
+    cfg = experiments.WignerGaussianConfig(n_modes=150, g=30.0, k0_cells=20, x0=x0, t_final=t_final)
+    units = get_units("natural")
+    summary, _ = experiments.run_wigner_gaussian(cfg, units)
+    assert summary["closed_form_error_t"] == whole_grid_error_t(cfg, units.hbar)
+
+
+def test_streamed_closed_error_keeps_a_nan_in_the_last_block(monkeypatch):
+    blocks = wigner._transport_blocks
+
+    def nan_in_last_column(grid, vg, t):
+        for cols, block in blocks(grid, vg, t):
+            if cols.start + wigner._CHUNK >= grid.p.size:
+                block[:, -1] = np.nan
+            yield cols, block
+
+    monkeypatch.setattr(wigner, "_transport_blocks", nan_in_last_column)
+    cfg = experiments.WignerGaussianConfig(n_modes=150, g=30.0, k0_cells=20)
+    summary, _ = experiments.run_wigner_gaussian(cfg, get_units("natural"))
+    assert np.isnan(summary["closed_form_error_t"])
+    assert not np.isnan(summary["closed_form_error_t0"])
+
+
 @pytest.mark.parametrize(
     "scenario, size, bound",
-    [("wigner-gaussian", {"n_modes": 512}, 2.75), ("phonon-gaussian", {"n_sites": 512}, 1.75)],
+    [("wigner-gaussian", {"n_modes": 512}, 1.75), ("phonon-gaussian", {"n_sites": 512}, 1.75)],
 )
 def test_runner_peak_memory_per_grid(scenario, size, bound):
-    # wigner-gaussian holds the grid and its transported copy; phonon-gaussian the grid
-    # alone. Closed-form errors take 256-row blocks, not half-window temporaries.
+    # Each runner holds one grid. wigner-gaussian checks its transport column block by
+    # column block and never holds a transported grid; closed-form errors take 256-row
+    # blocks, not half-window temporaries.
     _, _, config_class, run = experiments.SCENARIOS[scenario]
     cfg = config_class(**size)
     units = get_units("natural")
