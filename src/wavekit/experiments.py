@@ -105,12 +105,12 @@ def _closed_error(gp, grid, hbar, **motion):
     """(max|closed - f|, max closed) of the Gaussian closed form over a windowed grid.
 
     An entry of the closed form's outer product does not depend on how it is sliced, so
-    256-row blocks, and the column blocks wigner-gaussian passes in, hold the same numbers
-    as the full outer product without a window-sized temporary; np.max keeps a NaN.
+    64-row blocks hold the same numbers as the full outer product without a window-sized
+    temporary; np.max keeps a NaN.
     """
     errors, peaks = [], []
-    for lo in range(0, grid.x.size, 256):
-        rows = slice(lo, lo + 256)
+    for lo in range(0, grid.x.size, 64):
+        rows = slice(lo, lo + 64)
         block = wigner.wigner_gaussian_closed(gp, grid.x[rows], grid.p, hbar, **motion)
         peaks.append(np.max(block))
         np.subtract(block, grid.f[rows], out=block)
@@ -167,12 +167,13 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
     state_t = lattice.idft_from_modes(modes_t, t=cfg.t_final)
     psi_t = lattice.psi_from_modes(modes_t, u.hbar).psik
 
-    grid = wigner.wigner_1d(wave)
-    half = grid.window(x0 - params.length / 4.0, x0 + params.length / 4.0)
+    # the half window and a plot-ready crop of +-4 sigma about the packet center in each
+    # direction; only the rows from the first of them to the last are transformed
+    windows = [(x0 - w, x0 + w) for w in (params.length / 4.0, 4.0 * math.sqrt(cfg.g / 2.0))]
+    grid = wigner._doubled_grid_transform(wave, wigner._number_prefactor(wave), windows)
+    half, crop = (grid.window(*bounds) for bounds in windows)
     error, _ = _closed_error(gp, half, u.hbar)
     wigner_error = _rel(error, cfg.n_quanta / (math.pi * u.hbar))
-    # plot-ready crop: +-4 sigma about the packet center in each direction
-    crop = grid.window(x0 - 4.0 * math.sqrt(cfg.g / 2.0), x0 + 4.0 * math.sqrt(cfg.g / 2.0))
     p_mask = np.abs(crop.p - u.hbar * cfg.k0) <= 4.0 * u.hbar / math.sqrt(2.0 * cfg.g)
 
     k = wave.k
@@ -332,13 +333,20 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
     # the moved center comes back onto the ring by whole turns, and so does the closed form's
     moved = xc % length
     gp_t = dataclasses.replace(gp, x0=x0 - (xc - moved))
-    # omega = v|k| moves every nonzero momentum at speed v; each transported column block
-    # is checked as it comes, so the transported grid is never held whole
-    errors = []
-    for cols, block in wigner._transport_blocks(grid, cfg.v * np.sign(grid.p), cfg.t_final):
-        moved_block = wigner.WignerGrid(grid.x, grid.p[cols], block, u.hbar)
-        win_t = moved_block.window(moved - length / 4.0, moved + length / 4.0)
-        errors.append(_closed_error(gp_t, win_t, u.hbar, t=cfg.t_final, vg=cfg.v)[0])
+    # omega = v|k| moves p > 0 by +v t, p < 0 by -v t and p = 0 not at all; psi(x - a), with
+    # modes psi'_k exp(-i k a), has f(x - a, p), so the moved window's rows come from the
+    # wave translated each way, and each row block is checked as it comes
+    rows = wigner._window_rows(grid.x, moved - length / 4.0, moved + length / 4.0)
+    n, vt, motion = cfg.n_modes, cfg.v * cfg.t_final, {"t": cfg.t_final, "vg": cfg.v}
+    still = wigner.WignerGrid(grid.x[rows], grid.p[n : n + 1], grid.f[rows, n : n + 1], u.hbar)
+    errors = [_closed_error(gp_t, still, u.hbar, **motion)[0]]
+    for shift, cols in ((vt, slice(n + 1, None)), (-vt, slice(n))):
+        psik = wave.psik * np.exp(-1j * wave.k * shift)
+        site = wigner.doubled_site_values(dataclasses.replace(wave, psik=psik))
+        for lo, block in wigner._row_blocks(site, wigner._number_prefactor(wave), rows):
+            here = slice(lo, lo + len(block))
+            part = wigner.WignerGrid(grid.x[here], grid.p[cols], block[:, cols], u.hbar)
+            errors.append(_closed_error(gp_t, part, u.hbar, **motion)[0])
     error_t = np.max(errors)
 
     marg_x = grid.marginal_x()

@@ -19,13 +19,15 @@ therefore live on a half window centered on the packet.
 
 The lag product psi(x + y) psi*(x - y) is Hermitian in y, so each x row is
 built from lags 0..n only and transformed with a Hermitian FFT (hfft) that
-returns real numbers; rows go in fixed blocks written straight into f, so the
-working memory stays near the size of the output.  Transport of the real f
-uses rfft/irfft along x in column blocks, one phase row per distinct speed;
-the blocks come as a stream, so a caller that reduces them (the wigner-gaussian
-closed-form check) never holds a transported grid.
+returns real numbers; rows of any contiguous range go in fixed blocks, written
+straight into f or reduced as they come.  The transform is translation
+covariant, exactly on the doubled grid: psi(x - a), with modes psi'_k e^{-ika},
+has f(x - a, p).  So the wigner-gaussian check transforms the translated wave
+over the moved window's rows, and transport of a stored grid is
+evolve_wigner_group_velocity alone (rfft/irfft along x, one phase row per speed).
 WignerGrid.marginal_defect records how well the computed f satisfies the
-marginal-x identity above, relative to the peak of |psi|^2/hbar.
+marginal-x identity above, relative to the peak of |psi|^2/hbar, over the rows
+built.
 
 3-D.  A photon mode set {psi'_a at k_a} on box measure w = (2pi)^3/V has
 
@@ -122,17 +124,22 @@ class WignerGrid:
         x is ascending, so the window is one contiguous row range and the
         result shares x and f with this grid instead of copying them.
         """
-        mask = (self.x >= x_lo) & (self.x < x_hi)
-        if not np.any(mask):
-            raise ValueError(
-                f"window [{x_lo}, {x_hi}) contains none of the grid's x in [{self.x[0]}, {self.x[-1]}]"
-            )
-        first, last = np.flatnonzero(mask)[[0, -1]]
-        rows = slice(first, last + 1)
+        rows = _window_rows(self.x, x_lo, x_hi)
         return WignerGrid(
             x=self.x[rows], p=self.p, f=self.f[rows], hbar=self.hbar,
             full_period=False, marginal_defect=self.marginal_defect,
         )
+
+
+def _window_rows(x: np.ndarray, x_lo: float, x_hi: float) -> slice:
+    """The contiguous rows of ascending x in [x_lo, x_hi); refuses an empty window."""
+    mask = (x >= x_lo) & (x < x_hi)
+    if not np.any(mask):
+        raise ValueError(
+            f"window [{x_lo}, {x_hi}) contains none of the grid's x in [{x[0]}, {x[-1]}]"
+        )
+    first, last = np.flatnonzero(mask)[[0, -1]]
+    return slice(first, last + 1)
 
 
 def check_grid_size(n_modes: int) -> None:
@@ -154,44 +161,63 @@ def doubled_site_values(wave: ActionWave) -> np.ndarray:
     return (wave.dk / np.sqrt(2.0 * np.pi)) * two_n * np.fft.ifft(padded)
 
 
-def _doubled_grid_transform(wave: ActionWave, prefactor: float) -> WignerGrid:
-    """Common core: half-spaced site values, then the Hermitian half-lag transform.
+def _row_blocks(site: np.ndarray, prefactor: float, rows: slice, out=None):
+    """Yield (lo, block): f at the doubled grid's rows lo.., _CHUNK rows at a time, over the
+    row range rows, from the 2n half-spaced site values.
 
-    Row m needs the lag product g[m, r] = psi(x_m + r*ell/2) psi*(x_m - r*ell/2)
-    on the ring of 2n lags; g[m, -r] = conj(g[m, r]), so lags 0..n fix the row
-    and hfft returns its transform as real numbers.  Rows go in blocks of
-    _CHUNK written straight into f, which keeps temporaries at O(_CHUNK * n).
+    Row m needs the lag product g[m, r] = psi(x_m + r*ell/2) psi*(x_m - r*ell/2) on the
+    ring of 2n lags; g[m, -r] = conj(g[m, r]), so lags 0..n fix the row and hfft returns
+    its transform as real numbers.  A block is a fresh array, or a view of out (whose row
+    0 is rows.start); a row's numbers do not depend on the block it falls in.
     """
-    n = wave.psik.size
-    check_grid_size(n)
-    two_n = 2 * n
-    site = doubled_site_values(wave)
+    two_n = site.size
+    n = two_n // 2
     # ahead[m, r] = site[(m + r) % 2n] and behind[m, r] = conj(site[(m - r) % 2n]),
     # both as strided views of two 3n-long copies of the ring.
     ahead = sliding_window_view(np.concatenate([site, site[:n]]), n + 1)
     behind = sliding_window_view(np.conj(np.concatenate([site[n:], site])), n + 1)[:, ::-1]
-    f = np.empty((two_n, two_n))
-    row_sums = np.empty(two_n)
     lags = np.empty((min(_CHUNK, two_n), n + 1), dtype=complex)
-    for lo in range(0, two_n, _CHUNK):
-        hi = min(lo + _CHUNK, two_n)
+    for lo in range(rows.start, rows.stop, _CHUNK):
+        hi = min(lo + _CHUNK, rows.stop)
         g = np.multiply(ahead[lo:hi], behind[lo:hi], out=lags[: hi - lo])
-        rows = np.fft.hfft(g, n=two_n, axis=1)
-        # fftshift on the way into f: momentum index s = -n..n-1 is FFT bin s mod 2n
-        np.multiply(rows[:, n:], prefactor, out=f[lo:hi, :n])
-        np.multiply(rows[:, :n], prefactor, out=f[lo:hi, n:])
-        row_sums[lo:hi] = np.sum(f[lo:hi], axis=1)
-    # marginal-x identity: sum_s f[m, s] = 2n * prefactor * |site_m|^2
-    density = two_n * prefactor * np.abs(site) ** 2
-    defect = float(np.max(np.abs(row_sums - density)) / max(np.max(density), 1e-300))
+        spectrum = np.fft.hfft(g, n=two_n, axis=1)
+        block = np.empty((hi - lo, two_n)) if out is None else out[lo - rows.start :][: hi - lo]
+        # fftshift on the way out: momentum index s = -n..n-1 is FFT bin s mod 2n
+        np.multiply(spectrum[:, n:], prefactor, out=block[:, :n])
+        np.multiply(spectrum[:, :n], prefactor, out=block[:, n:])
+        yield lo, block
+
+
+def _doubled_grid_transform(wave: ActionWave, prefactor: float, windows=()) -> WignerGrid:
+    """f on every row of the doubled grid, or on the rows from the first to the last that
+    the half-open x windows [x_lo, x_hi) hold; marginal_defect is measured over those rows."""
+    n = wave.psik.size
+    check_grid_size(n)
+    two_n = 2 * n
     x = (wave.ell / 2.0) * np.arange(two_n)
+    spans = [_window_rows(x, *bounds) for bounds in windows] or [slice(0, two_n)]
+    rows = slice(min(span.start for span in spans), max(span.stop for span in spans))
+    site = doubled_site_values(wave)
+    f = np.empty((rows.stop - rows.start, two_n))
+    row_sums = np.empty(f.shape[0])
+    for lo, block in _row_blocks(site, prefactor, rows, out=f):
+        row_sums[lo - rows.start :][: len(block)] = np.sum(block, axis=1)
+    # marginal-x identity: sum_s f[m, s] = 2n * prefactor * |site_m|^2
+    density = two_n * prefactor * np.abs(site[rows]) ** 2
+    defect = float(np.max(np.abs(row_sums - density)) / max(np.max(density), 1e-300))
     p = (wave.hbar * wave.dk / 2.0) * (np.arange(two_n) - n)
-    return WignerGrid(x=x, p=p, f=f, hbar=wave.hbar, marginal_defect=defect)
+    return WignerGrid(x=x[rows], p=p, f=f, hbar=wave.hbar, full_period=f.shape[0] == two_n,
+                      marginal_defect=defect)
+
+
+def _number_prefactor(wave: ActionWave) -> float:
+    """The scale of the number-form density that wigner_1d builds."""
+    return (wave.ell / 2.0) / (np.pi * wave.hbar**2)
 
 
 def wigner_1d(wave: ActionWave) -> WignerGrid:
     """Number-form density of an action wave; integrates to A/h."""
-    return _doubled_grid_transform(wave, (wave.ell / 2.0) / (np.pi * wave.hbar**2))
+    return _doubled_grid_transform(wave, _number_prefactor(wave))
 
 
 def quasi_energy_density(wave: ActionWave, omega) -> WignerGrid:
@@ -227,7 +253,10 @@ def gaussian_action_wave(
     """Sampled Gaussian packet: psi'_k = sqrt(eta_k) exp(-i k x0)."""
     dk = 2.0 * np.pi / (ell * n_modes)
     k = (np.arange(n_modes) - n_modes // 2) * dk
-    eta = gp.n_quanta * hbar * np.sqrt(gp.g / np.pi) * np.exp(-gp.g * (k - gp.k0) ** 2)
+    # an exponent that overflows belongs to a tail whose weight is 0
+    with np.errstate(over="ignore"):
+        exponent = -gp.g * (k - gp.k0) ** 2
+    eta = gp.n_quanta * hbar * np.sqrt(gp.g / np.pi) * np.exp(exponent)
     psik = np.sqrt(eta) * np.exp(-1j * k * gp.x0)
     return ActionWave(psik=psik, k=k, ell=ell, hbar=hbar)
 
@@ -248,27 +277,6 @@ def wigner_gaussian_closed(
     return np.outer(amplitude * np.exp(-xc**2 / gp.g), np.exp(-gp.g * pc**2 / hbar**2))
 
 
-def _transport_blocks(grid: WignerGrid, vg, t: float):
-    """Yield (cols, block): the transported f(x - vg(p) t, p) at _CHUNK momentum columns.
-
-    Each block holds every x row of its columns and is a fresh array, so a caller
-    can reduce the transport block by block without ever holding a second grid.
-    """
-    if not grid.full_period:
-        raise ValueError("evolution needs the full-period grid")
-    n2 = grid.x.size
-    q = 2.0 * np.pi * np.fft.rfftfreq(n2, d=grid.dx)
-    vg = np.broadcast_to(np.asarray(vg, dtype=float), grid.p.shape)
-    for lo in range(0, grid.p.size, _CHUNK):
-        cols = slice(lo, lo + _CHUNK)
-        spectrum = np.fft.rfft(grid.f[:, cols], axis=0)
-        # one phase row per distinct speed, each the same product as a row per column
-        speeds, which = np.unique(vg[cols], return_inverse=True)
-        spectrum *= np.exp(-1j * q[:, None] * speeds[None, :] * t)[:, which]
-        # irfft keeps only the real part of the Nyquist bin, as .real of a full ifft would
-        yield cols, np.fft.irfft(spectrum, n=n2, axis=0)
-
-
 def evolve_wigner_group_velocity(grid: WignerGrid, vg, t: float) -> WignerGrid:
     """Transport each momentum row by its group velocity: f(x,p) -> f(x - vg(p) t, p).
 
@@ -277,9 +285,20 @@ def evolve_wigner_group_velocity(grid: WignerGrid, vg, t: float) -> WignerGrid:
     is an exact Fourier translation, so rigid transport incurs no smearing.
     marginal_defect is carried over from the input grid.
     """
+    if not grid.full_period:
+        raise ValueError("evolution needs the full-period grid")
+    n2 = grid.x.size
+    q = 2.0 * np.pi * np.fft.rfftfreq(n2, d=grid.dx)
+    vg = np.broadcast_to(np.asarray(vg, dtype=float), grid.p.shape)
     f_new = np.empty_like(grid.f)
-    for cols, block in _transport_blocks(grid, vg, t):
-        f_new[:, cols] = block
+    for lo in range(0, grid.p.size, _CHUNK):
+        cols = slice(lo, lo + _CHUNK)
+        spectrum = np.fft.rfft(grid.f[:, cols], axis=0)
+        # one phase row per distinct speed, each the same product as a row per column
+        speeds, which = np.unique(vg[cols], return_inverse=True)
+        spectrum *= np.exp(-1j * q[:, None] * speeds[None, :] * t)[:, which]
+        # irfft keeps only the real part of the Nyquist bin, as .real of a full ifft would
+        f_new[:, cols] = np.fft.irfft(spectrum, n=n2, axis=0)
     return WignerGrid(x=grid.x, p=grid.p, f=f_new, hbar=grid.hbar,
                       marginal_defect=grid.marginal_defect)
 

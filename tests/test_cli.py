@@ -335,6 +335,11 @@ OVERFLOWING_IDS = [
         ("phonon-sim", lambda out: scenario_payload(out, "phonon-gaussian", "lattice", n_sites=2)),
         ("wigner", lambda out: scenario_payload(
             out, "wigner-gaussian", "wigner", k0_cells=100000)),
+        # so far off that g (k - k0)^2 overflows: a tail of weight 0, not a numeric failure
+        *[("phonon-sim", lambda out, k0=k0: scenario_payload(
+            out, "phonon-gaussian", "lattice", k0=k0)) for k0 in (1e300, -1e300, 1e308, -1e308)],
+        ("wigner", lambda out: scenario_payload(
+            out, "wigner-gaussian", "wigner", k0_cells=10**200)),
         # a traveling-wave bump with no energy to compare against, flat or on two sites
         ("phonon-sim", lambda out: traveling_payload(out, amplitude=0)),
         ("phonon-sim", lambda out: traveling_payload(out, n_sites=2)),
@@ -360,7 +365,9 @@ OVERFLOWING_IDS = [
         "too-many-modes", "negative-modes", "too-many-pairs", "huge-wigner-grid",
         "huge-phonon-grid", "huge-field-grid", "enormous-field-grid", "huge-helicity-mesh",
         "huge-verify-mesh", "long-wave-series", "long-verify-series", "empty-packet-far-k0",
-        "empty-packet-two-sites", "empty-wigner-packet", "flat-bump", "two-site-bump",
+        "empty-packet-two-sites", "empty-wigner-packet", "empty-packet-k0-1e300",
+        "empty-packet-k0-minus-1e300", "empty-packet-k0-1e308", "empty-packet-k0-minus-1e308",
+        "empty-wigner-packet-overflowing-k0", "flat-bump", "two-site-bump",
         "subnormal-x-min-rayleigh-jeans", "subnormal-x-min-wien-stimulated", "subnormal-gamma",
         "huge-n-folds", "huge-thermal-grid", "zero-mass", "negative-kappa", "odd-sites",
         "negative-omega0",
