@@ -475,15 +475,16 @@ class HelicityCylindricalConfig:
 _SLAB = 8
 
 
-def _cylindrical_block(k, v, mesh_n, spacing, dt, center):
-    """Stencil checks of the axial Beltrami solution U shared by the helicity runners.
+def _cylindrical_block(plane_k, k, v, mesh_n, spacing, dt, center):
+    """The figures of both helicity runners, and the plane mode U they check.
 
-    Returns the mesh_n^3 mesh, the potential equation residual between U(0) and
-    U(dt), and the Beltrami residual |curl U - k U| / |k U| at h and at h/2.
-    Each residual is a ratio of max-norms, reduced slab by slab: _SLAB interior
-    x-planes at a time with a one-plane halo, so no check holds more than one
-    slab of its mesh. A max does not depend on the visiting order, so each
-    residual equals the whole-mesh one bit for bit.
+    U is the sigma = +1 mode of wavevector plane_k on the mesh_n^3 mesh, built
+    after the last slab.  The figures: the axial solution's Beltrami residual
+    |curl U - k U| / |k U| at h and h/2 and their floored ratio, its equation
+    residual between U(0) and U(dt), and U's eigencheck for each helicity.
+    The stencil residuals are ratios of max-norms reduced slab by slab (_SLAB
+    interior x-planes, one-plane halo); a max does not depend on the visiting
+    order, so each equals the whole-mesh residual bit for bit.
     """
     def axes(n, h):
         s = (np.arange(n) - (n - 1) / 2.0) * h
@@ -511,34 +512,30 @@ def _cylindrical_block(k, v, mesh_n, spacing, dt, center):
         return helicity._equation_parts(U0, U1, dt, spacing, v), beltrami(U0, spacing)
 
     helicity.check_mesh_size(2 * mesh_n - 1)
-    x = np.stack(np.meshgrid(*axes(mesh_n, spacing), indexing="ij"))
     equation, coarse = zip(*(coarse_parts(xs) for xs in slabs(mesh_n, spacing)))
     # halve the spacing on the same physical cube to expose the stencil order
     fine = [
         beltrami(helicity.cylindrical_solution(xs, k, v), spacing / 2.0)
         for xs in slabs(2 * mesh_n - 1, spacing / 2.0)
     ]
-    return x, ratio(equation), ratio(coarse, k), ratio(fine, k)
+    r1, r2 = ratio(coarse, k), ratio(fine, k)
+    mode = helicity.ComplexPotentialMode(k=plane_k, sigma=1)
+    U = mode.evaluate(np.stack(np.meshgrid(*axes(mesh_n, spacing), indexing="ij")), v=v)
+    return U, {
+        "beltrami_residual": r1,
+        "beltrami_residual_half_h": r2,
+        "stencil_order_ratio": r1 / max(r2, 1e-300),
+        "equation_residual": ratio(equation),
+        "eigencheck_same": helicity.helicity_eigencheck(U, mode.k, 1),
+        "eigencheck_opposite": helicity.helicity_eigencheck(U, mode.k, -1),
+    }
 
 
 def run_helicity_cylindrical(cfg: HelicityCylindricalConfig, u: UnitSystem):
-    mesh, eq_resid, beltrami, beltrami_h = _cylindrical_block(
-        cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, (cfg.center_x, cfg.center_y, cfg.center_z)
-    )
-    mode = helicity.ComplexPotentialMode(k=np.array([0.0, 0.5, cfg.k]), sigma=1)
-    U_plane = mode.evaluate(mesh, v=cfg.v)
-    summary = {
-        "beltrami_residual": beltrami,
-        "beltrami_residual_half_h": beltrami_h,
-        "stencil_order_ratio": beltrami / max(beltrami_h, 1e-300),
-        "equation_residual": eq_resid,
-        "eigencheck_same": helicity.helicity_eigencheck(U_plane, mode.k, 1),
-        "eigencheck_opposite": helicity.helicity_eigencheck(U_plane, mode.k, -1),
-        "k": cfg.k,
-        "spacing": cfg.spacing,
-        "dt": cfg.dt,
-    }
-    return summary, {}
+    center = (cfg.center_x, cfg.center_y, cfg.center_z)
+    plane_k = np.array([0.0, 0.5, cfg.k])
+    _, figures = _cylindrical_block(plane_k, cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, center)
+    return {**figures, "k": cfg.k, "spacing": cfg.spacing, "dt": cfg.dt}, {}
 
 
 # --- thermal-planck ----------------------------------------------------------
@@ -710,29 +707,27 @@ class VerifyHelicityConfig:
 
 
 def verify_helicity(cfg: VerifyHelicityConfig, u: UnitSystem):
-    mesh, resid, r1, r2 = _cylindrical_block(
-        cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, (0.25, 0.15, -0.3)
+    plane_k = np.array([0.3, -0.4, cfg.k])
+    U, fig = _cylindrical_block(
+        plane_k, cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, (0.25, 0.15, -0.3)
     )
-    mode = helicity.ComplexPotentialMode(k=np.array([0.3, -0.4, cfg.k]), sigma=1)
-    U = mode.evaluate(mesh, v=cfg.v)
-    sigma_same = -1 if cfg.negative_control else 1
-
-    checks = {}
-    checks["eigencheck_same"] = (helicity.helicity_eigencheck(U, mode.k, sigma_same), 1e-12)
-    checks["eigencheck_opposite"] = (
-        abs(helicity.helicity_eigencheck(U, mode.k, -1) - 2.0),
-        1e-12,
-    )
-
     omega = cfg.v * cfg.k
     bound = 0.5 * (cfg.k * cfg.spacing) ** 2 + 0.25 * (omega * cfg.dt) ** 2
-    checks["equation_residual"] = (resid, bound)
-    checks["stencil_order"] = (abs(r1 / r2 - 4.0), 0.5)
+    # the negative control holds the sigma = +1 mode to the sigma = -1 eigencheck
+    same = fig["eigencheck_opposite" if cfg.negative_control else "eigencheck_same"]
+    # unfloored, so a zero half-spacing residual stops the run
+    order = fig["beltrami_residual"] / fig["beltrami_residual_half_h"]
+    checks = {
+        "eigencheck_same": (same, 1e-12),
+        "eigencheck_opposite": (abs(fig["eigencheck_opposite"] - 2.0), 1e-12),
+        "equation_residual": (fig["equation_residual"], bound),
+        "stencil_order": (abs(order - 4.0), 0.5),
+    }
 
     theta_t = 0.7 / omega
     # free evolution as a rigid precession about khat by -omega t
-    rotated = helicity.rotate_field(U, mode.k / np.linalg.norm(mode.k), -omega * theta_t)
-    phased = U * np.exp(1j * mode.sigma * omega * theta_t)
+    rotated = helicity.rotate_field(U, plane_k / np.linalg.norm(plane_k), -omega * theta_t)
+    phased = U * np.exp(1j * omega * theta_t)
     checks["precession_phase"] = (_rel(rotated - phased, np.max(np.abs(U))), 1e-12)
 
     return _check_summary(checks)

@@ -170,8 +170,8 @@ class ModeSpectrum:
 class ActionWave:
     """Action amplitudes psi'_k on a monotonic k grid.
 
-    eta = |psi'_k|^2 and phi = arg psi'_k give the action-angle view; the
-    spatial profile lives on sites x = ell*n.
+    eta = |psi'_k|^2 is the action of each mode and arg psi'_k its angle;
+    the spatial profile lives on sites x = ell*n.
     """
 
     psik: np.ndarray
@@ -196,10 +196,6 @@ class ActionWave:
     @property
     def eta(self) -> np.ndarray:
         return np.abs(self.psik) ** 2
-
-    @property
-    def phi(self) -> np.ndarray:
-        return np.angle(self.psik)
 
 
 def _mode_reverse(a: np.ndarray) -> np.ndarray:

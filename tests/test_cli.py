@@ -470,6 +470,27 @@ def test_far_thermal_tail_runs_without_warnings(tmp_path, capsys, kinetics):
     assert capsys.readouterr().err == ""
 
 
+# the closed form's momentum factor exp(-g (p - hbar k0)^2 / hbar^2) overflows its exponent
+# at g 1e308, a tail of weight 0 as in the packet itself; a runner reports its figures
+# however large, and only the verify scenarios judge them
+@pytest.mark.parametrize(
+    "command, scenario, block, figure",
+    [
+        ("phonon-sim", "phonon-gaussian", "lattice", "wigner_closed_form_error"),
+        ("wigner", "wigner-gaussian", "wigner", "closed_form_error_t"),
+    ],
+    ids=["phonon-gaussian", "wigner-gaussian"],
+)
+def test_huge_packet_g_runs_without_warnings(tmp_path, capsys, command, scenario, block, figure):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, scenario_payload(out, scenario, block, g=1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    assert math.isfinite(json.loads((out / "summary.json").read_text())[figure])
+
+
 @pytest.mark.parametrize(
     "kinetics, named",
     [

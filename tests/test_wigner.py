@@ -95,21 +95,6 @@ def complex_fft_transport(grid, speeds, t):
     return np.fft.ifft(rows * np.exp(-1j * q[:, None] * speeds[None, :] * t), axis=0).real
 
 
-def dense_phase_transport(grid, vg, t):
-    """The rfft transport loop with one phase row per column, as it was before the
-    table was keyed on the distinct speeds of a column block."""
-    n2 = grid.x.size
-    q = 2.0 * np.pi * np.fft.rfftfreq(n2, d=grid.dx)
-    vg = np.broadcast_to(np.asarray(vg, dtype=float), grid.p.shape)
-    f_new = np.empty_like(grid.f)
-    for lo in range(0, grid.p.size, wigner._CHUNK):
-        cols = slice(lo, lo + wigner._CHUNK)
-        spectrum = np.fft.rfft(grid.f[:, cols], axis=0)
-        spectrum *= np.exp(-1j * q[:, None] * vg[None, cols] * t)
-        f_new[:, cols] = np.fft.irfft(spectrum, n=n2, axis=0)
-    return f_new
-
-
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
 def test_half_lag_core_matches_full_matrix(n):
     if n == 300:
@@ -138,19 +123,6 @@ def test_rfft_transport_matches_complex_fft():
         ref = complex_fft_transport(grid, speeds, t)
         assert np.max(np.abs(moved.f - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert moved.marginal_defect == grid.marginal_defect
-
-
-def test_per_speed_phase_rows_match_dense_table():
-    grid = wigner.wigner_1d(random_wave(150, seed=6))
-    # p = 0 is column 150, inside the block of columns 128..191
-    assert np.unique(np.sign(grid.p[128:192])).size == 3
-    chain = lattice.LatticeParams(m=1.0, omega0=0.3, kappa=1.0, ell=0.8, n_sites=150)
-    chain_speeds = lattice.group_velocity(grid.p / grid.hbar, chain)
-    assert np.unique(chain_speeds).size == grid.p.size  # every speed distinct
-    t = 23.9
-    for vg in (np.sign(grid.p), chain_speeds, 0.7):
-        moved = wigner.evolve_wigner_group_velocity(grid, vg, t)
-        assert np.array_equal(moved.f, dense_phase_transport(grid, vg, t))
 
 
 def test_row_blocks_match_the_whole_transform():
