@@ -55,24 +55,26 @@ class MediumParams:
         return math.sqrt(self.mu / self.eps)
 
 
-def _check_vector_field(field: np.ndarray) -> np.ndarray:
-    field = np.asarray(field)
-    if field.ndim != 4 or field.shape[0] != 3:
-        raise ValueError("expected a component-first field of shape (3, n, n, n)")
-    return field
+def _component_first(a, name: str, ndim: int | None = None, dtype=None) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
+    if a.ndim == 0 or a.shape[0] != 3 or (ndim is not None and a.ndim != ndim):
+        shape = "(3, ...)" if ndim is None else "(3, nx, ny, nz)"
+        raise ValueError(f"{name} must be component-first, shape {shape}")
+    return a
 
 
-def _wavevectors(n: int, length: float):
+def _spectrum(field: np.ndarray, length: float):
+    """Per-component FFT of a field on the periodic n^3 box and its wavevector axes."""
+    field = _component_first(field, "field", ndim=4)
+    n = field.shape[1]
     q = 2.0 * np.pi * np.fft.fftfreq(n, d=length / n)
-    return q[:, None, None], q[None, :, None], q[None, None, :]
+    f = np.fft.fftn(field, axes=(1, 2, 3))
+    return f, q[:, None, None], q[None, :, None], q[None, None, :]
 
 
 def spectral_curl(field: np.ndarray, length: float) -> np.ndarray:
     """curl via FFT on the periodic box; exact for band-limited fields."""
-    field = _check_vector_field(field)
-    n = field.shape[1]
-    qx, qy, qz = _wavevectors(n, length)
-    f = np.fft.fftn(field, axes=(1, 2, 3))
+    f, qx, qy, qz = _spectrum(field, length)
     out = np.empty_like(f)
     out[0] = 1j * (qy * f[2] - qz * f[1])
     out[1] = 1j * (qz * f[0] - qx * f[2])
@@ -82,10 +84,7 @@ def spectral_curl(field: np.ndarray, length: float) -> np.ndarray:
 
 
 def spectral_divergence(field: np.ndarray, length: float) -> np.ndarray:
-    field = _check_vector_field(field)
-    n = field.shape[1]
-    qx, qy, qz = _wavevectors(n, length)
-    f = np.fft.fftn(field, axes=(1, 2, 3))
+    f, qx, qy, qz = _spectrum(field, length)
     div = 1j * (qx * f[0] + qy * f[1] + qz * f[2])
     div = np.fft.ifftn(div)
     return div if np.iscomplexobj(field) else div.real
@@ -93,20 +92,20 @@ def spectral_divergence(field: np.ndarray, length: float) -> np.ndarray:
 
 def riemann_silberstein(E: np.ndarray, H: np.ndarray, medium: MediumParams) -> np.ndarray:
     """F = sqrt(eps) E + i sqrt(mu) H."""
-    E = _check_vector_field(E)
-    H = _check_vector_field(H)
+    E = _component_first(E, "E", ndim=4)
+    H = _component_first(H, "H", ndim=4)
     return math.sqrt(medium.eps) * E + 1j * math.sqrt(medium.mu) * H
 
 
 def fields_from_rs(F: np.ndarray, medium: MediumParams) -> tuple[np.ndarray, np.ndarray]:
     """Recover (E, H) from F."""
-    F = _check_vector_field(F)
+    F = _component_first(F, "F", ndim=4)
     return F.real / math.sqrt(medium.eps), F.imag / math.sqrt(medium.mu)
 
 
 def energy_and_poynting(F: np.ndarray, medium: MediumParams) -> tuple[np.ndarray, np.ndarray]:
     """Energy density w = F.F*/2 and flow Y = (i v / 2) F x F* (both real)."""
-    F = _check_vector_field(F)
+    F = _component_first(F, "F", ndim=4)
     w = 0.5 * np.sum(F * np.conj(F), axis=0).real
     Y = (0.5j * medium.v * np.cross(F, np.conj(F), axis=0)).real
     return w, Y
@@ -122,8 +121,8 @@ def curl_evolution_residual(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    F0 = _check_vector_field(F0)
-    F1 = _check_vector_field(F1)
+    F0 = _component_first(F0, "F0", ndim=4)
+    F1 = _component_first(F1, "F1", ndim=4)
     mid = 0.5 * (F0 + F1)
     lhs = (F1 - F0) / dt
     rhs = -1j * medium.v * spectral_curl(mid, length)
@@ -175,9 +174,7 @@ def circular_plane_wave(
         raise ValueError("sigma must be +1 or -1")
     if k <= 0:
         raise ValueError("k must be positive")
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != 3:
-        raise ValueError("x must be component-first, shape (3, ...)")
+    x = _component_first(x, "x", dtype=float)
     phi = k * (x[2] - sigma * medium.v * t)
     zero = np.zeros_like(phi)
     A = A_perp * np.stack([np.cos(phi), sigma * np.sin(phi), zero])

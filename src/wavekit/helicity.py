@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import MediumParams, polarization_basis
+from .em import MediumParams, _component_first, polarization_basis
 
 # Size limit, checked before anything is allocated (README "Size limits").
 MAX_MESH_POINTS = 2**24  # n^3 points of a gridded check: n <= 256
@@ -73,9 +73,7 @@ class ComplexPotentialMode:
 
     def evaluate(self, x: np.ndarray, t: float = 0.0, v: float = 1.0) -> np.ndarray:
         """U on a component-first mesh x of shape (3, ...)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != 3:
-            raise ValueError("x must be component-first, shape (3, ...)")
+        x = _component_first(x, "x", dtype=float)
         phase = np.exp(-1j * np.tensordot(self.k, x, axes=(0, 0)) + 1j * self.sigma * self.omega(v) * t)
         pol = self.amplitude * self.polarization()
         return pol[(slice(None),) + (None,) * phase.ndim] * phase
@@ -103,9 +101,7 @@ def helicity_eigencheck(U: np.ndarray, k: np.ndarray, sigma: int) -> float:
     """
     if sigma not in (-1, 1):
         raise ValueError("sigma must be +1 or -1")
-    U = np.asarray(U)
-    if U.shape[0] != 3:
-        raise ValueError("U must be component-first, shape (3, ...)")
+    U = _component_first(U, "U")
     k = np.asarray(k, dtype=float)
     norm = float(np.linalg.norm(k))
     if norm == 0:
@@ -116,9 +112,7 @@ def helicity_eigencheck(U: np.ndarray, k: np.ndarray, sigma: int) -> float:
 
 def rotate_field(U: np.ndarray, axis: np.ndarray, theta: float) -> np.ndarray:
     """Rotate the vector value at every point about `axis` by angle theta."""
-    U = np.asarray(U)
-    if U.shape[0] != 3:
-        raise ValueError("U must be component-first, shape (3, ...)")
+    U = _component_first(U, "U")
     a = np.asarray(axis, dtype=float)
     a = a / np.linalg.norm(a)
     adotU = a[0] * U[0] + a[1] * U[1] + a[2] * U[2]
@@ -135,9 +129,7 @@ def cylindrical_solution(
     """Axial Beltrami solution: curl U = k U and dU/dt = -i v curl U."""
     if k <= 0:
         raise ValueError("k must be positive")
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != 3:
-        raise ValueError("x must be component-first, shape (3, ...)")
+    x = _component_first(x, "x", dtype=float)
     envelope = np.exp(1j * k * (x[2] - v * t))
     ux = scale * (x[0] - 1j * x[1]) * envelope / np.sqrt(2.0)
     uz = 1j * (np.sqrt(2.0) / k) * scale * envelope
@@ -150,9 +142,7 @@ def stencil_curl(U: np.ndarray, spacing: float) -> np.ndarray:
     Input (3, nx, ny, nz); output (3, nx-2, ny-2, nz-2).  No periodic wrap,
     so non-periodic analytic samples are handled correctly.
     """
-    U = np.asarray(U)
-    if U.ndim != 4 or U.shape[0] != 3:
-        raise ValueError("U must have shape (3, nx, ny, nz)")
+    U = _component_first(U, "U", ndim=4)
     if min(U.shape[1:]) < 3:
         raise ValueError("need at least 3 points per axis")
     if spacing <= 0:

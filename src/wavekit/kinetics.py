@@ -114,6 +114,15 @@ def planck_f(eps: np.ndarray | float, params: KineticParams) -> np.ndarray:
     return equilibrium_f(eps, params, SourceModel.WIEN_STIMULATED)
 
 
+def _spontaneous(x: np.ndarray, pref: float, model: SourceModel) -> np.ndarray:
+    """pref times the spontaneous part of the gain law at x = eps/kT."""
+    if model is SourceModel.RAYLEIGH_JEANS:
+        return pref / x
+    if model is SourceModel.NONE:
+        return np.zeros_like(x)
+    return pref * np.exp(-x)
+
+
 def equilibrium_f(
     eps: np.ndarray | float, params: KineticParams, model: SourceModel
 ) -> np.ndarray:
@@ -121,17 +130,11 @@ def equilibrium_f(
     model = SourceModel(model)
     x = params.x_of(eps)
     pref = 2.0 / params.h**3
-    if model is SourceModel.RAYLEIGH_JEANS:
-        out = pref / x
-    elif model is SourceModel.WIEN:
-        out = pref * np.exp(-x)
-    elif model is SourceModel.NONE:
-        out = np.zeros_like(x)
-    else:
+    if model is SourceModel.WIEN_STIMULATED:
         # expm1 overflows to inf past x ~ 709, and pref/inf = 0 is the exact limit
         with np.errstate(over="ignore"):
-            out = pref / np.expm1(x)
-    return out
+            return pref / np.expm1(x)
+    return _spontaneous(x, pref, model)
 
 
 def effective_rate(
@@ -153,15 +156,9 @@ def kinetic_rhs(
     model = SourceModel(model)
     x = params.x_of(eps)
     f = np.asarray(f, dtype=float)
-    pref = params.gamma * 2.0 / params.h**3
-    if model is SourceModel.RAYLEIGH_JEANS:
-        gain = pref / x
-    elif model is SourceModel.WIEN:
-        gain = pref * np.exp(-x)
-    elif model is SourceModel.NONE:
-        gain = np.zeros_like(x)
-    else:
-        gain = pref * np.exp(-x) * (1.0 + (params.h**3 / 2.0) * f)
+    gain = _spontaneous(x, params.gamma * 2.0 / params.h**3, model)
+    if model is SourceModel.WIEN_STIMULATED:
+        gain = gain * (1.0 + (params.h**3 / 2.0) * f)
     return gain - params.gamma * f
 
 

@@ -367,9 +367,8 @@ def wigner_3d(modes: PhotonModeSet) -> Wigner3D:
     m = modes.k.shape[0]
     check_pair_count(m)
     L = modes.box_length
-    w_box = (2.0 * np.pi) ** 3 / L**3
     hbar = modes.hbar
-    pref = w_box**2 / ((2.0 * np.pi) ** 3 * hbar)
+    pref = modes.box_measure**2 / ((2.0 * np.pi) ** 3 * hbar)
     amp = (pref * (modes.psik @ np.conj(modes.psik).T)).ravel()
     kept = np.flatnonzero(amp)
     a, b = np.divmod(kept, m)
