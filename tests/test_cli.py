@@ -267,9 +267,9 @@ ZERO_IDS = [
 ]
 
 
-# wigner-gaussian motions whose moved center x0 + v t_final or transport phase
-# 2 pi v t_final / ell overflows, or whose moved center keeps no digit at the grid
-# spacing ell / 2: (command, payload, named)
+# wigner-gaussian motions whose moved center x0 + v t_final overflows or keeps no digit
+# at the grid spacing ell / 2; the ids of the first two keep the name of a transport-phase
+# check that is gone, and the center check refuses them: (command, payload, named)
 OVERFLOWING_MOTION = [
     ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", t_final=1e308),
      "v = 1.0 and t_final = 1e+308"),
@@ -491,6 +491,30 @@ def test_huge_packet_g_runs_without_warnings(tmp_path, capsys, command, scenario
     assert math.isfinite(json.loads((out / "summary.json").read_text())[figure])
 
 
+# v 1e308 moves the packet by v t_final = 1e8 in t_final 1e-300: a finite, exact center
+def test_fast_short_motion_runs_without_warnings(tmp_path, capsys):
+    out = tmp_path / "out"
+    payload = scenario_payload(out, "wigner-gaussian", "wigner", v=1e308, t_final=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["wigner", "--config", str(write_config(tmp_path, payload))]) == 0
+    assert capsys.readouterr().err == ""
+    assert math.isfinite(json.loads((out / "summary.json").read_text())["closed_form_error_t"])
+
+
+# the precession check turns by the angle omega t = 0.7 itself, so a subnormal omega = v k
+# takes no time 0.7 / omega that overflows
+@pytest.mark.parametrize("v", [5e-324, 1e-320, 1e-310])
+def test_subnormal_helicity_speed_passes_without_warnings(tmp_path, capsys, v):
+    payload = scenario_payload(tmp_path / "out", "verify-helicity", "helicity", v=v)
+    cfg = write_config(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "PASS precession_phase" in captured.out
+
+
 @pytest.mark.parametrize(
     "kinetics, named",
     [
@@ -626,6 +650,36 @@ def test_public_surface_matches_readme():
         assert sorted(re.findall(r"`(\w+)`", listed)) == public_names(module), name
 
 
+@pytest.mark.parametrize(
+    "value", [[1], None, 5, "thermal"], ids=["list", "null", "number", "string"]
+)
+@pytest.mark.parametrize("where", ["top level", "output", "kinetics"])
+def test_non_object_blocks_exit_3(tmp_path, capsys, monkeypatch, where, value):
+    monkeypatch.chdir(tmp_path)
+    payload = thermal_payload(tmp_path / "out")
+    cfg = write_config(tmp_path, value if where == "top level" else {**payload, where: value})
+    assert cli.main(["thermal-relax", "--config", str(cfg)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "validation", "detail": f"{where} must be an object"}
+    assert [path.name for path in tmp_path.iterdir()] == [cfg.name]
+
+
+def test_non_finite_summary_exits_4_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    command, block, cls, _ = experiments.SCENARIOS["thermal-planck"]
+    runner = lambda cfg, units: ({"figure": math.inf}, {})  # noqa: E731
+    monkeypatch.setitem(experiments.SCENARIOS, "thermal-planck", (command, block, cls, runner))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, thermal_payload(out))
+    assert cli.main(["thermal-relax", "--config", str(cfg)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [json.loads(line) for line in captured.err.splitlines()] == [
+        {"error": "numeric", "detail": "non-finite results: figure"}
+    ]
+    assert not out.exists()
+
+
 def test_family_mismatch_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, thermal_payload(tmp_path / "out"))
     code = cli.main(["wigner", "--config", str(cfg)])
@@ -681,6 +735,9 @@ def test_negative_control_exits_4(tmp_path, capsys):
         ("phonon-sim", "phonon-gaussian", "lattice", {"ell": 5e-324}, "OverflowError"),
         ("phonon-sim", "traveling-wave", "lattice", {"ell": 5e-324}, "OverflowError"),
         ("wigner", "wigner-gaussian", "wigner", {"ell": 5e-324}, "OverflowError"),
+        # the wavenumber scale 2 pi / ell overflows though 2 pi / (ell n) does not
+        ("wigner", "wigner-gaussian", "wigner", {"ell": 1e-308}, "OverflowError"),
+        ("wigner", "wigner-gaussian", "wigner", {"ell": 2e-308}, "OverflowError"),
         ("phonon-sim", "traveling-wave", "lattice", {"ell": 1e308}, "OverflowError"),
         ("wigner", "wigner-gaussian", "wigner", {"ell": 1e308}, "OverflowError"),
         ("phonon-sim", "phonon-gaussian", "lattice", {"ell": 1e308}, "OverflowError"),
@@ -693,7 +750,8 @@ def test_negative_control_exits_4(tmp_path, capsys):
         "huge-temperature", "tiny-thermal-v", "subnormal-eps", "huge-width", "huge-kappa",
         "huge-phonon-omega0", "huge-verify-omega0", "huge-verify-dt", "huge-verify-kappa",
         "huge-phonon-kappa", "subnormal-verify-ell", "subnormal-phonon-ell",
-        "subnormal-traveling-ell", "subnormal-wigner-ell", "huge-traveling-ell",
+        "subnormal-traveling-ell", "subnormal-wigner-ell", "tiny-wigner-ell",
+        "tiny-wigner-ell-2e-308", "huge-traveling-ell",
         "huge-wigner-ell", "huge-phonon-ell", "huge-verify-ell", "subnormal-verify-m",
         "subnormal-phonon-m", "subnormal-traveling-m",
     ],

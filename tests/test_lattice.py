@@ -247,6 +247,12 @@ def test_traveling_packet_chirality():
         assert lattice.chirality_leakage(wave, -direction) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_empty_wave_has_no_chirality_leakage():
+    wave = lattice.ActionWave(psik=np.zeros(8), k=np.linspace(-3.0, 3.0, 8), ell=1.0, hbar=1.0)
+    assert lattice.chirality_leakage(wave, 1) == 0.0
+    assert lattice.chirality_leakage(wave, -1) == 0.0
+
+
 def test_traveling_wave_init_rejects_bad_direction():
     params = chain(n_sites=8)
     with pytest.raises(ValueError):
