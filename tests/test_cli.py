@@ -491,28 +491,23 @@ def test_huge_packet_g_runs_without_warnings(tmp_path, capsys, command, scenario
     assert math.isfinite(json.loads((out / "summary.json").read_text())[figure])
 
 
-# v 1e308 moves the packet by v t_final = 1e8 in t_final 1e-300: a finite, exact center
-def test_fast_short_motion_runs_without_warnings(tmp_path, capsys):
-    out = tmp_path / "out"
-    payload = scenario_payload(out, "wigner-gaussian", "wigner", v=1e308, t_final=1e-300)
+# finite motions given by extreme factors: v 1e308 in t_final 1e-300 moves the packet by
+# 1e8, and verify-helicity precesses by omega t = 0.7 whatever the subnormal omega = v k
+@pytest.mark.parametrize(
+    "command, scenario, block, params",
+    [
+        ("wigner", "wigner-gaussian", "wigner", {"v": 1e308, "t_final": 1e-300}),
+        *[("verify", "verify-helicity", "helicity", {"v": v}) for v in (5e-324, 1e-320, 1e-310)],
+    ],
+    ids=["fast-short-motion", "subnormal-helicity-v", "subnormal-helicity-v-1e-320",
+         "subnormal-helicity-v-1e-310"],
+)
+def test_finite_motions_run_without_warnings(tmp_path, capsys, command, scenario, block, params):
+    cfg = write_config(tmp_path, scenario_payload(tmp_path / "out", scenario, block, **params))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli.main(["wigner", "--config", str(write_config(tmp_path, payload))]) == 0
+        assert cli.main([command, "--config", str(cfg)]) == 0
     assert capsys.readouterr().err == ""
-    assert math.isfinite(json.loads((out / "summary.json").read_text())["closed_form_error_t"])
-
-
-# the precession check turns by the angle omega t = 0.7 itself, so a subnormal omega = v k
-# takes no time 0.7 / omega that overflows
-@pytest.mark.parametrize("v", [5e-324, 1e-320, 1e-310])
-def test_subnormal_helicity_speed_passes_without_warnings(tmp_path, capsys, v):
-    payload = scenario_payload(tmp_path / "out", "verify-helicity", "helicity", v=v)
-    cfg = write_config(tmp_path, payload)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(["verify", "--config", str(cfg)]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == "" and "PASS precession_phase" in captured.out
 
 
 @pytest.mark.parametrize(
@@ -667,7 +662,10 @@ def test_non_object_blocks_exit_3(tmp_path, capsys, monkeypatch, where, value):
 
 def test_non_finite_summary_exits_4_and_writes_nothing(tmp_path, capsys, monkeypatch):
     command, block, cls, _ = experiments.SCENARIOS["thermal-planck"]
-    runner = lambda cfg, units: ({"figure": math.inf}, {})  # noqa: E731
+
+    def runner(cfg, units):
+        return {"figure": math.inf}, {}
+
     monkeypatch.setitem(experiments.SCENARIOS, "thermal-planck", (command, block, cls, runner))
     out = tmp_path / "out"
     cfg = write_config(tmp_path, thermal_payload(out))

@@ -99,6 +99,9 @@ def test_rotate_field_matches_rotation_matrix():
     assert np.max(np.abs(rotated - expected)) < 1e-13 * np.max(np.abs(U))
     with pytest.raises(ValueError):
         helicity.rotate_field(np.zeros((2, 5)), axis, theta)
+    # a scalar has no component axis: refused by name, not by an IndexError
+    with pytest.raises(ValueError, match="U must be component-first"):
+        helicity.rotate_field(1.0, axis, theta)
 
 
 def test_real_potential_matches_circular_wave():
