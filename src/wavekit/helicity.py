@@ -23,9 +23,11 @@ is divergence-free and Beltrami, curl U = k U, hence F = i k U.
 Gridded checks use plain centered differences (second order, no wraparound;
 results live on the interior of the mesh) so that discretization error is
 explicit and scales as (k h)^2 / 6.  Each check is a ratio of max-norms of
-pointwise stencil values, so a caller may reduce the max-norms slab by slab
-along one axis, each slab with a one-point halo, and get the whole-mesh
-result bit for bit while holding one slab at a time.
+pointwise values, so a caller may reduce the max-norms slab by slab along one
+axis and get the whole-mesh result bit for bit while holding one slab at a
+time: the stencil checks take each slab with a one-point halo, the plane-mode
+eigencheck takes it bare.  A private form of the axial solution takes three
+broadcastable axes, so on an open mesh its envelope is evaluated once per z.
 """
 
 from __future__ import annotations
@@ -89,15 +91,22 @@ def circular_complex_potential(A_perp: float, k: float, sigma: int, medium: Medi
 
 
 def _max_norm(U: np.ndarray) -> float:
-    """Largest pointwise vector norm of a component-first field."""
-    return float(np.max(np.sqrt(np.sum(np.abs(U) ** 2, axis=0))))
+    """Largest pointwise vector norm of a component-first field.
+
+    sqrt is monotone and correctly rounded, so taking it after the max gives
+    the max of the pointwise norms, NaN included.
+    """
+    squares = np.abs(U)
+    np.square(squares, out=squares)
+    return float(np.sqrt(np.max(np.sum(squares, axis=0))))
 
 
-def helicity_eigencheck(U: np.ndarray, k: np.ndarray, sigma: int) -> float:
-    """Max relative defect of k x U = -i sigma |k| U over the sampled points.
+def _eigencheck_parts(U: np.ndarray, k: np.ndarray, sigma: int) -> tuple[float, float]:
+    """Max-norms of the defect k x U + i sigma |k| U and of |k| U, the latter
+    floored at 1e-300; their ratio is helicity_eigencheck.
 
-    Zero (to round-off) for a sigma eigenfield; exactly 2 for the opposite
-    helicity.
+    Both are maxima of pointwise values, so the parts of a mesh cut into slabs
+    reduce to the whole mesh's parts.
     """
     if sigma not in (-1, 1):
         raise ValueError("sigma must be +1 or -1")
@@ -107,7 +116,17 @@ def helicity_eigencheck(U: np.ndarray, k: np.ndarray, sigma: int) -> float:
     if norm == 0:
         raise ValueError("k must be nonzero")
     defect = np.cross(k, U, axisb=0, axisc=0) + 1j * sigma * norm * U
-    return _max_norm(defect) / max(norm * _max_norm(U), 1e-300)
+    return _max_norm(defect), max(norm * _max_norm(U), 1e-300)
+
+
+def helicity_eigencheck(U: np.ndarray, k: np.ndarray, sigma: int) -> float:
+    """Max relative defect of k x U = -i sigma |k| U over the sampled points.
+
+    Zero (to round-off) for a sigma eigenfield; exactly 2 for the opposite
+    helicity.
+    """
+    num, den = _eigencheck_parts(U, k, sigma)
+    return num / den
 
 
 def rotate_field(U: np.ndarray, axis: np.ndarray, theta: float) -> np.ndarray:
@@ -127,13 +146,23 @@ def cylindrical_solution(
     x: np.ndarray, k: float, v: float, t: float = 0.0, scale: float = 1.0
 ) -> np.ndarray:
     """Axial Beltrami solution: curl U = k U and dU/dt = -i v curl U."""
+    x = _component_first(x, "x", dtype=float)
+    return _cylindrical_on_axes(x[0], x[1], x[2], k, v, t, scale)
+
+
+def _cylindrical_on_axes(x0, x1, x2, k, v, t=0.0, scale=1.0) -> np.ndarray:
+    """cylindrical_solution on three broadcastable coordinate arrays.
+
+    Each point's arithmetic is cylindrical_solution's; on open axes such as
+    np.meshgrid(..., sparse=True) the envelope is evaluated once per z and
+    x0 - i x1 once per (x, y).
+    """
     if k <= 0:
         raise ValueError("k must be positive")
-    x = _component_first(x, "x", dtype=float)
-    envelope = np.exp(1j * k * (x[2] - v * t))
-    ux = scale * (x[0] - 1j * x[1]) * envelope / np.sqrt(2.0)
+    envelope = np.exp(1j * k * (x2 - v * t))
+    ux = scale * (x0 - 1j * x1) * envelope / np.sqrt(2.0)
     uz = 1j * (np.sqrt(2.0) / k) * scale * envelope
-    return np.stack([ux, 1j * ux, uz])
+    return np.stack([ux, 1j * ux, np.broadcast_to(uz, ux.shape)])
 
 
 def stencil_curl(U: np.ndarray, spacing: float) -> np.ndarray:
@@ -148,17 +177,22 @@ def stencil_curl(U: np.ndarray, spacing: float) -> np.ndarray:
     if spacing <= 0:
         raise ValueError("spacing must be positive")
 
-    def diff(comp: np.ndarray, axis: int) -> np.ndarray:
+    step = 2.0 * spacing
+    curl = np.empty((3,) + tuple(n - 2 for n in U.shape[1:]), dtype=np.result_type(U.dtype, step))
+    scratch = np.empty_like(curl[0])
+
+    def diff(comp: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
         hi = [slice(1, -1)] * 3
         lo = [slice(1, -1)] * 3
         hi[axis] = slice(2, None)
         lo[axis] = slice(0, -2)
-        return (comp[tuple(hi)] - comp[tuple(lo)]) / (2.0 * spacing)
+        np.subtract(comp[tuple(hi)], comp[tuple(lo)], out=out)
+        return np.divide(out, step, out=out)
 
-    cx = diff(U[2], 1) - diff(U[1], 2)
-    cy = diff(U[0], 2) - diff(U[2], 0)
-    cz = diff(U[1], 0) - diff(U[0], 1)
-    return np.stack([cx, cy, cz])
+    np.subtract(diff(U[2], 1, curl[0]), diff(U[1], 2, scratch), out=curl[0])
+    np.subtract(diff(U[0], 2, curl[1]), diff(U[2], 0, scratch), out=curl[1])
+    np.subtract(diff(U[1], 0, curl[2]), diff(U[0], 1, scratch), out=curl[2])
+    return curl
 
 
 def interior(U: np.ndarray) -> np.ndarray:

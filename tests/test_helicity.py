@@ -260,32 +260,69 @@ SLAB_CASE = {
 }
 
 
+def precession_phase(U, plane_k):
+    """verify-helicity's precession check on one whole mesh: the rotated U against the
+    phased U, relative to max|U|."""
+    rotated = helicity.rotate_field(U, plane_k / np.linalg.norm(plane_k), -0.7)
+    return float(np.max(np.abs(rotated - U * np.exp(0.7j))) / np.max(np.abs(U)))
+
+
+def test_open_axes_solution_equals_dense_solution():
+    k, v, t, scale = 1.3, 0.9, 0.37, 0.8
+    rng = np.random.default_rng(5)
+    axes = [np.sort(rng.uniform(-2.0, 2.0, size=n)) for n in (5, 7, 11)]
+    dense = helicity.cylindrical_solution(np.stack(np.meshgrid(*axes, indexing="ij")), k, v, t, scale)
+    open_mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    assert np.array_equal(helicity._cylindrical_on_axes(*open_mesh, k, v, t, scale), dense)
+
+
 def test_slab_checks_equal_whole_mesh_checks():
-    # the half-spacing mesh of mesh_n 12 has 21 interior planes: two full slabs and a short one
+    # the half-spacing mesh of mesh_n 12 has 21 interior planes: two full slabs and a short
+    # one; its 12 x-planes make one full plane-mode slab and a short one
     interior_planes = 2 * SLAB_CASE["mesh_n"] - 3
     assert interior_planes > 2 * experiments._SLAB and interior_planes % experiments._SLAB
-    U, figures = experiments._cylindrical_block(**SLAB_CASE)
+    assert SLAB_CASE["mesh_n"] > experiments._SLAB and SLAB_CASE["mesh_n"] % experiments._SLAB
     oracle, expected = whole_mesh_checks(**SLAB_CASE)
-    assert np.array_equal(U, oracle)
-    assert figures == expected
+    assert experiments._cylindrical_block(**SLAB_CASE) == expected
+    figures = experiments._cylindrical_block(**SLAB_CASE, precession=True)
+    assert figures == {**expected, "precession_phase": precession_phase(oracle, SLAB_CASE["plane_k"])}
     assert all(math.isfinite(value) and value > 0 for value in figures.values())
 
 
 def test_slab_checks_keep_a_nan_of_one_slab(monkeypatch):
-    solution = helicity.cylindrical_solution
+    solution = helicity._cylindrical_on_axes
     last_fine_planes = (2 * SLAB_CASE["mesh_n"] - 3) % experiments._SLAB + 2
 
-    def nan_in_last_fine_slab(x, *args, **kwargs):
-        U = solution(x, *args, **kwargs)
-        if x.shape[1] == last_fine_planes:
+    def nan_in_last_fine_slab(x0, *args, **kwargs):
+        U = solution(x0, *args, **kwargs)
+        if x0.shape[0] == last_fine_planes:
             U[1, -2, 3, 3] = np.nan
         return U
 
-    oracle, expected = whole_mesh_checks(**SLAB_CASE)
-    monkeypatch.setattr(helicity, "cylindrical_solution", nan_in_last_fine_slab)
-    U, figures = experiments._cylindrical_block(**SLAB_CASE)
-    assert np.array_equal(U, oracle)
+    _, expected = whole_mesh_checks(**SLAB_CASE)
+    monkeypatch.setattr(helicity, "_cylindrical_on_axes", nan_in_last_fine_slab)
+    figures = experiments._cylindrical_block(**SLAB_CASE)
     nan = {"beltrami_residual_half_h", "stencil_order_ratio"}
+    assert all(math.isnan(figures[name]) for name in nan)
+    assert {n: v for n, v in figures.items() if n not in nan} == {
+        n: v for n, v in expected.items() if n not in nan
+    }
+
+
+def test_plane_mode_checks_keep_a_nan_of_one_slab(monkeypatch):
+    evaluate = helicity.ComplexPotentialMode.evaluate
+    last_planes = SLAB_CASE["mesh_n"] % experiments._SLAB
+
+    def nan_in_last_slab(self, x, *args, **kwargs):
+        U = evaluate(self, x, *args, **kwargs)
+        if x.shape[1] == last_planes:
+            U[2, -1, 4, 5] = np.nan
+        return U
+
+    _, expected = whole_mesh_checks(**SLAB_CASE)
+    monkeypatch.setattr(helicity.ComplexPotentialMode, "evaluate", nan_in_last_slab)
+    figures = experiments._cylindrical_block(**SLAB_CASE, precession=True)
+    nan = {"eigencheck_same", "eigencheck_opposite", "precession_phase"}
     assert all(math.isnan(figures[name]) for name in nan)
     assert {n: v for n, v in figures.items() if n not in nan} == {
         n: v for n, v in expected.items() if n not in nan
@@ -294,8 +331,8 @@ def test_slab_checks_keep_a_nan_of_one_slab(monkeypatch):
 
 @pytest.mark.parametrize("scenario", ["helicity-cylindrical", "verify-helicity"])
 def test_helicity_runner_peak_memory_under_one_half_spacing_field(scenario):
-    # the half-spacing checks hold one slab at a time, not the whole (2 mesh_n - 1)^3 mesh,
-    # and the mesh_n^3 mesh of the plane-mode checks is built after the last slab
+    # every check holds one slab at a time: neither the whole (2 mesh_n - 1)^3 mesh of the
+    # half-spacing check nor the mesh_n^3 mesh of the plane-mode and precession checks
     mesh_n = 33
     _, _, config_class, run = experiments.SCENARIOS[scenario]
     cfg = config_class(mesh_n=mesh_n)
@@ -308,5 +345,5 @@ def test_helicity_runner_peak_memory_under_one_half_spacing_field(scenario):
     finally:
         tracemalloc.stop()
     field_bytes = 3 * (2 * mesh_n - 1) ** 3 * np.dtype(complex).itemsize
-    # verify-helicity also holds the rotated and phased copies of U for its precession check
-    assert peak <= {"helicity-cylindrical": 0.5, "verify-helicity": 0.65}[scenario] * field_bytes
+    # both peak at 0.40 of a field, in the half-spacing check's slab
+    assert peak <= 0.44 * field_bytes

@@ -177,6 +177,68 @@ def test_translated_wave_rows_match_transport(n, ell, hbar, seed, turns, first, 
     assert np.max(np.abs(f - oracle.f[rows])) <= translation_bound(oracle, a)
 
 
+def covariance_bound(f):
+    """Round-off allowed between the transforms of two waves that an exact identity of
+    the doubled grid relates: a few eps of the peak."""
+    return 8 * np.finfo(float).eps * np.max(np.abs(f))
+
+
+# a boost by one mode, psi'_k -> psi'_{k - dk}, moves f by hbar dk = two p columns; the top
+# mode is zeroed first, so that no mode leaves the grid
+@given(
+    n=st.integers(2, 96),
+    ell=st.floats(0.05, 5.0),
+    hbar=st.floats(0.1, 3.0),
+    seed=st.integers(0, 2**31),
+)
+def test_boost_by_one_mode_shifts_two_p_columns(n, ell, hbar, seed):
+    wave = random_wave(n, seed, ell=ell, hbar=hbar)
+    psik = wave.psik.copy()
+    psik[-1] = 0.0
+    f = wigner.wigner_1d(replace(wave, psik=psik)).f
+    boosted = wigner.wigner_1d(replace(wave, psik=np.concatenate([[0.0], psik[:-1]]))).f
+    assert np.max(np.abs(boosted - np.roll(f, 2, axis=1))) <= covariance_bound(f)
+
+
+# conjugation, psi'_k -> conj psi'_{-k}, is psi -> psi*, which reflects p: column s of the
+# p_s = s dp grid (s = -n..n-1, periodic mod 2n) goes to column -s; for even n the bottom
+# mode -n/2 has no partner on the grid and is zeroed first
+@given(
+    n=st.integers(1, 96),
+    ell=st.floats(0.05, 5.0),
+    hbar=st.floats(0.1, 3.0),
+    seed=st.integers(0, 2**31),
+)
+def test_conjugation_reflects_p(n, ell, hbar, seed):
+    wave = random_wave(n, seed, ell=ell, hbar=hbar)
+    psik = wave.psik.copy()
+    if n % 2 == 0:
+        psik[0] = 0.0
+    f = wigner.wigner_1d(replace(wave, psik=psik)).f
+    # k_j = (j - n // 2) dk, so -k_j is mode 2 (n // 2) - j
+    partner = 2 * (n // 2) - np.arange(n)
+    conjugate = np.zeros_like(psik)
+    on_grid = partner < n
+    conjugate[on_grid] = np.conj(psik[partner[on_grid]])
+    reflected = wigner.wigner_1d(replace(wave, psik=conjugate)).f
+    s = np.arange(-n, n)
+    assert np.max(np.abs(reflected - f[:, (n - s) % (2 * n)])) <= covariance_bound(f)
+
+
+@given(
+    n=st.integers(1, 96),
+    ell=st.floats(0.05, 5.0),
+    hbar=st.floats(0.1, 3.0),
+    seed=st.integers(0, 2**31),
+    phi=st.floats(-10.0, 10.0),
+)
+def test_global_phase_leaves_f_unchanged(n, ell, hbar, seed, phi):
+    wave = random_wave(n, seed, ell=ell, hbar=hbar)
+    f = wigner.wigner_1d(wave).f
+    phased = wigner.wigner_1d(replace(wave, psik=wave.psik * np.exp(1j * phi))).f
+    assert np.max(np.abs(phased - f)) <= covariance_bound(f)
+
+
 # ---------------------------------------------------------------------------
 # exact discrete identities
 
@@ -402,6 +464,16 @@ def test_streamed_closed_error_matches_whole_grid(x0, t_final):
     summary, _ = experiments.run_wigner_gaussian(cfg, units)
     oracle, bound = whole_grid_error_t(cfg, units.hbar)
     assert abs(summary["closed_form_error_t"] - oracle) <= bound
+
+
+# whole ring turns carry no phase on the grid, so the moved check keeps its digits however
+# many turns the packet makes (before v t was reduced mod ell n it read 4e-9 at 1e5 turns
+# and 4e-5 at 1e9); the tenth of a turn leaves a motion that does not reduce to 0
+@pytest.mark.parametrize("turns", [1e5, 1e9, 1e5 + 0.1, 1e9 + 0.1])
+def test_moved_check_keeps_its_digits_over_many_turns(turns):
+    cfg = experiments.WignerGaussianConfig(n_modes=512, t_final=turns * 512)
+    summary, _ = experiments.run_wigner_gaussian(cfg, get_units("natural"))
+    assert summary["closed_form_error_t"] <= 10 * summary["closed_form_error_t0"]
 
 
 def test_streamed_closed_error_keeps_a_nan_in_the_last_block(monkeypatch):
