@@ -3,8 +3,9 @@
 Each scenario pairs a frozen config dataclass with a runner that takes its
 config and the run's UnitSystem and returns (summary, artifacts): summary is
 a JSON-ready dict, artifacts maps file names to their payloads, a column
-dict for a .csv name and a WignerGrid for a .wgrd name.  run_config looks up
-the config's top-level units and heads every summary with scenario and units.
+dict for a .csv name and a WignerGrid (or wigner's half ring) for a .wgrd
+name.  run_config looks up the config's top-level units and heads every
+summary with scenario and units.
 Runners are pure given config and units, so identical configs reproduce
 identical artifacts.
 """
@@ -327,8 +328,16 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
     quanta = lattice.action_area(wave) / u.h
     if quanta == 0:
         raise ConfigError("the Gaussian packet (n_quanta, g, k0_cells) misses every grid mode")
-    grid = wigner.wigner_1d(wave)
-    error_t0, peak = _closed_error(gp, grid.window(x0 - length / 4.0, x0 + length / 4.0), u.hbar)
+    ring = wigner._HalfRing(wave)
+    x, p, n = ring.x, ring.p, cfg.n_modes
+
+    def closed_errors(packet, blocks, p_cols, **motion):
+        # (error, peak) of the closed form on each block of rows lo.. at momenta p_cols
+        grids = (wigner.WignerGrid(x[lo : lo + len(b)], p_cols, b, u.hbar) for lo, b in blocks)
+        return [_closed_error(packet, grid, u.hbar, **motion) for grid in grids]
+
+    rows = wigner._window_rows(x, x0 - length / 4.0, x0 + length / 4.0)
+    error_t0, peak = np.max(closed_errors(gp, ring.blocks(rows), p), axis=0)
     # every grid wavenumber times ell n is a multiple of 2 pi, so the motion counts only mod
     # ell n, which fmod takes exactly; the closed form moves by vg t = vt
     vt = math.fmod(cfg.v * cfg.t_final, length)
@@ -337,23 +346,22 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
     gp_t = dataclasses.replace(gp, x0=x0 - (x0 + vt - moved))
     # omega = v|k| moves p > 0 by +v t, p < 0 by -v t and p = 0 not at all; psi(x - a), with
     # modes psi'_k exp(-i k a), has f(x - a, p), so the moved window's rows come from the
-    # wave translated each way, and each row block is checked as it comes
-    rows = wigner._window_rows(grid.x, moved - length / 4.0, moved + length / 4.0)
-    n, motion = cfg.n_modes, {"t": 1.0, "vg": vt}
-    still = wigner.WignerGrid(grid.x[rows], grid.p[n : n + 1], grid.f[rows, n : n + 1], u.hbar)
-    errors = [_closed_error(gp_t, still, u.hbar, **motion)[0]]
+    # wave translated each way, and each row block is checked as it comes; the p = 0
+    # column's ghost sign is +1, so its rows m >= n are rows m - n
+    rows = wigner._window_rows(x, moved - length / 4.0, moved + length / 4.0)
+    motion = {"t": 1.0, "vg": vt}
+    still = ring.half[np.arange(2 * n)[rows] % n, n : n + 1]
+    errors = closed_errors(gp_t, [(rows.start, still)], p[n : n + 1], **motion)
     for shift, cols in ((vt, slice(n + 1, None)), (-vt, slice(n))):
         psik = wave.psik * np.exp(-1j * wave.k * shift)
         site = wigner.doubled_site_values(dataclasses.replace(wave, psik=psik))
-        for lo, block in wigner._row_blocks(site, wigner._number_prefactor(wave), rows):
-            here = slice(lo, lo + len(block))
-            part = wigner.WignerGrid(grid.x[here], grid.p[cols], block[:, cols], u.hbar)
-            errors.append(_closed_error(gp_t, part, u.hbar, **motion)[0])
-    error_t = np.max(errors)
+        blocks = wigner._row_blocks(site, wigner._number_prefactor(wave), rows)
+        errors += closed_errors(gp_t, ((lo, b[:, cols]) for lo, b in blocks), p[cols], **motion)
+    error_t = np.max([error for error, _ in errors])
 
-    marg_x = grid.marginal_x()
-    density_h = np.abs(wigner.doubled_site_values(wave)) ** 2 / u.hbar
-    total = grid.total()
+    marg_x = ring.marginal_x()
+    density_h = np.abs(ring.site) ** 2 / u.hbar
+    total = ring.total()
 
     summary = {
         "total_number": total,
@@ -361,17 +369,17 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
         "total_error": _rel(total - quanta, quanta),
         "marginal_x_error": _rel(marg_x - density_h, np.max(density_h)),
         "marginal_p_error": _rel(
-            (grid.marginal_p() - wave.eta / u.hbar**2) * u.hbar**2, np.max(wave.eta)
+            (ring.marginal_p() - wave.eta / u.hbar**2) * u.hbar**2, np.max(wave.eta)
         ),
         "closed_form_error_t0": _rel(error_t0, peak),
         "closed_form_error_t": _rel(error_t, peak),
-        "marginal_defect": grid.marginal_defect,
+        "marginal_defect": ring.marginal_defect,
         "t_final": cfg.t_final,
     }
     artifacts = {
-        "grid.wgrd": grid,
+        "grid.wgrd": ring,
         "marginals.csv": {
-            "x": grid.x,
+            "x": x,
             "marginal_x": marg_x,
             "site_density": density_h,
         },

@@ -44,7 +44,8 @@ def read_csv(path) -> dict:
     }
 
 
-def write_wigner_grid(path, grid: WignerGrid) -> None:
+def write_wigner_grid(path, grid) -> None:
+    """A WignerGrid, or wigner's half ring, whose 2n rows go out block by block."""
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
@@ -58,7 +59,9 @@ def write_wigner_grid(path, grid: WignerGrid) -> None:
         fh.write(header)
         fh.write(grid.x.astype("<f8").tobytes())
         fh.write(grid.p.astype("<f8").tobytes())
-        fh.write(memoryview(np.ascontiguousarray(grid.f, dtype="<f8")))
+        rows = slice(0, grid.x.size)
+        for _, block in [(0, grid.f)] if isinstance(grid, WignerGrid) else grid.blocks(rows):
+            fh.write(memoryview(np.ascontiguousarray(block, dtype="<f8")))
 
 
 def read_wigner_grid(path) -> WignerGrid:

@@ -27,7 +27,10 @@ over the moved window's rows, and transport of a stored grid is
 evolve_wigner_group_velocity alone (rfft/irfft along x, one phase row per column).
 WignerGrid.marginal_defect records how well the computed f satisfies the
 marginal-x identity above, relative to the peak of |psi|^2/hbar, over the rows
-built.
+built.  The wigner-gaussian run holds its full-period grid as a half ring:
+rows 0..n-1 are transformed and stored, rows n..2n-1 are their ghost, made
+in blocks as they are read, so the run holds half a grid while its grid.wgrd
+artifact still holds all 2n rows.
 
 3-D.  A photon mode set {psi'_a at k_a} on box measure w = (2pi)^3/V has
 
@@ -92,11 +95,11 @@ class WignerGrid:
 
     @property
     def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
+        return _spacing(self.x)
 
     @property
     def dp(self) -> float:
-        return float(self.p[1] - self.p[0])
+        return _spacing(self.p)
 
     def total(self) -> float:
         return float(self.dx * self.dp * np.sum(self.f))
@@ -106,17 +109,18 @@ class WignerGrid:
         return self.dp * np.sum(self.f, axis=1)
 
     def marginal_p(self) -> np.ndarray:
-        """dx-sum over position, at even momentum rows only.
+        """dx-sum over position, at even-s momentum columns only.
 
         Returns the density on the coarse momentum grid p_j = hbar*k_j
-        (the odd rows alias between the two half windows and cancel in
+        (the odd-s columns alias between the two half windows and cancel in
         pairs; summing the full ring would double-count, so the full-period
-        sum is halved).  Requires a full-period grid.
+        sum is halved).  Column j holds s = j - n, so the even-s columns
+        start at j = n mod 2.  Requires a full-period grid.
         """
         if not self.full_period:
             raise ValueError("marginal_p needs the full-period grid")
-        even = self.f[:, ::2]
-        return 0.5 * self.dx * np.sum(even, axis=0)
+        n = self.p.size // 2
+        return 0.5 * self.dx * np.sum(self.f[:, n % 2 :: 2], axis=0)
 
     def window(self, x_lo: float, x_hi: float) -> "WignerGrid":
         """Half-open window [x_lo, x_hi) in x; marks the grid as windowed.
@@ -129,6 +133,13 @@ class WignerGrid:
             x=self.x[rows], p=self.p, f=self.f[rows], hbar=self.hbar,
             full_period=False, marginal_defect=self.marginal_defect,
         )
+
+
+def _spacing(axis: np.ndarray) -> float:
+    """Spacing of an evenly spaced axis, from its two adjacent entries of least magnitude:
+    on a full axis 0 and the spacing itself, so no bits go to the size of the far entries."""
+    i = int(np.argmin(np.abs(axis[:-1]) + np.abs(axis[1:])))
+    return float(axis[i + 1] - axis[i])
 
 
 def _window_rows(x: np.ndarray, x_lo: float, x_hi: float) -> slice:
@@ -218,6 +229,60 @@ def _number_prefactor(wave: ActionWave) -> float:
 def wigner_1d(wave: ActionWave) -> WignerGrid:
     """Number-form density of an action wave; integrates to A/h."""
     return _doubled_grid_transform(wave, _number_prefactor(wave))
+
+
+class _HalfRing:
+    """wigner_1d's density on the whole doubled grid, holding rows 0..n-1 only: row m >= n
+    is the checkerboard ghost half[m - n] * sign, sign = (-1)^s, made as it is read.
+
+    row_sums holds sum_s f for all 2n rows (half @ sign for the ghost rows); total,
+    marginal_x and marginal_defect come from them.  site holds the 2n half-spaced site
+    values the rows were built from.
+    """
+
+    full_period = True
+    dx = WignerGrid.dx
+    dp = WignerGrid.dp
+
+    def __init__(self, wave: ActionWave):
+        n = wave.psik.size
+        check_grid_size(n)
+        two_n = 2 * n
+        prefactor = _number_prefactor(wave)
+        self.x = (wave.ell / 2.0) * np.arange(two_n)
+        self.p = (wave.hbar * wave.dk / 2.0) * (np.arange(two_n) - n)
+        self.hbar = wave.hbar
+        self.site = doubled_site_values(wave)
+        self.half = np.empty((n, two_n))
+        self.sign = (-1.0) ** (np.arange(two_n) - n)
+        self.row_sums = np.empty(two_n)
+        for lo, block in _row_blocks(self.site, prefactor, slice(0, n), out=self.half):
+            self.row_sums[lo : lo + len(block)] = np.sum(block, axis=1)
+            self.row_sums[n + lo : n + lo + len(block)] = block @ self.sign
+        density = two_n * prefactor * np.abs(self.site) ** 2
+        self.marginal_defect = float(
+            np.max(np.abs(self.row_sums - density)) / max(np.max(density), 1e-300)
+        )
+
+    def total(self) -> float:
+        return float(self.dx * self.dp * np.sum(self.row_sums))
+
+    def marginal_x(self) -> np.ndarray:
+        return self.dp * self.row_sums
+
+    def marginal_p(self) -> np.ndarray:
+        """WignerGrid.marginal_p: an even-s column's ghost rows repeat rows 0..n-1."""
+        n = self.half.shape[0]
+        return self.dx * np.sum(self.half[:, n % 2 :: 2], axis=0)
+
+    def blocks(self, rows: slice):
+        """Yield (lo, block): f on the whole ring's rows lo.., at most _CHUNK rows at a
+        time, over the row range rows; a block of rows below n is a view of half."""
+        n = self.half.shape[0]
+        for part in (range(rows.start, min(rows.stop, n)), range(max(rows.start, n), rows.stop)):
+            for lo in part[::_CHUNK]:
+                hi = min(lo + _CHUNK, part.stop)
+                yield lo, self.half[lo:hi] if hi <= n else self.half[lo - n : hi - n] * self.sign
 
 
 def quasi_energy_density(wave: ActionWave, omega) -> WignerGrid:

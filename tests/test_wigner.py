@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wavekit import em, experiments, helicity, lattice, wigner
+from wavekit import em, experiments, gridio, helicity, lattice, wigner
 from wavekit.units import get_units
 
 
@@ -239,6 +239,48 @@ def test_global_phase_leaves_f_unchanged(n, ell, hbar, seed, phi):
     assert np.max(np.abs(phased - f)) <= covariance_bound(f)
 
 
+# the half ring: rows 0..n-1 of wigner_1d's transform, rows n..2n-1 from the checkerboard
+# ghost f(x + L/2, p_s) = (-1)^s f(x, p_s); the 2n-row transform is its oracle
+@given(
+    n=st.integers(1, 96),
+    ell=st.floats(0.05, 5.0),
+    hbar=st.floats(0.1, 3.0),
+    seed=st.integers(0, 2**31),
+)
+def test_half_ring_matches_the_whole_transform(n, ell, hbar, seed, tmp_path_factory):
+    wave = random_wave(n, seed, ell=ell, hbar=hbar)
+    oracle = wigner.wigner_1d(wave)
+    ring = wigner._HalfRing(wave)
+    assert np.array_equal(ring.x, oracle.x) and np.array_equal(ring.p, oracle.p)
+    assert np.array_equal(ring.half, oracle.f[:n])
+    blocks = list(ring.blocks(slice(0, 2 * n)))
+    assert all(len(block) <= wigner._CHUNK for _, block in blocks)
+    f = np.concatenate([block for _, block in blocks])
+    assert np.array_equal(f[:n], oracle.f[:n])
+    assert np.max(np.abs(f[n:] - oracle.f[n:])) <= covariance_bound(oracle.f)
+    assert ring.total() == pytest.approx(oracle.total(), rel=1e-12)
+    marginal_x = oracle.marginal_x()
+    assert np.max(np.abs(ring.marginal_x() - marginal_x)) < 1e-13 * np.max(marginal_x)
+    marginal_p = oracle.marginal_p()
+    assert np.max(np.abs(ring.marginal_p() - marginal_p)) < 1e-13 * np.max(marginal_p)
+    assert 0.0 <= ring.marginal_defect < 1e-12
+    path = tmp_path_factory.mktemp("ring") / "grid.wgrd"
+    gridio.write_wigner_grid(path, ring)
+    back = gridio.read_wigner_grid(path)
+    assert back.full_period and back.marginal_defect == ring.marginal_defect
+    assert np.array_equal(back.x, oracle.x) and np.array_equal(back.p, oracle.p)
+    assert np.array_equal(back.f, f)
+
+
+def test_half_ring_blocks_split_at_the_mirror():
+    ring = wigner._HalfRing(random_wave(100, seed=9))
+    rows = slice(70, 170)  # crosses row n = 100 inside the first block
+    starts = [lo for lo, _ in ring.blocks(rows)]
+    assert starts == [70, 100, 164]
+    f = np.concatenate([block for _, block in ring.blocks(rows)])
+    assert np.array_equal(f[30:], ring.half[:70] * ring.sign)
+
+
 # ---------------------------------------------------------------------------
 # exact discrete identities
 
@@ -251,15 +293,28 @@ def test_total_counts_quanta(seed, n_exp):
     assert grid.total() == pytest.approx(expected, rel=1e-12)
 
 
-@given(seed=st.integers(0, 2**31))
-def test_marginals_are_exact(seed):
-    wave = random_wave(16, seed)
+# column j holds s = j - n, so the even-s columns that carry the p marginal start at
+# j = n mod 2; at odd n the even-j columns are the odd-s ones, which cancel
+@given(seed=st.integers(0, 2**31), n=st.integers(1, 40))
+def test_marginals_are_exact(seed, n):
+    wave = random_wave(n, seed)
     grid = wigner.wigner_1d(wave)
     density_x = np.abs(wigner.doubled_site_values(wave)) ** 2 / wave.hbar
     scale = np.max(density_x)
     assert np.max(np.abs(grid.marginal_x() - density_x)) < 1e-13 * scale
     density_p = wave.eta / wave.hbar**2
     assert np.max(np.abs(grid.marginal_p() - density_p)) < 1e-13 * np.max(density_p)
+
+
+def test_full_axis_spacings_are_exact():
+    # dx and dp come from the axis entries 0 and one spacing, so no bits are lost to the
+    # magnitude of p[0] = -n hbar dk / 2
+    wave = random_wave(96, seed=3)
+    grid = wigner.wigner_1d(wave)
+    assert grid.dx == wave.ell / 2.0 and grid.dp == wave.hbar * wave.dk / 2.0
+    # a window keeps the difference of its first two rows
+    win = grid.window(10.0, 20.0)
+    assert win.dx == win.x[1] - win.x[0]
 
 
 def test_marginal_defect_on_gaussian():
@@ -493,15 +548,47 @@ def test_streamed_closed_error_keeps_a_nan_in_the_last_block(monkeypatch):
     assert not np.isnan(summary["closed_form_error_t0"])
 
 
+def test_t0_check_reads_the_ghost_rows(monkeypatch):
+    row_blocks = wigner._row_blocks
+
+    def nan_in_row_0(site, prefactor, rows, out=None):
+        # the half ring's transform only: row 0 lies outside the centred t = 0 window
+        # [n/2, 3n/2), its ghost row n inside
+        for lo, block in row_blocks(site, prefactor, rows, out):
+            if out is not None and lo == 0:
+                block[0, 0] = np.nan
+            yield lo, block
+
+    monkeypatch.setattr(wigner, "_row_blocks", nan_in_row_0)
+    cfg = experiments.WignerGaussianConfig(n_modes=150, g=30.0, k0_cells=20)
+    summary, _ = experiments.run_wigner_gaussian(cfg, get_units("natural"))
+    assert np.isnan(summary["closed_form_error_t0"])
+    assert not np.isnan(summary["closed_form_error_t"])
+
+
+# the grid spacings come from the axis entries about 0, so the figures they scale read
+# round-off (with p[1] - p[0] they read 1.05e-13 at n_modes 2048), and the p marginal
+# takes the even-s columns at odd n too (it read 1.0 at n_modes 63, 65 and 127)
+@pytest.mark.parametrize("n_modes", [63, 64, 65, 127, 2048])
+def test_runner_marginals_keep_their_digits(n_modes):
+    cfg = experiments.WignerGaussianConfig(n_modes=n_modes, g=n_modes / 5.0,
+                                           k0_cells=n_modes // 4, t_final=n_modes / 10.0)
+    summary, _ = experiments.run_wigner_gaussian(cfg, get_units("natural"))
+    assert summary["marginal_p_error"] < 1e-14
+    if n_modes == 2048:
+        assert summary["total_error"] <= 1e-15 and summary["marginal_x_error"] <= 1e-15
+
+
 @pytest.mark.parametrize(
     "scenario, size, bound",
-    [("wigner-gaussian", {"n_modes": 512}, 1.75), ("phonon-gaussian", {"n_sites": 512}, 1.25)],
+    [("wigner-gaussian", {"n_modes": 512}, 0.92), ("phonon-gaussian", {"n_sites": 512}, 1.25)],
 )
 def test_runner_peak_memory_per_grid(scenario, size, bound):
-    # wigner-gaussian holds one grid, the t = 0 grid, and checks its moved packet row
-    # block by row block on transforms of the translated wave; phonon-gaussian builds
-    # only the rows of its half window and crop, half a grid.  Closed-form errors take
-    # 64-row blocks, not half-window temporaries.
+    # wigner-gaussian holds half a grid, rows 0..n-1 of its t = 0 grid (the checkerboard
+    # ghost gives the rest), and checks its moved packet row block by row block on
+    # transforms of the translated wave; phonon-gaussian builds only the rows of its half
+    # window and crop, half a grid.  Closed-form errors take 64-row blocks, not
+    # half-window temporaries.
     _, _, config_class, run = experiments.SCENARIOS[scenario]
     cfg = config_class(**size)
     units = get_units("natural")
