@@ -3,11 +3,10 @@
 Each scenario pairs a frozen config dataclass with a runner that takes its
 config and the run's UnitSystem and returns (summary, artifacts): summary is
 a JSON-ready dict, artifacts maps file names to their payloads, a column
-dict for a .csv name and a WignerGrid (or wigner's half ring) for a .wgrd
-name.  run_config looks up the config's top-level units and heads every
-summary with scenario and units.
-Runners are pure given config and units, so identical configs reproduce
-identical artifacts.
+dict for a .csv name and a WignerGrid for a .wgrd name.  run_config looks
+up the config's top-level units and heads every summary with scenario and
+units.  Runners are pure given config and units, so identical configs
+reproduce identical artifacts.
 """
 
 from __future__ import annotations
@@ -328,16 +327,16 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
     quanta = lattice.action_area(wave) / u.h
     if quanta == 0:
         raise ConfigError("the Gaussian packet (n_quanta, g, k0_cells) misses every grid mode")
-    ring = wigner._HalfRing(wave)
-    x, p, n = ring.x, ring.p, cfg.n_modes
+    grid = wigner.wigner_1d(wave)
+    x, p, n = grid.x, grid.p, cfg.n_modes
 
     def closed_errors(packet, blocks, p_cols, **motion):
         # (error, peak) of the closed form on each block of rows lo.. at momenta p_cols
-        grids = (wigner.WignerGrid(x[lo : lo + len(b)], p_cols, b, u.hbar) for lo, b in blocks)
-        return [_closed_error(packet, grid, u.hbar, **motion) for grid in grids]
+        windows = (wigner.WignerGrid(x[lo : lo + len(b)], p_cols, b, u.hbar) for lo, b in blocks)
+        return [_closed_error(packet, window, u.hbar, **motion) for window in windows]
 
     rows = wigner._window_rows(x, x0 - length / 4.0, x0 + length / 4.0)
-    error_t0, peak = np.max(closed_errors(gp, ring.blocks(rows), p), axis=0)
+    error_t0, peak = np.max(closed_errors(gp, grid.blocks(rows), p), axis=0)
     # every grid wavenumber times ell n is a multiple of 2 pi, so the motion counts only mod
     # ell n, which fmod takes exactly; the closed form moves by vg t = vt
     vt = math.fmod(cfg.v * cfg.t_final, length)
@@ -350,7 +349,7 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
     # column's ghost sign is +1, so its rows m >= n are rows m - n
     rows = wigner._window_rows(x, moved - length / 4.0, moved + length / 4.0)
     motion = {"t": 1.0, "vg": vt}
-    still = ring.half[np.arange(2 * n)[rows] % n, n : n + 1]
+    still = grid.f[np.arange(2 * n)[rows] % n, n : n + 1]
     errors = closed_errors(gp_t, [(rows.start, still)], p[n : n + 1], **motion)
     for shift, cols in ((vt, slice(n + 1, None)), (-vt, slice(n))):
         psik = wave.psik * np.exp(-1j * wave.k * shift)
@@ -359,9 +358,9 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
         errors += closed_errors(gp_t, ((lo, b[:, cols]) for lo, b in blocks), p[cols], **motion)
     error_t = np.max([error for error, _ in errors])
 
-    marg_x = ring.marginal_x()
-    density_h = np.abs(ring.site) ** 2 / u.hbar
-    total = ring.total()
+    marg_x = grid.marginal_x()
+    density_h = np.abs(wigner.doubled_site_values(wave)) ** 2 / u.hbar
+    total = grid.total()
 
     summary = {
         "total_number": total,
@@ -369,15 +368,15 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
         "total_error": _rel(total - quanta, quanta),
         "marginal_x_error": _rel(marg_x - density_h, np.max(density_h)),
         "marginal_p_error": _rel(
-            (ring.marginal_p() - wave.eta / u.hbar**2) * u.hbar**2, np.max(wave.eta)
+            (grid.marginal_p() - wave.eta / u.hbar**2) * u.hbar**2, np.max(wave.eta)
         ),
         "closed_form_error_t0": _rel(error_t0, peak),
         "closed_form_error_t": _rel(error_t, peak),
-        "marginal_defect": ring.marginal_defect,
+        "marginal_defect": grid.marginal_defect,
         "t_final": cfg.t_final,
     }
     artifacts = {
-        "grid.wgrd": ring,
+        "grid.wgrd": grid,
         "marginals.csv": {
             "x": x,
             "marginal_x": marg_x,
@@ -537,6 +536,10 @@ def _cylindrical_block(plane_k, k, v, mesh_n, spacing, dt, center, precession=Fa
         return parts
 
     helicity.check_mesh_size(2 * mesh_n - 1)
+    # the stencils multiply by 1 / (2 spacing), by 1 / spacing at h/2 and by 1 / dt
+    for name, value in (("spacing", spacing), ("dt", dt)):
+        if value > 0 and math.isinf(1.0 / value):
+            raise ConfigError(f"{name} = {value!r} is too small: its reciprocal overflows")
     equation, coarse = zip(*(coarse_parts(xs) for xs in slabs(mesh_n, spacing)))
     # halve the spacing on the same physical cube to expose the stencil order
     fine = [beltrami(solution(xs), spacing / 2.0) for xs in slabs(2 * mesh_n - 1, spacing / 2.0)]

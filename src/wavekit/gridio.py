@@ -18,7 +18,7 @@ import numpy as np
 from .wigner import WignerGrid
 
 _MAGIC = b"WGRD"
-_VERSION = 2  # version 2: the header float holds WignerGrid.marginal_defect
+_VERSION = 3  # version 3: a full-period grid's body holds its rows 0..n-1 only
 _HEADER = struct.Struct("<4sIB7xQQdd")
 
 
@@ -44,8 +44,8 @@ def read_csv(path) -> dict:
     }
 
 
-def write_wigner_grid(path, grid) -> None:
-    """A WignerGrid, or wigner's half ring, whose 2n rows go out block by block."""
+def write_wigner_grid(path, grid: WignerGrid) -> None:
+    """A WignerGrid, with the rows it holds: all of a window's, rows 0..n-1 of a full period."""
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
@@ -59,9 +59,7 @@ def write_wigner_grid(path, grid) -> None:
         fh.write(header)
         fh.write(grid.x.astype("<f8").tobytes())
         fh.write(grid.p.astype("<f8").tobytes())
-        rows = slice(0, grid.x.size)
-        for _, block in [(0, grid.f)] if isinstance(grid, WignerGrid) else grid.blocks(rows):
-            fh.write(memoryview(np.ascontiguousarray(block, dtype="<f8")))
+        fh.write(memoryview(np.ascontiguousarray(grid.f, dtype="<f8")))
 
 
 def read_wigner_grid(path) -> WignerGrid:
@@ -73,19 +71,17 @@ def read_wigner_grid(path) -> WignerGrid:
         raise ValueError("not a phase-space grid file")
     if version != _VERSION:
         raise ValueError(f"unsupported grid version {version}")
+    rows = nx // 2 if flags & 1 else nx
     offset = _HEADER.size
-    expect = offset + 8 * (nx + npts + nx * npts)
+    expect = offset + 8 * (nx + npts + rows * npts)
     if len(raw) != expect:
         raise ValueError("grid file is truncated or padded")
     x = np.frombuffer(raw, dtype="<f8", count=nx, offset=offset).astype(float)
     offset += 8 * nx
     p = np.frombuffer(raw, dtype="<f8", count=npts, offset=offset).astype(float)
     offset += 8 * npts
-    f = np.frombuffer(raw, dtype="<f8", count=nx * npts, offset=offset).astype(float)
-    return WignerGrid(
-        x=x, p=p, f=f.reshape(nx, npts), hbar=hbar,
-        full_period=bool(flags & 1), marginal_defect=defect,
-    )
+    f = np.frombuffer(raw, dtype="<f8", count=rows * npts, offset=offset).astype(float)
+    return WignerGrid(x=x, p=p, f=f.reshape(rows, npts), hbar=hbar, marginal_defect=defect)
 
 
 def write_json(path, obj) -> None:

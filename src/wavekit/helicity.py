@@ -187,7 +187,8 @@ def stencil_curl(U: np.ndarray, spacing: float) -> np.ndarray:
         hi[axis] = slice(2, None)
         lo[axis] = slice(0, -2)
         np.subtract(comp[tuple(hi)], comp[tuple(lo)], out=out)
-        return np.divide(out, step, out=out)
+        # numpy divides a complex array by a real s as by (s, 0), which multiplies by 1 / s
+        return np.multiply(out, 1.0 / step, out=out)
 
     np.subtract(diff(U[2], 1, curl[0]), diff(U[1], 2, scratch), out=curl[0])
     np.subtract(diff(U[0], 2, curl[1]), diff(U[2], 0, scratch), out=curl[1])
@@ -215,7 +216,7 @@ def _equation_parts(
     U1 = np.asarray(U1)
     if U0.shape != U1.shape:
         raise ValueError("snapshots must share a shape")
-    lhs = (interior(U1) - interior(U0)) / dt
+    lhs = (interior(U1) - interior(U0)) * (1.0 / dt)
     rhs = -1j * v * stencil_curl(0.5 * (U0 + U1), spacing)
     return _max_norm(lhs - rhs), max(_max_norm(rhs), 1e-300)
 

@@ -14,23 +14,18 @@ p_s = (hbar*dk/2)*s with s in {-n..n-1}.  Exact discrete identities:
     sum over a half window in x at even s = eta_j / hbar^2 per dp cell
 
 and f inherits a checkerboard ghost from periodicity: f(x + L/2, p_s) =
-(-1)^s f(x, p_s).  Pointwise comparisons against continuum closed forms
-therefore live on a half window centered on the packet.
+(-1)^s f(x, p_s).  So a full-period WignerGrid holds rows 0..n-1 only, and
+row m >= n is made from row m - n as it is read.  Pointwise comparisons against
+continuum closed forms live on a half window centered on the packet.
 
 The lag product psi(x + y) psi*(x - y) is Hermitian in y, so each x row is
-built from lags 0..n only and transformed with a Hermitian FFT (hfft) that
-returns real numbers; rows of any contiguous range go in fixed blocks, written
-straight into f or reduced as they come.  The transform is translation
-covariant, exactly on the doubled grid: psi(x - a), with modes psi'_k e^{-ika},
-has f(x - a, p).  So the wigner-gaussian check transforms the translated wave
-over the moved window's rows, and transport of a stored grid is
-evolve_wigner_group_velocity alone (rfft/irfft along x, one phase row per column).
-WignerGrid.marginal_defect records how well the computed f satisfies the
-marginal-x identity above, relative to the peak of |psi|^2/hbar, over the rows
-built.  The wigner-gaussian run holds its full-period grid as a half ring:
-rows 0..n-1 are transformed and stored, rows n..2n-1 are their ghost, made
-in blocks as they are read, so the run holds half a grid while its grid.wgrd
-artifact still holds all 2n rows.
+built from lags 0..n only and transformed to real numbers by one real inverse
+FFT; rows of any contiguous range go in fixed blocks, written straight into f
+or reduced as they come.  The transform is translation covariant, exactly on
+the doubled grid: psi(x - a), with modes psi'_k e^{-ika}, has f(x - a, p).
+Transport of a stored grid is evolve_wigner_group_velocity (rfft/irfft along
+x, one phase row per column).  WignerGrid.marginal_defect records how well the
+computed f satisfies the marginal-x identity above, relative to its peak.
 
 3-D.  A photon mode set {psi'_a at k_a} on box measure w = (2pi)^3/V has
 
@@ -66,7 +61,8 @@ from .lattice import ActionWave
 _CHUNK = 64
 
 # Size limits, checked before anything is allocated (README "Size limits").
-MAX_GRID_CELLS = 2**26  # (2n)^2 cells of a 1-D grid: n <= 4096 modes, 512 MiB of float64
+# (2n)^2 cells of a 1-D grid: n <= 4096 modes; a full-period grid holds n rows, 256 MiB of float64
+MAX_GRID_CELLS = 2**26
 MAX_PAIRS = 2**20  # M^2 mode pairs of a 3-D density: M <= 1024 modes
 
 
@@ -74,9 +70,10 @@ MAX_PAIRS = 2**20  # M^2 mode pairs of a 3-D density: M <= 1024 modes
 class WignerGrid:
     """Sampled phase-space density on the doubled grid.
 
-    x runs over 2n points spaced ell/2; p over 2n points spaced hbar*dk/2.
-    f[i, j] is the density at (x[i], p[j]).  full_period marks whether x
-    still covers the whole ring (half-window views set it False).
+    x runs over 2n points spaced ell/2, or a window of them; p over 2n points
+    spaced hbar*dk/2.  f holds the rows the grid stores: a window stores each
+    of its rows, and a full-period grid (x holds all 2n points) rows 0..n-1,
+    row m >= n being the checkerboard ghost f[m - n] * (-1)^s.
     marginal_defect is the max-norm error of dp * sum_s f = |psi(x_m)|^2/hbar
     (|Phi(x_m)|^2 in energy form) relative to its peak, measured when the
     transform built f.
@@ -86,12 +83,16 @@ class WignerGrid:
     p: np.ndarray
     f: np.ndarray
     hbar: float
-    full_period: bool = True
     marginal_defect: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.f.shape != (self.x.size, self.p.size):
-            raise ValueError("f must have shape (len(x), len(p))")
+        if self.f.shape[1:] != self.p.shape or self.x.size not in (len(self.f), 2 * len(self.f)):
+            raise ValueError("f must have len(p) columns and len(x) rows, or half as many")
+
+    @property
+    def full_period(self) -> bool:
+        """Whether x covers the whole ring, so that f holds its first half."""
+        return self.x.size == 2 * len(self.f)
 
     @property
     def dx(self) -> float:
@@ -101,37 +102,54 @@ class WignerGrid:
     def dp(self) -> float:
         return _spacing(self.p)
 
+    @cached_property
+    def _sign(self) -> np.ndarray:
+        """(-1)^s, s = -n..n-1: the ghost rows' factor per column."""
+        return (-1.0) ** (np.arange(self.p.size) - self.p.size // 2)
+
+    @cached_property
+    def _row_sums(self) -> np.ndarray:
+        """sum_s f for every row of x; a ghost row's sum is its held row's f @ sign."""
+        sums = np.sum(self.f, axis=1)
+        return np.concatenate([sums, self.f @ self._sign]) if self.full_period else sums
+
     def total(self) -> float:
-        return float(self.dx * self.dp * np.sum(self.f))
+        return float(self.dx * self.dp * np.sum(self._row_sums))
 
     def marginal_x(self) -> np.ndarray:
         """dp-sum over momentum; equals |psi(x)|^2/hbar (number form)."""
-        return self.dp * np.sum(self.f, axis=1)
+        return self.dp * self._row_sums
 
     def marginal_p(self) -> np.ndarray:
         """dx-sum over position, at even-s momentum columns only.
 
-        Returns the density on the coarse momentum grid p_j = hbar*k_j
-        (the odd-s columns alias between the two half windows and cancel in
-        pairs; summing the full ring would double-count, so the full-period
-        sum is halved).  Column j holds s = j - n, so the even-s columns
-        start at j = n mod 2.  Requires a full-period grid.
+        Returns the density on the coarse momentum grid p_j = hbar*k_j: the
+        odd-s columns cancel in pairs, and an even-s column's ghost rows repeat
+        the held rows.  Column j holds s = j - n, so the even-s columns start at
+        j = n mod 2.  Requires a full-period grid.
         """
         if not self.full_period:
             raise ValueError("marginal_p needs the full-period grid")
-        n = self.p.size // 2
-        return 0.5 * self.dx * np.sum(self.f[:, n % 2 :: 2], axis=0)
+        n = self.f.shape[0]
+        return self.dx * np.sum(self.f[:, n % 2 :: 2], axis=0)
+
+    def blocks(self, rows: slice):
+        """Yield (lo, block): f on the rows lo.. of x, at most _CHUNK rows at a time, over
+        the row range rows; a block of held rows is a view of f, a ghost block a copy."""
+        n = self.f.shape[0]
+        for part in (range(rows.start, min(rows.stop, n)), range(max(rows.start, n), rows.stop)):
+            for lo in part[::_CHUNK]:
+                hi = min(lo + _CHUNK, part.stop)
+                yield lo, self.f[lo:hi] if hi <= n else self.f[lo - n : hi - n] * self._sign
 
     def window(self, x_lo: float, x_hi: float) -> "WignerGrid":
-        """Half-open window [x_lo, x_hi) in x; marks the grid as windowed.
-
-        x is ascending, so the window is one contiguous row range and the
-        result shares x and f with this grid instead of copying them.
-        """
+        """Half-open window [x_lo, x_hi) in x, one contiguous row range as x ascends.
+        Inside the held rows it shares x and f with this grid; past them it holds a copy."""
         rows = _window_rows(self.x, x_lo, x_hi)
+        held = rows.stop <= len(self.f)
+        f = self.f[rows] if held else np.concatenate([block for _, block in self.blocks(rows)])
         return WignerGrid(
-            x=self.x[rows], p=self.p, f=self.f[rows], hbar=self.hbar,
-            full_period=False, marginal_defect=self.marginal_defect,
+            x=self.x[rows], p=self.p, f=f, hbar=self.hbar, marginal_defect=self.marginal_defect
         )
 
 
@@ -177,48 +195,57 @@ def _row_blocks(site: np.ndarray, prefactor: float, rows: slice, out=None):
     row range rows, from the 2n half-spaced site values.
 
     Row m needs the lag product g[m, r] = psi(x_m + r*ell/2) psi*(x_m - r*ell/2) on the
-    ring of 2n lags; g[m, -r] = conj(g[m, r]), so lags 0..n fix the row and hfft returns
-    its transform as real numbers.  A block is a fresh array, or a view of out (whose row
-    0 is rows.start); a row's numbers do not depend on the block it falls in.
+    ring of 2n lags; g[m, -r] = conj(g[m, r]), so lags 0..n fix the row and its transform
+    is real: hfft(g) = irfft(conj g) unscaled.  irfft writes a block in place, into a fresh
+    array or a view of out (whose row 0 is rows.start); a row's numbers do not depend on
+    the block it falls in.
     """
     two_n = site.size
     n = two_n // 2
-    # ahead[m, r] = site[(m + r) % 2n] and behind[m, r] = conj(site[(m - r) % 2n]),
-    # both as strided views of two 3n-long copies of the ring.
-    ahead = sliding_window_view(np.concatenate([site, site[:n]]), n + 1)
-    behind = sliding_window_view(np.conj(np.concatenate([site[n:], site])), n + 1)[:, ::-1]
+    # conj g[m, r] = conj(site[(m + r) % 2n]) * site[(m - r) % 2n], from strided views of
+    # two 3n-long copies of the ring
+    ahead = sliding_window_view(np.conj(np.concatenate([site, site[:n]])), n + 1)
+    behind = sliding_window_view(np.concatenate([site[n:], site]), n + 1)[:, ::-1]
     lags = np.empty((min(_CHUNK, two_n), n + 1), dtype=complex)
     for lo in range(rows.start, rows.stop, _CHUNK):
         hi = min(lo + _CHUNK, rows.stop)
-        g = np.multiply(ahead[lo:hi], behind[lo:hi], out=lags[: hi - lo])
-        spectrum = np.fft.hfft(g, n=two_n, axis=1)
+        g = lags[: hi - lo]
+        np.copyto(g, ahead[lo:hi])
+        np.multiply(g, behind[lo:hi], out=g)
         block = np.empty((hi - lo, two_n)) if out is None else out[lo - rows.start :][: hi - lo]
-        # fftshift on the way out: momentum index s = -n..n-1 is FFT bin s mod 2n
-        np.multiply(spectrum[:, n:], prefactor, out=block[:, :n])
-        np.multiply(spectrum[:, :n], prefactor, out=block[:, n:])
+        np.fft.irfft(g, n=two_n, axis=1, norm="forward", out=block)
+        # fftshift: momentum index s = -n..n-1 is FFT bin s mod 2n; the lag buffer, which
+        # irfft is done with, holds one half meanwhile
+        low = g.view(float)[:, :n]
+        np.multiply(block[:, :n], prefactor, out=low)
+        np.multiply(block[:, n:], prefactor, out=block[:, :n])
+        block[:, n:] = low
         yield lo, block
 
 
 def _doubled_grid_transform(wave: ActionWave, prefactor: float, windows=()) -> WignerGrid:
-    """f on every row of the doubled grid, or on the rows from the first to the last that
-    the half-open x windows [x_lo, x_hi) hold; marginal_defect is measured over those rows."""
+    """f on the full period (rows 0..n-1 built), or on the rows from the first to the last
+    that the half-open x windows [x_lo, x_hi) hold; marginal_defect is measured over all
+    2n rows, the ghost rows' sums taken from their held rows, or over the windows' rows."""
     n = wave.psik.size
     check_grid_size(n)
     two_n = 2 * n
     x = (wave.ell / 2.0) * np.arange(two_n)
-    spans = [_window_rows(x, *bounds) for bounds in windows] or [slice(0, two_n)]
-    rows = slice(min(span.start for span in spans), max(span.stop for span in spans))
-    site = doubled_site_values(wave)
-    f = np.empty((rows.stop - rows.start, two_n))
-    row_sums = np.empty(f.shape[0])
-    for lo, block in _row_blocks(site, prefactor, rows, out=f):
-        row_sums[lo - rows.start :][: len(block)] = np.sum(block, axis=1)
-    # marginal-x identity: sum_s f[m, s] = 2n * prefactor * |site_m|^2
-    density = two_n * prefactor * np.abs(site[rows]) ** 2
-    defect = float(np.max(np.abs(row_sums - density)) / max(np.max(density), 1e-300))
     p = (wave.hbar * wave.dk / 2.0) * (np.arange(two_n) - n)
-    return WignerGrid(x=x[rows], p=p, f=f, hbar=wave.hbar, full_period=f.shape[0] == two_n,
-                      marginal_defect=defect)
+    spans = [_window_rows(x, *bounds) for bounds in windows] or [slice(0, n)]
+    rows = slice(min(span.start for span in spans), max(span.stop for span in spans))
+    grid = WignerGrid(x=x[rows] if windows else x, p=p,
+                      f=np.empty((rows.stop - rows.start, two_n)), hbar=wave.hbar)
+    site = doubled_site_values(wave)
+    row_sums = np.empty(grid.x.size)
+    for lo, block in _row_blocks(site, prefactor, rows, out=grid.f):
+        row_sums[lo - rows.start :][: len(block)] = np.sum(block, axis=1)
+        if not windows:  # row lo's ghost is row n + lo
+            row_sums[n + lo : n + lo + len(block)] = block @ grid._sign
+    # marginal-x identity: sum_s f[m, s] = 2n * prefactor * |site_m|^2
+    density = two_n * prefactor * np.abs(site[rows] if windows else site) ** 2
+    defect = float(np.max(np.abs(row_sums - density)) / max(np.max(density), 1e-300))
+    return replace(grid, marginal_defect=defect)
 
 
 def _number_prefactor(wave: ActionWave) -> float:
@@ -229,60 +256,6 @@ def _number_prefactor(wave: ActionWave) -> float:
 def wigner_1d(wave: ActionWave) -> WignerGrid:
     """Number-form density of an action wave; integrates to A/h."""
     return _doubled_grid_transform(wave, _number_prefactor(wave))
-
-
-class _HalfRing:
-    """wigner_1d's density on the whole doubled grid, holding rows 0..n-1 only: row m >= n
-    is the checkerboard ghost half[m - n] * sign, sign = (-1)^s, made as it is read.
-
-    row_sums holds sum_s f for all 2n rows (half @ sign for the ghost rows); total,
-    marginal_x and marginal_defect come from them.  site holds the 2n half-spaced site
-    values the rows were built from.
-    """
-
-    full_period = True
-    dx = WignerGrid.dx
-    dp = WignerGrid.dp
-
-    def __init__(self, wave: ActionWave):
-        n = wave.psik.size
-        check_grid_size(n)
-        two_n = 2 * n
-        prefactor = _number_prefactor(wave)
-        self.x = (wave.ell / 2.0) * np.arange(two_n)
-        self.p = (wave.hbar * wave.dk / 2.0) * (np.arange(two_n) - n)
-        self.hbar = wave.hbar
-        self.site = doubled_site_values(wave)
-        self.half = np.empty((n, two_n))
-        self.sign = (-1.0) ** (np.arange(two_n) - n)
-        self.row_sums = np.empty(two_n)
-        for lo, block in _row_blocks(self.site, prefactor, slice(0, n), out=self.half):
-            self.row_sums[lo : lo + len(block)] = np.sum(block, axis=1)
-            self.row_sums[n + lo : n + lo + len(block)] = block @ self.sign
-        density = two_n * prefactor * np.abs(self.site) ** 2
-        self.marginal_defect = float(
-            np.max(np.abs(self.row_sums - density)) / max(np.max(density), 1e-300)
-        )
-
-    def total(self) -> float:
-        return float(self.dx * self.dp * np.sum(self.row_sums))
-
-    def marginal_x(self) -> np.ndarray:
-        return self.dp * self.row_sums
-
-    def marginal_p(self) -> np.ndarray:
-        """WignerGrid.marginal_p: an even-s column's ghost rows repeat rows 0..n-1."""
-        n = self.half.shape[0]
-        return self.dx * np.sum(self.half[:, n % 2 :: 2], axis=0)
-
-    def blocks(self, rows: slice):
-        """Yield (lo, block): f on the whole ring's rows lo.., at most _CHUNK rows at a
-        time, over the row range rows; a block of rows below n is a view of half."""
-        n = self.half.shape[0]
-        for part in (range(rows.start, min(rows.stop, n)), range(max(rows.start, n), rows.stop)):
-            for lo in part[::_CHUNK]:
-                hi = min(lo + _CHUNK, part.stop)
-                yield lo, self.half[lo:hi] if hi <= n else self.half[lo - n : hi - n] * self.sign
 
 
 def quasi_energy_density(wave: ActionWave, omega) -> WignerGrid:
@@ -361,10 +334,12 @@ def evolve_wigner_group_velocity(grid: WignerGrid, vg, t: float) -> WignerGrid:
     f_new = np.empty_like(grid.f)
     for lo in range(0, grid.p.size, _CHUNK):
         cols = slice(lo, lo + _CHUNK)
-        spectrum = np.fft.rfft(grid.f[:, cols], axis=0)
+        # the columns' 2n rows; a translation keeps the ghost, so rows 0..n-1 are kept
+        half = grid.f[:, cols]
+        spectrum = np.fft.rfft(np.concatenate([half, half * grid._sign[cols]]), axis=0)
         spectrum *= np.exp(-1j * q[:, None] * vg[None, cols] * t)
         # irfft keeps only the real part of the Nyquist bin, as .real of a full ifft would
-        f_new[:, cols] = np.fft.irfft(spectrum, n=n2, axis=0)
+        f_new[:, cols] = np.fft.irfft(spectrum, n=n2, axis=0)[: len(half)]
     return WignerGrid(x=grid.x, p=grid.p, f=f_new, hbar=grid.hbar,
                       marginal_defect=grid.marginal_defect)
 

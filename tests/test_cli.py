@@ -618,6 +618,11 @@ def test_scenario_tables_agree(tmp_path, capsys):
     assert sampled == set(listed)
 
 
+def test_readme_grid_format_version_matches_gridio():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert re.findall(r"grid format version (\d+)", readme) == [str(gridio._VERSION)]
+
+
 # modules whose README "Library layout" bullet ends with "Public:" and their names;
 # experiments and cli answer to the scenario table instead
 LAYOUT_MODULES = ("lattice", "wigner", "em", "helicity", "kinetics", "gridio", "units")
@@ -821,8 +826,10 @@ def test_edge_value_sweep_fails_cleanly(tmp_path, capsys, scenario):
 
 # the helicity stencil checks reduce their max-norms slab by slab; these inputs pin the
 # outcomes that a slab loop gets wrong when it visits no slab on a mesh under 3 planes or
-# skips the equation residual's dt refusal.  The subnormal inputs stop at the CLI's
-# numeric boundary, at their first overflow.
+# skips the equation residual's dt refusal.  The stencils multiply by 1 / spacing and
+# 1 / dt, so a subnormal spacing or dt is refused by name before any mesh is built (it
+# exited 4 on numpy's "overflow encountered in divide"); a subnormal k stops at the CLI's
+# numeric boundary, at its first overflow.
 @pytest.mark.parametrize(
     "command, scenario, params, code, diagnostic",
     [
@@ -834,15 +841,21 @@ def test_edge_value_sweep_fails_cleanly(tmp_path, capsys, scenario):
          {"error": "validation", "detail": "dt must be positive"}),
         ("verify", "verify-helicity", {"dt": 0}, 3,
          {"error": "validation", "detail": "dt must be positive"}),
-        ("helicity-check", "helicity-cylindrical", {"spacing": 1e-320}, 4,
-         {"error": "numeric", "detail": "helicity-cylindrical failed: FloatingPointError:"
-          " overflow encountered in divide"}),
+        ("helicity-check", "helicity-cylindrical", {"spacing": 1e-320}, 3,
+         {"error": "validation",
+          "detail": "spacing = 1e-320 is too small: its reciprocal overflows"}),
         ("helicity-check", "helicity-cylindrical", {"k": 5e-324}, 4,
          {"error": "numeric", "detail": "helicity-cylindrical failed: FloatingPointError:"
           " overflow encountered in scalar divide"}),
-        ("verify", "verify-helicity", {"spacing": 1e-320}, 4,
-         {"error": "numeric", "detail": "verify-helicity failed: FloatingPointError:"
-          " overflow encountered in divide"}),
+        ("verify", "verify-helicity", {"spacing": 1e-320}, 3,
+         {"error": "validation",
+          "detail": "spacing = 1e-320 is too small: its reciprocal overflows"}),
+        ("helicity-check", "helicity-cylindrical", {"dt": 1e-310}, 3,
+         {"error": "validation",
+          "detail": "dt = 1e-310 is too small: its reciprocal overflows"}),
+        ("verify", "verify-helicity", {"dt": 1e-310}, 3,
+         {"error": "validation",
+          "detail": "dt = 1e-310 is too small: its reciprocal overflows"}),
         ("helicity-check", "helicity-cylindrical", {"spacing": -1e308}, 3,
          {"error": "validation",
           "detail": "bad value in helicity: spacing must be positive, got -1e+308"}),
@@ -853,7 +866,7 @@ def test_edge_value_sweep_fails_cleanly(tmp_path, capsys, scenario):
     ids=[
         "two-plane-mesh", "two-plane-verify-mesh", "zero-dt", "zero-verify-dt",
         "subnormal-spacing", "subnormal-k", "subnormal-verify-spacing", "huge-negative-spacing",
-        "huge-negative-verify-spacing",
+        "huge-negative-verify-spacing", "subnormal-dt", "subnormal-verify-dt",
     ],
 )
 def test_helicity_edge_outcomes(tmp_path, capsys, command, scenario, params, code, diagnostic):
@@ -952,7 +965,10 @@ def test_phonon_crop_is_the_windowed_transform(tmp_path, capsys):
     x0 = params.length / 2.0
     gp = wigner.GaussianEtaParams(n_quanta=cfg.n_quanta, g=cfg.g, k0=cfg.k0, x0=x0)
     raw = wigner.gaussian_action_wave(gp, cfg.ell, cfg.n_sites, 1.0)
-    grid = wigner.wigner_1d(lattice.psi_from_modes(lattice.modes_from_psi(raw, params), 1.0))
+    wave = lattice.psi_from_modes(lattice.modes_from_psi(raw, params), 1.0)
+    # all 2n rows transformed (the window reaches past row n, where wigner_1d mirrors)
+    prefactor = wigner._number_prefactor(wave)
+    grid = wigner._doubled_grid_transform(wave, prefactor, [(0.0, params.length)])
     sigma_x, sigma_p = math.sqrt(cfg.g / 2.0), 1.0 / math.sqrt(2.0 * cfg.g)
     window = grid.window(x0 - 4.0 * sigma_x, x0 + 4.0 * sigma_x)
     p_mask = np.abs(window.p - cfg.k0) <= 4.0 * sigma_p

@@ -95,11 +95,19 @@ def test_wigner_grid_rejects_corrupt_files(tmp_path):
         truncated.write_bytes(cut)
         with pytest.raises(ValueError):
             gridio.read_wigner_grid(truncated)
-    # version 1 stored a different header float; it must not be read as version 2
+    # version 1 stored a different header float and version 2 a full period's 2n rows;
+    # neither may be read as version 3
     old_version = tmp_path / "bad3.bin"
-    old_version.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
-    with pytest.raises(ValueError, match="unsupported grid version"):
-        gridio.read_wigner_grid(old_version)
+    for version in (1, 2):
+        old_version.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+        with pytest.raises(ValueError, match=f"unsupported grid version {version}"):
+            gridio.read_wigner_grid(old_version)
+    # a full-period body holds rows 0..n-1 only, so one holding all 2n rows is padded
+    assert grid.full_period
+    padded = tmp_path / "bad4.bin"
+    padded.write_bytes(raw + np.ascontiguousarray(grid.f, dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match="truncated or padded"):
+        gridio.read_wigner_grid(padded)
 
 
 def test_json_is_sorted_and_newline_terminated(tmp_path):

@@ -179,6 +179,27 @@ def test_cylindrical_stencil_second_order():
     assert 0.3 < r1 / ((k * h1) ** 2 / 6.0) < 1.5
 
 
+def divided_stencil_curl(U, h):
+    """The centered-difference curl with each difference divided by 2h."""
+    def d(comp, axis):
+        return (np.roll(comp, -1, axis) - np.roll(comp, 1, axis))[1:-1, 1:-1, 1:-1] / (2.0 * h)
+
+    return np.stack([d(U[2], 1) - d(U[1], 2), d(U[0], 2) - d(U[2], 0), d(U[1], 0) - d(U[0], 1)])
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.37, 3e-300, 7e290])
+def test_stencil_multiply_equals_the_division(h):
+    # numpy divides a complex array by a real s as by (s, 0), which multiplies by 1 / s, so
+    # the stencil's multiply by 1 / (2h) keeps the division's bits, over 26 decades of U
+    # (at h = 3e-300 some differences overflow, and the curl meets inf - inf)
+    rng = np.random.default_rng(11)
+    shape = (3, 6, 7, 8)
+    U = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.uniform(-13, 13, shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        curl, reference = helicity.stencil_curl(U, h), divided_stencil_curl(U, h)
+    assert np.array_equal(curl, reference, equal_nan=True)
+
+
 def test_field_from_potential_is_ik_times_U():
     k, v = 1.3, 0.9
     pts, h = mesh_cube(13, span=1.0)

@@ -29,6 +29,18 @@ def gaussian_wave(n=256, g=64.0, n_quanta=3.0, ell=1.0, hbar=1.0, k0=None):
     return gp, wigner.gaussian_action_wave(gp, ell, n, hbar)
 
 
+def whole_transform(wave, prefactor=None):
+    """All 2n rows of the doubled grid, each transformed: the window path over the ring."""
+    if prefactor is None:
+        prefactor = wigner._number_prefactor(wave)
+    return wigner._doubled_grid_transform(wave, prefactor, [(0.0, wave.ell * wave.psik.size)])
+
+
+def all_rows(grid):
+    """Every row of the grid's x: the held rows, then a full period's ghost rows."""
+    return np.concatenate([block for _, block in grid.blocks(slice(0, grid.x.size))])
+
+
 # ---------------------------------------------------------------------------
 # reference implementation: explicit correlation sums, O(n^3)
 
@@ -66,7 +78,7 @@ def test_matches_direct_summation():
     grid = wigner.wigner_1d(wave)
     assert np.max(np.abs(grid.x - x_ref)) == 0.0
     assert np.max(np.abs(grid.p - p_ref)) < 1e-15
-    assert np.max(np.abs(grid.f - f_ref)) / np.max(np.abs(f_ref)) < 1e-13
+    assert np.max(np.abs(all_rows(grid) - f_ref)) / np.max(np.abs(f_ref)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +119,13 @@ def test_half_lag_core_matches_full_matrix(n):
     )
     for grid, coeffs, scale in cases:
         ref = full_matrix_transform(coeffs, wave.ell, (wave.ell / 2.0) / math.pi * scale)
-        assert np.max(np.abs(grid.f - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(all_rows(grid) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_rfft_transport_matches_complex_fft():
-    grid = wigner.wigner_1d(random_wave(150, seed=5))
+    wave = random_wave(150, seed=5)
+    grid = wigner.wigner_1d(wave)
+    whole = whole_transform(wave)
     assert grid.p.size > wigner._CHUNK  # the columns span several blocks
     k_of_p = grid.p / grid.hbar
     t = 3.7
@@ -120,14 +134,14 @@ def test_rfft_transport_matches_complex_fft():
         (np.cos(k_of_p), np.cos(k_of_p)),
     ):
         moved = wigner.evolve_wigner_group_velocity(grid, vg, t)
-        ref = complex_fft_transport(grid, speeds, t)
-        assert np.max(np.abs(moved.f - ref)) <= 1e-13 * np.max(np.abs(ref))
+        ref = complex_fft_transport(whole, speeds, t)
+        assert np.max(np.abs(all_rows(moved) - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert moved.marginal_defect == grid.marginal_defect
 
 
 def test_row_blocks_match_the_whole_transform():
     wave = random_wave(150, seed=7)
-    grid = wigner.wigner_1d(wave)
+    grid = whole_transform(wave)
     rows = slice(37, 37 + 2 * wigner._CHUNK + 11)  # starts off 0 and ends in a short block
     prefactor = wigner._number_prefactor(wave)
     blocks = list(wigner._row_blocks(wigner.doubled_site_values(wave), prefactor, rows))
@@ -174,7 +188,7 @@ def test_translated_wave_rows_match_transport(n, ell, hbar, seed, turns, first, 
     site = wigner.doubled_site_values(translated(wave, a))
     blocks = wigner._row_blocks(site, wigner._number_prefactor(wave), rows)
     f = np.concatenate([block for _, block in blocks])
-    assert np.max(np.abs(f - oracle.f[rows])) <= translation_bound(oracle, a)
+    assert np.max(np.abs(f - all_rows(oracle)[rows])) <= translation_bound(oracle, a)
 
 
 def covariance_bound(f):
@@ -239,8 +253,8 @@ def test_global_phase_leaves_f_unchanged(n, ell, hbar, seed, phi):
     assert np.max(np.abs(phased - f)) <= covariance_bound(f)
 
 
-# the half ring: rows 0..n-1 of wigner_1d's transform, rows n..2n-1 from the checkerboard
-# ghost f(x + L/2, p_s) = (-1)^s f(x, p_s); the 2n-row transform is its oracle
+# a full period holds rows 0..n-1 of the transform, and rows n..2n-1 come from the
+# checkerboard ghost f(x + L/2, p_s) = (-1)^s f(x, p_s); the 2n-row transform is its oracle
 @given(
     n=st.integers(1, 96),
     ell=st.floats(0.05, 5.0),
@@ -249,36 +263,39 @@ def test_global_phase_leaves_f_unchanged(n, ell, hbar, seed, phi):
 )
 def test_half_ring_matches_the_whole_transform(n, ell, hbar, seed, tmp_path_factory):
     wave = random_wave(n, seed, ell=ell, hbar=hbar)
-    oracle = wigner.wigner_1d(wave)
-    ring = wigner._HalfRing(wave)
-    assert np.array_equal(ring.x, oracle.x) and np.array_equal(ring.p, oracle.p)
-    assert np.array_equal(ring.half, oracle.f[:n])
-    blocks = list(ring.blocks(slice(0, 2 * n)))
+    oracle = whole_transform(wave)
+    grid = wigner.wigner_1d(wave)
+    assert grid.full_period and not oracle.full_period
+    assert np.array_equal(grid.x, oracle.x) and np.array_equal(grid.p, oracle.p)
+    assert np.array_equal(grid.f, oracle.f[:n])
+    blocks = list(grid.blocks(slice(0, 2 * n)))
     assert all(len(block) <= wigner._CHUNK for _, block in blocks)
     f = np.concatenate([block for _, block in blocks])
     assert np.array_equal(f[:n], oracle.f[:n])
     assert np.max(np.abs(f[n:] - oracle.f[n:])) <= covariance_bound(oracle.f)
-    assert ring.total() == pytest.approx(oracle.total(), rel=1e-12)
+    assert grid.total() == pytest.approx(oracle.total(), rel=1e-12)
     marginal_x = oracle.marginal_x()
-    assert np.max(np.abs(ring.marginal_x() - marginal_x)) < 1e-13 * np.max(marginal_x)
-    marginal_p = oracle.marginal_p()
-    assert np.max(np.abs(ring.marginal_p() - marginal_p)) < 1e-13 * np.max(marginal_p)
-    assert 0.0 <= ring.marginal_defect < 1e-12
+    assert np.max(np.abs(grid.marginal_x() - marginal_x)) < 1e-13 * np.max(marginal_x)
+    # the even-s columns of all 2n rows, halved: each half window carries them once
+    marginal_p = 0.5 * oracle.dx * np.sum(oracle.f[:, n % 2 :: 2], axis=0)
+    assert np.max(np.abs(grid.marginal_p() - marginal_p)) < 1e-13 * np.max(marginal_p)
+    assert 0.0 <= grid.marginal_defect < 1e-12
     path = tmp_path_factory.mktemp("ring") / "grid.wgrd"
-    gridio.write_wigner_grid(path, ring)
+    gridio.write_wigner_grid(path, grid)
     back = gridio.read_wigner_grid(path)
-    assert back.full_period and back.marginal_defect == ring.marginal_defect
+    assert back.full_period and back.marginal_defect == grid.marginal_defect
     assert np.array_equal(back.x, oracle.x) and np.array_equal(back.p, oracle.p)
-    assert np.array_equal(back.f, f)
+    assert np.array_equal(back.f, grid.f) and np.array_equal(all_rows(back), f)
 
 
 def test_half_ring_blocks_split_at_the_mirror():
-    ring = wigner._HalfRing(random_wave(100, seed=9))
+    grid = wigner.wigner_1d(random_wave(100, seed=9))
     rows = slice(70, 170)  # crosses row n = 100 inside the first block
-    starts = [lo for lo, _ in ring.blocks(rows)]
+    starts = [lo for lo, _ in grid.blocks(rows)]
     assert starts == [70, 100, 164]
-    f = np.concatenate([block for _, block in ring.blocks(rows)])
-    assert np.array_equal(f[30:], ring.half[:70] * ring.sign)
+    f = np.concatenate([block for _, block in grid.blocks(rows)])
+    sign = (-1.0) ** (np.arange(200) - 100)
+    assert np.array_equal(f[:30], grid.f[70:]) and np.array_equal(f[30:], grid.f[:70] * sign)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +344,9 @@ def test_marginal_defect_on_gaussian():
 
 def test_checkerboard_ghost():
     # periodic images half a ring away carry an alternating sign in p
+    # (each of the 2n rows transformed, so rows n..2n-1 are computed, not mirrored)
     wave = random_wave(16, seed=12)
-    grid = wigner.wigner_1d(wave)
+    grid = whole_transform(wave)
     n = wave.psik.size
     signs = (-1.0) ** (np.arange(2 * n) - n)
     ghost = np.roll(grid.f, -n, axis=0)
@@ -357,9 +375,14 @@ def test_window_crops_position_only():
     assert np.all(win.x >= 2.0) and np.all(win.x < 5.0)
     mask = (grid.x >= 2.0) & (grid.x < 5.0)
     assert np.array_equal(win.x, grid.x[mask])
-    assert np.array_equal(win.f, grid.f[mask])
-    assert np.shares_memory(win.f, grid.f)  # a row view, not a copy
-    assert win.marginal_defect == grid.marginal_defect
+    assert np.array_equal(win.f, all_rows(grid)[mask])
+    assert np.shares_memory(win.f, grid.f)  # held rows: a row view, not a copy
+    assert win.marginal_defect == grid.marginal_defect and not win.full_period
+    # x_m = 0.4 m, so [5, 8) holds rows 13..19, across the mirror at n = 16
+    across = grid.window(5.0, 8.0)
+    mask = (grid.x >= 5.0) & (grid.x < 8.0)
+    assert np.array_equal(across.f, all_rows(grid)[mask])
+    assert not np.shares_memory(across.f, grid.f) and not across.full_period
     with pytest.raises(ValueError):
         win.marginal_p()
     with pytest.raises(ValueError):
@@ -441,7 +464,8 @@ def test_transport_exact_roll():
     grid = wigner.wigner_1d(wave)
     cells = 12
     moved = wigner.evolve_wigner_group_velocity(grid, 1.0, cells * grid.dx)
-    assert np.max(np.abs(moved.f - np.roll(grid.f, cells, axis=0))) < 1e-12 * np.max(grid.f)
+    rolled = np.roll(all_rows(grid), cells, axis=0)
+    assert np.max(np.abs(all_rows(moved) - rolled)) < 1e-12 * np.max(grid.f)
 
 
 def test_transport_closed_form_and_marginal_p():
@@ -552,7 +576,7 @@ def test_t0_check_reads_the_ghost_rows(monkeypatch):
     row_blocks = wigner._row_blocks
 
     def nan_in_row_0(site, prefactor, rows, out=None):
-        # the half ring's transform only: row 0 lies outside the centred t = 0 window
+        # the t = 0 grid's transform only: row 0 lies outside the centred t = 0 window
         # [n/2, 3n/2), its ghost row n inside
         for lo, block in row_blocks(site, prefactor, rows, out):
             if out is not None and lo == 0:
@@ -600,6 +624,19 @@ def test_runner_peak_memory_per_grid(scenario, size, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * (2 * 512) ** 2 * 8
+
+
+def test_wigner_1d_peak_memory_is_half_a_grid():
+    # a full period holds rows 0..n-1, half the (2n)^2 grid, plus row blocks and the sites
+    wave = random_wave(512, seed=1)
+    wigner.wigner_1d(wave)  # warm-up, so one-time caches are not counted
+    tracemalloc.start()
+    try:
+        wigner.wigner_1d(wave)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * (2 * 512) ** 2 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -791,6 +828,33 @@ def test_3d_quadrature_matches_full_grid(modes):
     energy = quadrature_reference(reference, modes.box_length, lambda p: v * np.linalg.norm(p))
     assert wigner.wigner_3d_total(w3) == pytest.approx(number, rel=1e-13)
     assert wigner.wigner_3d_energy(w3, v) == pytest.approx(energy, rel=1e-13)
+
+
+# translating a mode set by a, psi'_a -> psi'_a exp(-i k_a . a), multiplies each pair weight
+# by exp(-i (k_a - k_b) . a): every column's profile moves by a, and its integrals stay
+@given(
+    seed=st.integers(0, 2**31),
+    shift=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+    max_index=st.integers(1, 3),
+)
+def test_3d_translation_moves_every_column(seed, shift, max_index):
+    rng = np.random.default_rng(seed)
+    indices = random_indices(rng, 2 + 3 * max_index, max_index)
+    modes = indexed_mode_set(indices, seed=seed % 1000, box_length=4.0, hbar=1.3)
+    a = np.asarray(shift)
+    moved = replace(modes, psik=modes.psik * np.exp(-1j * (modes.k @ a))[:, None])
+    w3, w3_moved = wigner.wigner_3d(modes), wigner.wigner_3d(moved)
+    assert np.array_equal(w3_moved.p_mid, w3.p_mid)
+    assert np.array_equal(w3_moved.offsets, w3.offsets)
+    x = rng.uniform(0.0, modes.box_length, size=(5, 3))
+    for column, column_moved in zip(w3.columns, w3_moved.columns):
+        bound = 1e-12 * np.sum(np.abs(column.pairs["weight"]))
+        assert np.max(np.abs(column_moved.amplitude(x) - column.amplitude(x - a))) <= bound
+    total = wigner.wigner_3d_total(w3)
+    assert wigner.wigner_3d_total(w3_moved) == pytest.approx(total, rel=1e-12)
+    v = modes.medium.v
+    energy = wigner.wigner_3d_energy(w3, v)
+    assert wigner.wigner_3d_energy(w3_moved, v) == pytest.approx(energy, rel=1e-12)
 
 
 def test_3d_cross_terms_are_summed_not_assumed():
