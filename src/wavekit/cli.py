@@ -53,8 +53,8 @@ def _write_artifacts(out_dir: Path, summary: dict, artifacts: dict, top) -> list
     out_dir.mkdir(parents=True, exist_ok=True)
     gridio.write_json(out_dir / "summary.json", {"version": __version__, **summary})
     gridio.write_json(out_dir / "effective-config.json", experiments.effective_dict(top))
-    # the file suffix names the format
-    writers = {".csv": gridio.write_csv, ".wgrd": gridio.write_wigner_grid}
+    # the file suffix names the format; a .wgrd payload writes its file at the path it is given
+    writers = {".csv": gridio.write_csv, ".wgrd": lambda path, write: write(path)}
     for name in sorted(artifacts):
         writers[Path(name).suffix](out_dir / name, artifacts[name])
     return ["summary.json", "effective-config.json", *sorted(artifacts)]

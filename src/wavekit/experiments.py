@@ -3,9 +3,10 @@
 Each scenario pairs a frozen config dataclass with a runner that takes its
 config and the run's UnitSystem and returns (summary, artifacts): summary is
 a JSON-ready dict, artifacts maps file names to their payloads, a column
-dict for a .csv name and a WignerGrid for a .wgrd name.  run_config looks
-up the config's top-level units and heads every summary with scenario and
-units.  Runners are pure given config and units, so identical configs
+dict for a .csv name and for a .wgrd name a function that writes the file at
+a path, so a grid's rows can be transformed as they are written.  run_config
+looks up the config's top-level units and heads every summary with scenario
+and units.  Runners are pure given config and units, so identical configs
 reproduce identical artifacts.
 """
 
@@ -21,7 +22,7 @@ from typing import Annotated, Literal
 
 import numpy as np
 
-from . import em, helicity, kinetics, lattice, wigner
+from . import em, gridio, helicity, kinetics, lattice, wigner
 from .units import PRESETS, UnitSystem, get_units
 
 
@@ -101,21 +102,21 @@ def _rel(error, scale) -> float:
     return float(np.max(np.abs(error)) / scale)
 
 
-def _closed_error(gp, grid, hbar, **motion):
-    """(max|closed - f|, max closed) of the Gaussian closed form over a windowed grid.
-
-    An entry of the closed form's outer product does not depend on how it is sliced, so
-    64-row blocks hold the same numbers as the full outer product without a window-sized
-    temporary; np.max keeps a NaN.
-    """
-    errors, peaks = [], []
-    for lo in range(0, grid.x.size, 64):
-        rows = slice(lo, lo + 64)
-        block = wigner.wigner_gaussian_closed(gp, grid.x[rows], grid.p, hbar, **motion)
-        peaks.append(np.max(block))
-        np.subtract(block, grid.f[rows], out=block)
-        errors.append(np.max(np.abs(block, out=block)))
-    return np.max(errors), np.max(peaks)
+def _closed_errors(gp, x, p, hbar, rows, blocks, **motion):
+    """[(max|closed - f|, max closed, max f)] of the Gaussian closed form on the rows lo.. of
+    each (lo, block), or ghost (lo, block, sign) multiplied once cut, in the row range rows.
+    The closed form's entries do not depend on how it is sliced, and np.max keeps a NaN."""
+    errors = []
+    for lo, block, *sign in blocks:
+        first = max(lo, rows.start)
+        f = block[first - lo : max(rows.stop - lo, 0)]
+        if len(f):
+            f = f * sign[0] if sign else f
+            closed = wigner.wigner_gaussian_closed(gp, x[first : first + len(f)], p, hbar, **motion)
+            peak = np.max(closed)  # then the error in place: a block-sized temporary only
+            np.abs(np.subtract(closed, f, out=closed), out=closed)
+            errors.append((np.max(closed), peak, np.max(f)))
+    return errors
 
 
 # --- phonon-gaussian ---------------------------------------------------------
@@ -168,13 +169,21 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
     psi_t = lattice.psi_from_modes(modes_t, u.hbar).psik
 
     # the half window and a plot-ready crop of +-4 sigma about the packet center in each
-    # direction; only the rows from the first of them to the last are transformed
+    # direction: the rows from the first of them to the last are transformed, block by block
     windows = [(x0 - w, x0 + w) for w in (params.length / 4.0, 4.0 * math.sqrt(cfg.g / 2.0))]
-    grid = wigner._doubled_grid_transform(wave, wigner._number_prefactor(wave), windows)
-    half, crop = (grid.window(*bounds) for bounds in windows)
-    error, _ = _closed_error(gp, half, u.hbar)
+    x, p = wigner._doubled_axes(wave)
+    half, crop = (wigner._window_rows(x, *bounds) for bounds in windows)
+    p_mask = np.abs(p - u.hbar * cfg.k0) <= 4.0 * u.hbar / math.sqrt(2.0 * cfg.g)
+    checks, crops = [], []
+
+    def take(lo, block):
+        checks.extend(_closed_errors(gp, x, p, u.hbar, half, [(lo, block)]))
+        crops.append(block[max(crop.start - lo, 0) : max(crop.stop - lo, 0), p_mask])
+
+    prefactor = wigner._number_prefactor(wave)
+    _, _, defect = wigner._doubled_grid_transform(wave, prefactor, windows, take)
+    error, _, peak_f = np.max(checks, axis=0)
     wigner_error = _rel(error, cfg.n_quanta / (math.pi * u.hbar))
-    p_mask = np.abs(crop.p - u.hbar * cfg.k0) <= 4.0 * u.hbar / math.sqrt(2.0 * cfg.g)
 
     k = wave.k
     raw_area = lattice.action_area(raw)
@@ -192,7 +201,7 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
         "eta_drift": _rel(wave_t.eta - wave.eta, np.max(wave.eta)),
         "psi_vs_mode_evolution": _rel(psi_t - wave_t.psik, np.max(np.abs(wave_t.psik))),
         "wigner_closed_form_error": wigner_error,
-        "wigner_peak": float(np.max(half.f)),
+        "wigner_peak": float(peak_f),
         "t_final": cfg.t_final,
     }
     artifacts = {
@@ -209,7 +218,9 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
             "u_final": state_t.u,
             "v_final": state_t.v,
         },
-        "wigner.wgrd": dataclasses.replace(crop, p=crop.p[p_mask], f=crop.f[:, p_mask]),
+        "wigner.wgrd": lambda path: gridio.write_wigner_grid(
+            path, x[crop], p[p_mask], crops, u.hbar, defect
+        ),
     }
     return summary, artifacts
 
@@ -327,40 +338,43 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
     quanta = lattice.action_area(wave) / u.h
     if quanta == 0:
         raise ConfigError("the Gaussian packet (n_quanta, g, k0_cells) misses every grid mode")
-    grid = wigner.wigner_1d(wave)
-    x, p, n = grid.x, grid.p, cfg.n_modes
+    x, p = wigner._doubled_axes(wave)
+    n, prefactor = cfg.n_modes, wigner._number_prefactor(wave)
+    site = wigner.doubled_site_values(wave)
 
-    def closed_errors(packet, blocks, p_cols, **motion):
-        # (error, peak) of the closed form on each block of rows lo.. at momenta p_cols
-        windows = (wigner.WignerGrid(x[lo : lo + len(b)], p_cols, b, u.hbar) for lo, b in blocks)
-        return [_closed_error(packet, window, u.hbar, **motion) for window in windows]
-
+    # the t = 0 pass checks each held block, and its ghost n rows on, in the half window
     rows = wigner._window_rows(x, x0 - length / 4.0, x0 + length / 4.0)
-    error_t0, peak = np.max(closed_errors(gp, grid.blocks(rows), p), axis=0)
+    sign = (-1.0) ** (np.arange(2 * n) - n)
+    checks = []
+
+    def check(lo, block):
+        checks.extend(_closed_errors(gp, x, p, u.hbar, rows, [(lo, block), (n + lo, block, sign)]))
+
+    row_sums, column_sums, defect = wigner._doubled_grid_transform(wave, prefactor, consume=check)
+    error_t0, peak, _ = np.max(checks, axis=0)
     # every grid wavenumber times ell n is a multiple of 2 pi, so the motion counts only mod
     # ell n, which fmod takes exactly; the closed form moves by vg t = vt
     vt = math.fmod(cfg.v * cfg.t_final, length)
     # the moved center comes back onto the ring by whole turns, and so does the closed form's
     moved = (x0 + vt) % length
     gp_t = dataclasses.replace(gp, x0=x0 - (x0 + vt - moved))
-    # omega = v|k| moves p > 0 by +v t, p < 0 by -v t and p = 0 not at all; psi(x - a), with
-    # modes psi'_k exp(-i k a), has f(x - a, p), so the moved window's rows come from the
-    # wave translated each way, and each row block is checked as it comes; the p = 0
-    # column's ghost sign is +1, so its rows m >= n are rows m - n
+    # omega = v|k|: the evolved wave has modes psi'_k exp(-i |k| vt), and its transform on
+    # the moved half window is checked block by block against the closed form moved by +vt
     rows = wigner._window_rows(x, moved - length / 4.0, moved + length / 4.0)
-    motion = {"t": 1.0, "vg": vt}
-    still = grid.f[np.arange(2 * n)[rows] % n, n : n + 1]
-    errors = closed_errors(gp_t, [(rows.start, still)], p[n : n + 1], **motion)
-    for shift, cols in ((vt, slice(n + 1, None)), (-vt, slice(n))):
-        psik = wave.psik * np.exp(-1j * wave.k * shift)
-        site = wigner.doubled_site_values(dataclasses.replace(wave, psik=psik))
-        blocks = wigner._row_blocks(site, wigner._number_prefactor(wave), rows)
-        errors += closed_errors(gp_t, ((lo, b[:, cols]) for lo, b in blocks), p[cols], **motion)
-    error_t = np.max([error for error, _ in errors])
+    psi_t = dataclasses.replace(wave, psik=wave.psik * np.exp(-1j * np.abs(wave.k) * vt))
+    blocks = wigner._row_blocks(wigner.doubled_site_values(psi_t), prefactor, rows)
+    error_t = np.max(_closed_errors(gp_t, x, p, u.hbar, rows, blocks, t=1.0, vg=vt), axis=0)[0]
 
-    marg_x = grid.marginal_x()
-    density_h = np.abs(wigner.doubled_site_values(wave)) ** 2 / u.hbar
-    total = grid.total()
+    dx, dp = wigner._spacing(x), wigner._spacing(p)
+    marg_x = dp * row_sums
+    density_h = np.abs(site) ** 2 / u.hbar
+    total = float(dx * dp * np.sum(row_sums))
+
+    def write_grid(path):
+        # rows 0..n-1 transformed again as they are written, by the t = 0 pass's arithmetic on
+        # its site values: the same bytes, and no raise in the CLI's np.errstate where it had none
+        blocks = wigner._row_blocks(site, prefactor, slice(0, n))
+        gridio.write_wigner_grid(path, x, p, (block for _, block in blocks), u.hbar, defect)
 
     summary = {
         "total_number": total,
@@ -368,15 +382,15 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
         "total_error": _rel(total - quanta, quanta),
         "marginal_x_error": _rel(marg_x - density_h, np.max(density_h)),
         "marginal_p_error": _rel(
-            (grid.marginal_p() - wave.eta / u.hbar**2) * u.hbar**2, np.max(wave.eta)
+            (dx * column_sums - wave.eta / u.hbar**2) * u.hbar**2, np.max(wave.eta)
         ),
         "closed_form_error_t0": _rel(error_t0, peak),
         "closed_form_error_t": _rel(error_t, peak),
-        "marginal_defect": grid.marginal_defect,
+        "marginal_defect": defect,
         "t_final": cfg.t_final,
     }
     artifacts = {
-        "grid.wgrd": grid,
+        "grid.wgrd": write_grid,
         "marginals.csv": {
             "x": x,
             "marginal_x": marg_x,

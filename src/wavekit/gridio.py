@@ -44,22 +44,18 @@ def read_csv(path) -> dict:
     }
 
 
-def write_wigner_grid(path, grid: WignerGrid) -> None:
-    """A WignerGrid, with the rows it holds: all of a window's, rows 0..n-1 of a full period."""
-    header = _HEADER.pack(
-        _MAGIC,
-        _VERSION,
-        1 if grid.full_period else 0,
-        grid.x.size,
-        grid.p.size,
-        grid.hbar,
-        grid.marginal_defect,
-    )
+def write_wigner_grid(path, x, p, blocks, hbar, defect=0.0) -> None:
+    """A WignerGrid's axes and held rows, all of a window's or rows 0..n-1 of a full period
+    (flagged once counted), from blocks in order: (grid.f,) or a stream of row blocks."""
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(grid.x.astype("<f8").tobytes())
-        fh.write(grid.p.astype("<f8").tobytes())
-        fh.write(memoryview(np.ascontiguousarray(grid.f, dtype="<f8")))
+        fh.seek(_HEADER.size)
+        fh.write(np.concatenate([x, p]).astype("<f8").tobytes())
+        rows = 0
+        for block in blocks:
+            fh.write(memoryview(np.ascontiguousarray(block, dtype="<f8")))
+            rows += len(block)
+        fh.seek(0)
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, len(x) == 2 * rows, len(x), len(p), hbar, defect))
 
 
 def read_wigner_grid(path) -> WignerGrid:

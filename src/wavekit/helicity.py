@@ -160,9 +160,11 @@ def _cylindrical_on_axes(x0, x1, x2, k, v, t=0.0, scale=1.0) -> np.ndarray:
     if k <= 0:
         raise ValueError("k must be positive")
     envelope = np.exp(1j * k * (x2 - v * t))
-    ux = scale * (x0 - 1j * x1) * envelope / np.sqrt(2.0)
-    uz = 1j * (np.sqrt(2.0) / k) * scale * envelope
-    return np.stack([ux, 1j * ux, np.broadcast_to(uz, ux.shape)])
+    u = np.empty((3, *np.broadcast_shapes(np.shape(x0), np.shape(x1), envelope.shape)), complex)
+    np.divide(scale * (x0 - 1j * x1) * envelope, np.sqrt(2.0), out=u[0])
+    np.multiply(1j, u[0], out=u[1])
+    u[2] = 1j * (np.sqrt(2.0) / k) * scale * envelope
+    return u
 
 
 def stencil_curl(U: np.ndarray, spacing: float) -> np.ndarray:

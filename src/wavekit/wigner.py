@@ -148,9 +148,7 @@ class WignerGrid:
         rows = _window_rows(self.x, x_lo, x_hi)
         held = rows.stop <= len(self.f)
         f = self.f[rows] if held else np.concatenate([block for _, block in self.blocks(rows)])
-        return WignerGrid(
-            x=self.x[rows], p=self.p, f=f, hbar=self.hbar, marginal_defect=self.marginal_defect
-        )
+        return replace(self, x=self.x[rows], f=f)
 
 
 def _spacing(axis: np.ndarray) -> float:
@@ -223,29 +221,44 @@ def _row_blocks(site: np.ndarray, prefactor: float, rows: slice, out=None):
         yield lo, block
 
 
-def _doubled_grid_transform(wave: ActionWave, prefactor: float, windows=()) -> WignerGrid:
-    """f on the full period (rows 0..n-1 built), or on the rows from the first to the last
-    that the half-open x windows [x_lo, x_hi) hold; marginal_defect is measured over all
-    2n rows, the ghost rows' sums taken from their held rows, or over the windows' rows."""
+def _doubled_axes(wave: ActionWave) -> tuple[np.ndarray, np.ndarray]:
+    """x_m = m*ell/2, m = 0..2n-1, and p_s = (hbar*dk/2)*s, s = -n..n-1."""
+    m = np.arange(2 * wave.psik.size)
+    return (wave.ell / 2.0) * m, (wave.hbar * wave.dk / 2.0) * (m - wave.psik.size)
+
+
+def _doubled_grid_transform(wave: ActionWave, prefactor: float, windows=(), consume=None):
+    """f on the full period (rows 0..n-1 built) or on the rows from the first to the last that
+    the half-open x windows [x_lo, x_hi) hold, in row blocks reduced as they go by: sum_s f of
+    every row (a ghost's from its held row), marginal_defect, and a full period's even-s
+    columns summed over rows 0..n-1 in order, as np.sum(f, axis=0) adds them.  Returns the
+    stored blocks' WignerGrid, or (row_sums, column_sums, defect) if consume(lo, block) has them."""
     n = wave.psik.size
     check_grid_size(n)
     two_n = 2 * n
-    x = (wave.ell / 2.0) * np.arange(two_n)
-    p = (wave.hbar * wave.dk / 2.0) * (np.arange(two_n) - n)
+    x, p = _doubled_axes(wave)
     spans = [_window_rows(x, *bounds) for bounds in windows] or [slice(0, n)]
     rows = slice(min(span.start for span in spans), max(span.stop for span in spans))
-    grid = WignerGrid(x=x[rows] if windows else x, p=p,
-                      f=np.empty((rows.stop - rows.start, two_n)), hbar=wave.hbar)
+    f = None if consume else np.empty((rows.stop - rows.start, two_n))
+    sign = (-1.0) ** (np.arange(two_n) - n)
     site = doubled_site_values(wave)
-    row_sums = np.empty(grid.x.size)
-    for lo, block in _row_blocks(site, prefactor, rows, out=grid.f):
+    row_sums = np.empty(rows.stop - rows.start if windows else two_n)
+    # -0.0 is the additive identity of IEEE floats, so the first row is taken as it is
+    column_sums = np.full(n, -0.0)
+    for lo, block in _row_blocks(site, prefactor, rows, out=f):
         row_sums[lo - rows.start :][: len(block)] = np.sum(block, axis=1)
-        if not windows:  # row lo's ghost is row n + lo
-            row_sums[n + lo : n + lo + len(block)] = block @ grid._sign
+        if not windows:  # row lo's ghost is row n + lo; the even-s columns start at n mod 2
+            row_sums[n + lo : n + lo + len(block)] = block @ sign
+            for row in block[:, n % 2 :: 2]:
+                column_sums += row
+        if consume:
+            consume(lo, block)
     # marginal-x identity: sum_s f[m, s] = 2n * prefactor * |site_m|^2
     density = two_n * prefactor * np.abs(site[rows] if windows else site) ** 2
     defect = float(np.max(np.abs(row_sums - density)) / max(np.max(density), 1e-300))
-    return replace(grid, marginal_defect=defect)
+    if consume:
+        return row_sums, column_sums, defect
+    return WignerGrid(x=x[rows] if windows else x, p=p, f=f, hbar=wave.hbar, marginal_defect=defect)
 
 
 def _number_prefactor(wave: ActionWave) -> float:

@@ -951,33 +951,57 @@ def test_random_phases_are_seeded(tmp_path, capsys):
 
 
 def test_phonon_crop_is_the_windowed_transform(tmp_path, capsys):
-    # wigner.wgrd holds the packet's transform within 4 sigma of its center in x and in p
-    out = tmp_path / "out"
-    payload = scenario_payload(out, "phonon-gaussian", "lattice", n_sites=128)
-    assert cli.main(["phonon-sim", "--config", str(write_config(tmp_path, payload))]) == 0
-    capsys.readouterr()
-    crop = gridio.read_wigner_grid(out / "wigner.wgrd")
+    # wigner.wgrd holds the packet's transform within 4 sigma of its center in x and in p;
+    # the runner copies it out of the row blocks as they go by, and the packet at x0 = 3
+    # has its half window and crop cut by the ring's edge
+    for params in ({"n_sites": 128}, {"n_sites": 512, "x0": 3.0}):
+        out = tmp_path / str(len(params))
+        payload = scenario_payload(out, "phonon-gaussian", "lattice", **params)
+        assert cli.main(["phonon-sim", "--config", str(write_config(tmp_path, payload))]) == 0
+        capsys.readouterr()
+        crop = gridio.read_wigner_grid(out / "wigner.wgrd")
 
-    cfg = experiments.PhononGaussianConfig(n_sites=128)
-    params = lattice.LatticeParams(
-        m=cfg.m, omega0=cfg.omega0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
+        cfg = experiments.PhononGaussianConfig(**params)
+        lattice_params = lattice.LatticeParams(
+            m=cfg.m, omega0=cfg.omega0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
+        )
+        x0 = lattice_params.length / 2.0 if cfg.x0 is None else cfg.x0
+        gp = wigner.GaussianEtaParams(n_quanta=cfg.n_quanta, g=cfg.g, k0=cfg.k0, x0=x0)
+        raw = wigner.gaussian_action_wave(gp, cfg.ell, cfg.n_sites, 1.0)
+        wave = lattice.psi_from_modes(lattice.modes_from_psi(raw, lattice_params), 1.0)
+        # all 2n rows transformed (the window reaches past row n, where wigner_1d mirrors),
+        # then the crop as window() and the p mask take it
+        prefactor = wigner._number_prefactor(wave)
+        grid = wigner._doubled_grid_transform(wave, prefactor, [(0.0, lattice_params.length)])
+        sigma_x, sigma_p = math.sqrt(cfg.g / 2.0), 1.0 / math.sqrt(2.0 * cfg.g)
+        window = grid.window(x0 - 4.0 * sigma_x, x0 + 4.0 * sigma_x)
+        p_mask = np.abs(window.p - cfg.k0) <= 4.0 * sigma_p
+        assert crop.f.size > 0
+        assert np.array_equal(crop.x, window.x)
+        assert np.array_equal(crop.p, window.p[p_mask])
+        assert np.array_equal(crop.f, window.f[:, p_mask])
+        assert crop.full_period is False and crop.hbar == 1.0
+        assert crop.marginal_defect == grid.marginal_defect
+
+
+# wigner-gaussian holds no grid: its grid.wgrd rows are transformed again as they are
+# written, and a row's numbers do not depend on its block, so the file is the held grid's
+@pytest.mark.parametrize("n_modes", [63, 64, 512])
+def test_streamed_grid_file_is_the_held_grids(tmp_path, capsys, n_modes):
+    out = tmp_path / "out"
+    params = {"n_modes": n_modes, "k0_cells": n_modes // 4, "g": n_modes / 5.0}
+    payload = scenario_payload(out, "wigner-gaussian", "wigner", **params)
+    assert cli.main(["wigner", "--config", str(write_config(tmp_path, payload))]) == 0
+    capsys.readouterr()
+    cfg = experiments.WignerGaussianConfig(**params)
+    length = cfg.ell * n_modes
+    gp = wigner.GaussianEtaParams(
+        n_quanta=cfg.n_quanta, g=cfg.g, k0=cfg.k0_cells * (2.0 * math.pi / length), x0=length / 2.0
     )
-    x0 = params.length / 2.0
-    gp = wigner.GaussianEtaParams(n_quanta=cfg.n_quanta, g=cfg.g, k0=cfg.k0, x0=x0)
-    raw = wigner.gaussian_action_wave(gp, cfg.ell, cfg.n_sites, 1.0)
-    wave = lattice.psi_from_modes(lattice.modes_from_psi(raw, params), 1.0)
-    # all 2n rows transformed (the window reaches past row n, where wigner_1d mirrors)
-    prefactor = wigner._number_prefactor(wave)
-    grid = wigner._doubled_grid_transform(wave, prefactor, [(0.0, params.length)])
-    sigma_x, sigma_p = math.sqrt(cfg.g / 2.0), 1.0 / math.sqrt(2.0 * cfg.g)
-    window = grid.window(x0 - 4.0 * sigma_x, x0 + 4.0 * sigma_x)
-    p_mask = np.abs(window.p - cfg.k0) <= 4.0 * sigma_p
-    assert crop.f.size > 0
-    assert np.array_equal(crop.x, window.x)
-    assert np.array_equal(crop.p, window.p[p_mask])
-    assert np.array_equal(crop.f, window.f[:, p_mask])
-    assert crop.full_period is False and crop.hbar == 1.0
-    assert crop.marginal_defect == grid.marginal_defect
+    grid = wigner.wigner_1d(wigner.gaussian_action_wave(gp, cfg.ell, n_modes, 1.0))
+    held = tmp_path / "held.wgrd"
+    gridio.write_wigner_grid(held, grid.x, grid.p, (grid.f,), grid.hbar, grid.marginal_defect)
+    assert (out / "grid.wgrd").read_bytes() == held.read_bytes()
 
 
 def test_effective_config_reproduces_summary(tmp_path, capsys):

@@ -60,12 +60,17 @@ def test_csv_bytes_are_reproducible(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def write_grid(path, grid):
+    """A held grid's file: its rows are one block."""
+    gridio.write_wigner_grid(path, grid.x, grid.p, (grid.f,), grid.hbar, grid.marginal_defect)
+
+
 def test_wigner_grid_roundtrip(tmp_path):
     gp = wigner.GaussianEtaParams(n_quanta=2.0, g=16.0, k0=math.pi / 4, x0=32.0)
     wave = wigner.gaussian_action_wave(gp, 1.0, 64, 1.0)
     grid = wigner.wigner_1d(wave)
     path = tmp_path / "grid.bin"
-    gridio.write_wigner_grid(path, grid)
+    write_grid(path, grid)
     back = gridio.read_wigner_grid(path)
     assert np.array_equal(back.x, grid.x)
     assert np.array_equal(back.p, grid.p)
@@ -76,7 +81,7 @@ def test_wigner_grid_roundtrip(tmp_path):
     assert 0.0 < back.marginal_defect < 1e-12
     # windowed grids keep their flag through the file
     win = grid.window(20.0, 40.0)
-    gridio.write_wigner_grid(path, win)
+    write_grid(path, win)
     assert gridio.read_wigner_grid(path).full_period is False
 
 
@@ -84,7 +89,7 @@ def test_wigner_grid_rejects_corrupt_files(tmp_path):
     gp = wigner.GaussianEtaParams(n_quanta=1.0, g=4.0, k0=math.pi / 4, x0=8.0)
     grid = wigner.wigner_1d(wigner.gaussian_action_wave(gp, 1.0, 16, 1.0))
     path = tmp_path / "grid.bin"
-    gridio.write_wigner_grid(path, grid)
+    write_grid(path, grid)
     raw = path.read_bytes()
     bad_magic = tmp_path / "bad1.bin"
     bad_magic.write_bytes(b"XXXX" + raw[4:])
