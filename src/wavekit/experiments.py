@@ -494,8 +494,9 @@ class HelicityCylindricalConfig:
     center_z: float = 0.1
 
 
-# x-planes per slab of the helicity checks (interior planes of the stencil checks)
-_SLAB = 8
+# bytes of a slab of the helicity checks: a slab of an n-plane mesh takes as many x-planes as
+# this holds complex (3, n, n) planes of 48 n^2 bytes, and one at least
+_SLAB_BYTES = 512 * 1024
 
 
 def _cylindrical_block(plane_k, k, v, mesh_n, spacing, dt, center, precession=False):
@@ -508,29 +509,38 @@ def _cylindrical_block(plane_k, k, v, mesh_n, spacing, dt, center, precession=Fa
     eigencheck for each helicity and, with precession, the defect of the free
     evolution over omega t = 0.7 as a rigid precession of U about khat by
     -omega t, relative to max|U|.  Every figure is a ratio of maxima reduced
-    slab by slab (_SLAB x-planes; the stencil checks take _SLAB interior planes
-    with a one-plane halo); a max does not depend on the visiting order, so
-    each equals its whole-mesh value bit for bit.  The axial solution is
-    evaluated on open meshes: its envelope depends on z alone.
+    slab by slab (_SLAB_BYTES sets the x-planes; the stencil checks take as many
+    interior planes with a one-plane halo); a max does not depend on the
+    visiting order, so each equals its whole-mesh value bit for bit.  The axial
+    solution is evaluated on open meshes, and the stencil slabs of a mesh write
+    into one workspace: a flat buffer per role, reshaped for each slab.
     """
     def axes(n, h):
         s = (np.arange(n) - (n - 1) / 2.0) * h
         return [s + c for c in center]
 
     def slabs(n, h, halo=1):
-        ax = axes(n, h)
+        ax, planes = axes(n, h), max(1, _SLAB_BYTES // max(48 * n * n, 1))
         # one slab at least, so a mesh under 3 planes still meets stencil_curl's refusal
-        for i0 in range(halo, max(n - halo, 2), _SLAB):
-            i1 = min(i0 + _SLAB, n - halo)
+        for i0 in range(halo, max(n - halo, 2), planes):
+            i1 = min(i0 + planes, n - halo)
             yield np.meshgrid(ax[0][i0 - halo : i1 + halo], ax[1], ax[2], indexing="ij", sparse=True)
 
-    def solution(xs, t=0.0):
-        return helicity._cylindrical_on_axes(*xs, k, v, t)
+    def take(role, shape):
+        # a mesh's first slab is its largest, so a role's buffer allocated there fits every slab
+        if role not in work:
+            work[role] = np.empty(math.prod(shape), float if role == "norms" else complex)
+        return work[role][: math.prod(shape)].reshape(shape)
+
+    def solution(xs, t=0.0, role="U0"):
+        return helicity._cylindrical_on_axes(*xs, k, v, t, out=take(role, (3, *(x.size for x in xs))))
 
     def beltrami(U, h):
-        defect = helicity.stencil_curl(U, h)
-        defect -= k * helicity.interior(U)
-        return helicity._max_norm(defect), helicity._max_norm(helicity.interior(U))
+        inner = helicity.interior(U)
+        defect = helicity.stencil_curl(U, h, take("curl", inner.shape), take("scratch", inner.shape[1:]))
+        defect -= np.multiply(k, inner, out=take("inner", inner.shape))
+        norms = take("norms", inner.shape)
+        return helicity._max_norm(defect, norms), helicity._max_norm(inner, norms)
 
     def ratio(parts, scale=1.0):
         # np.max, unlike max(), keeps a NaN met in any one slab
@@ -538,8 +548,8 @@ def _cylindrical_block(plane_k, k, v, mesh_n, spacing, dt, center, precession=Fa
         return float(num) / (scale * float(den))
 
     def coarse_parts(xs):
-        U0, U1 = solution(xs), solution(xs, dt)
-        return helicity._equation_parts(U0, U1, dt, spacing, v), beltrami(U0, spacing)
+        U0, U1 = solution(xs), solution(xs, dt, "U1")
+        return helicity._equation_parts(U0, U1, dt, spacing, v, take), beltrami(U0, spacing)
 
     def plane_parts(xs):
         U = mode.evaluate(np.stack(np.broadcast_arrays(*xs)), v=v)
@@ -554,8 +564,11 @@ def _cylindrical_block(plane_k, k, v, mesh_n, spacing, dt, center, precession=Fa
     for name, value in (("spacing", spacing), ("dt", dt)):
         if value > 0 and math.isinf(1.0 / value):
             raise ConfigError(f"{name} = {value!r} is too small: its reciprocal overflows")
+    work = {}
     equation, coarse = zip(*(coarse_parts(xs) for xs in slabs(mesh_n, spacing)))
-    # halve the spacing on the same physical cube to expose the stencil order
+    # halve the spacing on the same physical cube to expose the stencil order; emptied, the
+    # workspace is sized again by this mesh's first slab
+    work.clear()
     fine = [beltrami(solution(xs), spacing / 2.0) for xs in slabs(2 * mesh_n - 1, spacing / 2.0)]
     r1, r2 = ratio(coarse, k), ratio(fine, k)
     mode = helicity.ComplexPotentialMode(k=plane_k, sigma=1)

@@ -26,8 +26,9 @@ explicit and scales as (k h)^2 / 6.  Each check is a ratio of max-norms of
 pointwise values, so a caller may reduce the max-norms slab by slab along one
 axis and get the whole-mesh result bit for bit while holding one slab at a
 time: the stencil checks take each slab with a one-point halo, the plane-mode
-eigencheck takes it bare.  A private form of the axial solution takes three
-broadcastable axes, so on an open mesh its envelope is evaluated once per z.
+eigencheck takes it bare.  A plane mode's phase k.x is taken elementwise, so a
+point's value does not depend on the mesh.  A private form of the axial solution
+takes three broadcastable axes: on an open mesh its envelope is taken once per z.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ class ComplexPotentialMode:
     def evaluate(self, x: np.ndarray, t: float = 0.0, v: float = 1.0) -> np.ndarray:
         """U on a component-first mesh x of shape (3, ...)."""
         x = _component_first(x, "x", dtype=float)
-        phase = np.exp(-1j * np.tensordot(self.k, x, axes=(0, 0)) + 1j * self.sigma * self.omega(v) * t)
+        kx = self.k[0] * x[0] + self.k[1] * x[1] + self.k[2] * x[2]
+        phase = np.exp(-1j * kx + 1j * self.sigma * self.omega(v) * t)
         pol = self.amplitude * self.polarization()
         return pol[(slice(None),) + (None,) * phase.ndim] * phase
 
@@ -90,13 +92,14 @@ def circular_complex_potential(A_perp: float, k: float, sigma: int, medium: Medi
     return ComplexPotentialMode(k=np.array([0.0, 0.0, k]), sigma=sigma, amplitude=amp)
 
 
-def _max_norm(U: np.ndarray) -> float:
-    """Largest pointwise vector norm of a component-first field.
+def _max_norm(U: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Largest pointwise vector norm of a component-first field, whose squared
+    moduli go to out (a float array of U's shape) if given.
 
     sqrt is monotone and correctly rounded, so taking it after the max gives
     the max of the pointwise norms, NaN included.
     """
-    squares = np.abs(U)
+    squares = np.abs(U, out=out)
     np.square(squares, out=squares)
     return float(np.sqrt(np.max(np.sum(squares, axis=0))))
 
@@ -150,8 +153,8 @@ def cylindrical_solution(
     return _cylindrical_on_axes(x[0], x[1], x[2], k, v, t, scale)
 
 
-def _cylindrical_on_axes(x0, x1, x2, k, v, t=0.0, scale=1.0) -> np.ndarray:
-    """cylindrical_solution on three broadcastable coordinate arrays.
+def _cylindrical_on_axes(x0, x1, x2, k, v, t=0.0, scale=1.0, out=None) -> np.ndarray:
+    """cylindrical_solution on three broadcastable coordinate arrays, into out if given.
 
     Each point's arithmetic is cylindrical_solution's; on open axes such as
     np.meshgrid(..., sparse=True) the envelope is evaluated once per z and
@@ -160,18 +163,20 @@ def _cylindrical_on_axes(x0, x1, x2, k, v, t=0.0, scale=1.0) -> np.ndarray:
     if k <= 0:
         raise ValueError("k must be positive")
     envelope = np.exp(1j * k * (x2 - v * t))
-    u = np.empty((3, *np.broadcast_shapes(np.shape(x0), np.shape(x1), envelope.shape)), complex)
-    np.divide(scale * (x0 - 1j * x1) * envelope, np.sqrt(2.0), out=u[0])
-    np.multiply(1j, u[0], out=u[1])
-    u[2] = 1j * (np.sqrt(2.0) / k) * scale * envelope
-    return u
+    if out is None:
+        out = np.empty((3, *np.broadcast_shapes(np.shape(x0), np.shape(x1), envelope.shape)), complex)
+    np.divide(np.multiply(scale * (x0 - 1j * x1), envelope, out=out[0]), np.sqrt(2.0), out=out[0])
+    np.multiply(1j, out[0], out=out[1])
+    out[2] = 1j * (np.sqrt(2.0) / k) * scale * envelope
+    return out
 
 
-def stencil_curl(U: np.ndarray, spacing: float) -> np.ndarray:
+def stencil_curl(U: np.ndarray, spacing: float, out=None, scratch=None) -> np.ndarray:
     """Centered-difference curl on the interior of a uniform mesh.
 
-    Input (3, nx, ny, nz); output (3, nx-2, ny-2, nz-2).  No periodic wrap,
-    so non-periodic analytic samples are handled correctly.
+    Input (3, nx, ny, nz); output (3, nx-2, ny-2, nz-2), into out if given, with
+    scratch (one component's shape) if given.  No periodic wrap, so
+    non-periodic analytic samples are handled correctly.
     """
     U = _component_first(U, "U", ndim=4)
     if min(U.shape[1:]) < 3:
@@ -180,8 +185,9 @@ def stencil_curl(U: np.ndarray, spacing: float) -> np.ndarray:
         raise ValueError("spacing must be positive")
 
     step = 2.0 * spacing
-    curl = np.empty((3,) + tuple(n - 2 for n in U.shape[1:]), dtype=np.result_type(U.dtype, step))
-    scratch = np.empty_like(curl[0])
+    shape = (3,) + tuple(n - 2 for n in U.shape[1:])
+    curl = np.empty(shape, dtype=np.result_type(U.dtype, step)) if out is None else out
+    scratch = np.empty_like(curl[0]) if scratch is None else scratch
 
     def diff(comp: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
         hi = [slice(1, -1)] * 3
@@ -204,23 +210,29 @@ def interior(U: np.ndarray) -> np.ndarray:
 
 
 def _equation_parts(
-    U0: np.ndarray, U1: np.ndarray, dt: float, spacing: float, v: float
+    U0: np.ndarray, U1: np.ndarray, dt: float, spacing: float, v: float, take=lambda role, shape: None
 ) -> tuple[float, float]:
     """Max-norms of the defect of dU/dt = -i v curl U and of v curl U, the
     latter floored at 1e-300; their ratio is potential_equation_residual.
+    take(role, shape) may hand out the arrays written, which numpy allocates on None.
 
     Both are maxima of pointwise values, so the parts of a mesh cut into slabs
     along one axis (each with a one-point halo) reduce to the whole mesh's parts.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    U0 = np.asarray(U0)
-    U1 = np.asarray(U1)
+    U0, U1 = np.asarray(U0), np.asarray(U1)
     if U0.shape != U1.shape:
         raise ValueError("snapshots must share a shape")
-    lhs = (interior(U1) - interior(U0)) * (1.0 / dt)
-    rhs = -1j * v * stencil_curl(0.5 * (U0 + U1), spacing)
-    return _max_norm(lhs - rhs), max(_max_norm(rhs), 1e-300)
+    lhs = np.subtract(interior(U1), interior(U0), out=take("inner", interior(U0).shape), dtype=complex)
+    lhs *= 1.0 / dt
+    mid = np.add(U0, U1, out=take("mid", U0.shape), dtype=complex)
+    mid *= 0.5
+    rhs = stencil_curl(mid, spacing, take("curl", lhs.shape), take("scratch", lhs.shape[1:]))
+    rhs *= -1j * v
+    lhs -= rhs
+    norms = take("norms", lhs.shape)
+    return _max_norm(lhs, norms), max(_max_norm(rhs, norms), 1e-300)
 
 
 def potential_equation_residual(

@@ -623,6 +623,11 @@ def test_readme_grid_format_version_matches_gridio():
     assert re.findall(r"grid format version (\d+)", readme) == [str(gridio._VERSION)]
 
 
+def test_readme_slab_budget_matches_experiments():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert re.findall(r"slabs of at most (\d+) KiB", readme) == [str(experiments._SLAB_BYTES // 1024)]
+
+
 # modules whose README "Library layout" bullet ends with "Public:" and their names;
 # experiments and cli answer to the scenario table instead
 LAYOUT_MODULES = ("lattice", "wigner", "em", "helicity", "kinetics", "gridio", "units")
