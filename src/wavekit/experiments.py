@@ -103,15 +103,13 @@ def _rel(error, scale) -> float:
 
 
 def _closed_errors(gp, x, p, hbar, rows, blocks, **motion):
-    """[(max|closed - f|, max closed, max f)] of the Gaussian closed form on the rows lo.. of
-    each (lo, block), or ghost (lo, block, sign) multiplied once cut, in the row range rows.
-    The closed form's entries do not depend on how it is sliced, and np.max keeps a NaN."""
+    """[(max|closed - f|, max closed, max f)] of the Gaussian closed form in the row range rows,
+    on the rows lo.. of each (lo, block): its entries do not depend on slicing; np.max keeps NaN."""
     errors = []
-    for lo, block, *sign in blocks:
+    for lo, block in blocks:
         first = max(lo, rows.start)
         f = block[first - lo : max(rows.stop - lo, 0)]
         if len(f):
-            f = f * sign[0] if sign else f
             closed = wigner.wigner_gaussian_closed(gp, x[first : first + len(f)], p, hbar, **motion)
             peak = np.max(closed)  # then the error in place: a block-sized temporary only
             np.abs(np.subtract(closed, f, out=closed), out=closed)
@@ -170,9 +168,9 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
 
     # the half window and a plot-ready crop of +-4 sigma about the packet center in each
     # direction: the rows from the first of them to the last are transformed, block by block
-    windows = [(x0 - w, x0 + w) for w in (params.length / 4.0, 4.0 * math.sqrt(cfg.g / 2.0))]
     x, p = wigner._doubled_axes(wave)
-    half, crop = (wigner._window_rows(x, *bounds) for bounds in windows)
+    widths = (params.length / 4.0, 4.0 * math.sqrt(cfg.g / 2.0))
+    half, crop = (wigner._window_rows(x, x0 - w, x0 + w) for w in widths)
     p_mask = np.abs(p - u.hbar * cfg.k0) <= 4.0 * u.hbar / math.sqrt(2.0 * cfg.g)
     checks, crops = [], []
 
@@ -180,8 +178,8 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
         checks.extend(_closed_errors(gp, x, p, u.hbar, half, [(lo, block)]))
         crops.append(block[max(crop.start - lo, 0) : max(crop.stop - lo, 0), p_mask])
 
-    prefactor = wigner._number_prefactor(wave)
-    _, _, defect = wigner._doubled_grid_transform(wave, prefactor, windows, take)
+    rows = slice(min(half.start, crop.start), max(half.stop, crop.stop))
+    _, _, defect = wigner._doubled_grid_transform(wave, wigner._number_prefactor(wave), rows, take)
     error, _, peak_f = np.max(checks, axis=0)
     wigner_error = _rel(error, cfg.n_quanta / (math.pi * u.hbar))
 
@@ -342,13 +340,12 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
     n, prefactor = cfg.n_modes, wigner._number_prefactor(wave)
     site = wigner.doubled_site_values(wave)
 
-    # the t = 0 pass checks each held block, and its ghost n rows on, in the half window
+    # the t = 0 pass checks every ring row in the half window
     rows = wigner._window_rows(x, x0 - length / 4.0, x0 + length / 4.0)
-    sign = (-1.0) ** (np.arange(2 * n) - n)
     checks = []
 
     def check(lo, block):
-        checks.extend(_closed_errors(gp, x, p, u.hbar, rows, [(lo, block), (n + lo, block, sign)]))
+        checks.extend(_closed_errors(gp, x, p, u.hbar, rows, [(lo, block)]))
 
     row_sums, column_sums, defect = wigner._doubled_grid_transform(wave, prefactor, consume=check)
     error_t0, peak, _ = np.max(checks, axis=0)
@@ -552,7 +549,7 @@ def _cylindrical_block(plane_k, k, v, mesh_n, spacing, dt, center, precession=Fa
         return helicity._equation_parts(U0, U1, dt, spacing, v, take), beltrami(U0, spacing)
 
     def plane_parts(xs):
-        U = mode.evaluate(np.stack(np.broadcast_arrays(*xs)), v=v)
+        U = mode.evaluate(xs, v=v)
         parts = [helicity._eigencheck_parts(U, mode.k, sigma) for sigma in (1, -1)]
         if precession:
             rotated = helicity.rotate_field(U, plane_k / np.linalg.norm(plane_k), -0.7)

@@ -27,8 +27,8 @@ pointwise values, so a caller may reduce the max-norms slab by slab along one
 axis and get the whole-mesh result bit for bit while holding one slab at a
 time: the stencil checks take each slab with a one-point halo, the plane-mode
 eigencheck takes it bare.  A plane mode's phase k.x is taken elementwise, so a
-point's value does not depend on the mesh.  A private form of the axial solution
-takes three broadcastable axes: on an open mesh its envelope is taken once per z.
+point's value does not depend on the mesh.  The plane mode and a private form of the
+axial solution take three open axes too; the axial envelope then comes once per z.
 """
 
 from __future__ import annotations
@@ -75,9 +75,9 @@ class ComplexPotentialMode:
         return v * float(np.linalg.norm(self.k))
 
     def evaluate(self, x: np.ndarray, t: float = 0.0, v: float = 1.0) -> np.ndarray:
-        """U on a component-first mesh x of shape (3, ...)."""
-        x = _component_first(x, "x", dtype=float)
-        kx = self.k[0] * x[0] + self.k[1] * x[1] + self.k[2] * x[2]
+        """U on a component-first mesh x, shape (3, ...), or on a tuple of its 3 open axes."""
+        x0, x1, x2 = x if isinstance(x, tuple) else _component_first(x, "x", dtype=float)
+        kx = self.k[0] * x0 + self.k[1] * x1 + self.k[2] * x2
         phase = np.exp(-1j * kx + 1j * self.sigma * self.omega(v) * t)
         pol = self.amplitude * self.polarization()
         return pol[(slice(None),) + (None,) * phase.ndim] * phase

@@ -227,38 +227,41 @@ def _doubled_axes(wave: ActionWave) -> tuple[np.ndarray, np.ndarray]:
     return (wave.ell / 2.0) * m, (wave.hbar * wave.dk / 2.0) * (m - wave.psik.size)
 
 
-def _doubled_grid_transform(wave: ActionWave, prefactor: float, windows=(), consume=None):
-    """f on the full period (rows 0..n-1 built) or on the rows from the first to the last that
-    the half-open x windows [x_lo, x_hi) hold, in row blocks reduced as they go by: sum_s f of
-    every row (a ghost's from its held row), marginal_defect, and a full period's even-s
-    columns summed over rows 0..n-1 in order, as np.sum(f, axis=0) adds them.  Returns the
-    stored blocks' WignerGrid, or (row_sums, column_sums, defect) if consume(lo, block) has them."""
+def _doubled_grid_transform(wave: ActionWave, prefactor: float, rows=None, consume=None):
+    """f on the full period (rows None: rows 0..n-1 built) or the row slice rows, in blocks
+    reduced as they go: sum_s f of every row (a ghost's from its held row), marginal_defect,
+    and a full period's even-s columns summed over rows 0..n-1 in order, as np.sum(f, axis=0)
+    does.  consume(lo, block) sees each built block, then on a full period its ghost rows n + lo..
+    in a buffer the next ghost overwrites: every ring row once, as WignerGrid.blocks yields
+    them.  Returns the built rows' WignerGrid, or with consume (row_sums, column_sums, defect)."""
     n = wave.psik.size
     check_grid_size(n)
     two_n = 2 * n
     x, p = _doubled_axes(wave)
-    spans = [_window_rows(x, *bounds) for bounds in windows] or [slice(0, n)]
-    rows = slice(min(span.start for span in spans), max(span.stop for span in spans))
+    full, rows = rows is None, rows or slice(0, n)
     f = None if consume else np.empty((rows.stop - rows.start, two_n))
     sign = (-1.0) ** (np.arange(two_n) - n)
+    ghost = np.empty((min(_CHUNK, n), two_n)) if full and consume else None
     site = doubled_site_values(wave)
-    row_sums = np.empty(rows.stop - rows.start if windows else two_n)
+    row_sums = np.empty(two_n if full else rows.stop - rows.start)
     # -0.0 is the additive identity of IEEE floats, so the first row is taken as it is
     column_sums = np.full(n, -0.0)
     for lo, block in _row_blocks(site, prefactor, rows, out=f):
         row_sums[lo - rows.start :][: len(block)] = np.sum(block, axis=1)
-        if not windows:  # row lo's ghost is row n + lo; the even-s columns start at n mod 2
+        if full:  # row lo's ghost is row n + lo; the even-s columns start at n mod 2
             row_sums[n + lo : n + lo + len(block)] = block @ sign
             for row in block[:, n % 2 :: 2]:
                 column_sums += row
         if consume:
             consume(lo, block)
+            if full:
+                consume(n + lo, np.multiply(block, sign, out=ghost[: len(block)]))
     # marginal-x identity: sum_s f[m, s] = 2n * prefactor * |site_m|^2
-    density = two_n * prefactor * np.abs(site[rows] if windows else site) ** 2
+    density = two_n * prefactor * np.abs(site if full else site[rows]) ** 2
     defect = float(np.max(np.abs(row_sums - density)) / max(np.max(density), 1e-300))
     if consume:
         return row_sums, column_sums, defect
-    return WignerGrid(x=x[rows] if windows else x, p=p, f=f, hbar=wave.hbar, marginal_defect=defect)
+    return WignerGrid(x=x if full else x[rows], p=p, f=f, hbar=wave.hbar, marginal_defect=defect)
 
 
 def _number_prefactor(wave: ActionWave) -> float:

@@ -977,7 +977,7 @@ def test_phonon_crop_is_the_windowed_transform(tmp_path, capsys):
         # all 2n rows transformed (the window reaches past row n, where wigner_1d mirrors),
         # then the crop as window() and the p mask take it
         prefactor = wigner._number_prefactor(wave)
-        grid = wigner._doubled_grid_transform(wave, prefactor, [(0.0, lattice_params.length)])
+        grid = wigner._doubled_grid_transform(wave, prefactor, slice(0, 2 * cfg.n_sites))
         sigma_x, sigma_p = math.sqrt(cfg.g / 2.0), 1.0 / math.sqrt(2.0 * cfg.g)
         window = grid.window(x0 - 4.0 * sigma_x, x0 + 4.0 * sigma_x)
         p_mask = np.abs(window.p - cfg.k0) <= 4.0 * sigma_p

@@ -316,7 +316,7 @@ def run_in_slabs(monkeypatch, budget, precession=False):
         return solution(x0, x1, x2, k, v, t, *args, **kwargs)
 
     def record_evaluate(self, x, *args, **kwargs):
-        planes["plane"].append(x.shape[1])
+        planes["plane"].append(x[0].shape[0])
         return evaluate(self, x, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "_SLAB_BYTES", budget)
@@ -357,6 +357,18 @@ def test_plane_mode_on_slabs_equals_whole_mesh(seed, cuts):
     assert np.array_equal(np.concatenate(slabs, axis=1), mode.evaluate(x, t=0.3, v=0.8))
 
 
+def test_plane_mode_on_open_axes_equals_dense_mesh():
+    # k.x is taken elementwise, so the open axes of a mesh give each point's value bit for bit
+    rng = np.random.default_rng(4)
+    axes = [np.sort(rng.uniform(-2.0, 2.0, size)) for size in (5, 7, 6)]
+    open_axes = np.meshgrid(*axes, indexing="ij", sparse=True)
+    dense = np.stack(np.meshgrid(*axes, indexing="ij"))
+    mode = helicity.ComplexPotentialMode(k=np.array([0.3, -0.4, 1.3]), sigma=-1, amplitude=0.7j)
+    U = mode.evaluate(open_axes, t=0.3, v=0.8)
+    assert U.shape == (3, 5, 7, 6)
+    assert np.array_equal(U, mode.evaluate(dense, t=0.3, v=0.8))
+
+
 def test_slab_checks_keep_a_nan_of_one_slab(monkeypatch):
     solution = helicity._cylindrical_on_axes
 
@@ -382,7 +394,7 @@ def test_plane_mode_checks_keep_a_nan_of_one_slab(monkeypatch):
 
     def nan_in_last_slab(self, x, *args, **kwargs):
         U = evaluate(self, x, *args, **kwargs)
-        if x.shape[1] == 4:  # the last plane-mode slab
+        if x[0].shape[0] == 4:  # the last plane-mode slab
             U[2, -1, 4, 5] = np.nan
         return U
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wavekit import cli, em, experiments, gridio, helicity, lattice, wigner
@@ -33,7 +33,7 @@ def whole_transform(wave, prefactor=None):
     """All 2n rows of the doubled grid, each transformed: the window path over the ring."""
     if prefactor is None:
         prefactor = wigner._number_prefactor(wave)
-    return wigner._doubled_grid_transform(wave, prefactor, [(0.0, wave.ell * wave.psik.size)])
+    return wigner._doubled_grid_transform(wave, prefactor, slice(0, 2 * wave.psik.size))
 
 
 def all_rows(grid):
@@ -148,10 +148,9 @@ def test_row_blocks_match_the_whole_transform():
     assert [lo for lo, _ in blocks] == list(range(rows.start, rows.stop, wigner._CHUNK))
     assert blocks[-1][1].shape[0] < wigner._CHUNK
     assert np.array_equal(np.concatenate([block for _, block in blocks]), grid.f[rows])
-    # the hull of two x windows: rows 37..75 and 160..177
-    part = wigner._doubled_grid_transform(wave, prefactor, [(14.7, 30.1), (63.9, 71.0)])
-    hull = slice(37, 178)
-    assert np.array_equal(part.f, grid.f[hull]) and np.array_equal(part.x, grid.x[hull])
+    # a row slice that starts and ends off the block bounds
+    part = wigner._doubled_grid_transform(wave, prefactor, slice(37, 178))
+    assert np.array_equal(part.f, grid.f[37:178]) and np.array_equal(part.x, grid.x[37:178])
     assert np.array_equal(part.p, grid.p) and not part.full_period
 
 
@@ -328,6 +327,60 @@ def test_half_ring_blocks_split_at_the_mirror():
     f = np.concatenate([block for _, block in grid.blocks(rows)])
     sign = (-1.0) ** (np.arange(200) - 100)
     assert np.array_equal(f[:30], grid.f[70:]) and np.array_equal(f[30:], grid.f[:70] * sign)
+
+
+# on a full period the consumer sees every ring row once: each held block as it is built,
+# then its ghost rows n + lo.. in one buffer that the next ghost block overwrites, so each
+# block is compared while the consumer runs
+@given(n=st.integers(1, 200), seed=st.integers(0, 2**31))
+@example(n=65, seed=0)  # a short ghost block; f @ sign differs from all of f's in last bits
+def test_full_period_consumer_sees_every_ring_row(n, seed):
+    wave = random_wave(n, seed)
+    grid = wigner.wigner_1d(wave)
+    rows = all_rows(grid)
+    seen = np.zeros(2 * n, dtype=int)
+    ghosts = []
+
+    def consume(lo, block):
+        assert np.array_equal(block, rows[lo : lo + len(block)])
+        seen[lo : lo + len(block)] += 1
+        if lo >= n:
+            ghosts.append(block)
+
+    prefactor = wigner._number_prefactor(wave)
+    row_sums, column_sums, defect = wigner._doubled_grid_transform(wave, prefactor, None, consume)
+    assert np.all(seen == 1)
+    assert all(np.shares_memory(block, ghosts[0]) for block in ghosts)
+    assert defect == grid.marginal_defect
+    marginal_x = grid.marginal_x()  # the ghosts' f @ sign, taken per block or on all of f
+    assert np.max(np.abs(grid.dp * row_sums - marginal_x)) <= covariance_bound(marginal_x)
+    assert np.array_equal(grid.dx * column_sums, grid.marginal_p())
+
+
+@given(
+    n=st.integers(1, 150),
+    seed=st.integers(0, 2**31),
+    first=st.floats(0.0, 1.0),
+    span=st.floats(0.0, 1.0),
+)
+def test_row_slice_transform_is_the_whole_transforms_rows(n, seed, first, span):
+    wave = random_wave(n, seed)
+    oracle = whole_transform(wave)
+    lo = min(int(first * 2 * n), 2 * n - 1)
+    rows = slice(lo, lo + 1 + int(span * (2 * n - lo - 1)))
+    prefactor = wigner._number_prefactor(wave)
+    part = wigner._doubled_grid_transform(wave, prefactor, rows)
+    assert np.array_equal(part.f, oracle.f[rows]) and np.array_equal(part.x, oracle.x[rows])
+    assert np.array_equal(part.p, oracle.p) and not part.full_period
+    # a consumer of a row slice sees its rows once, in order, and no ghost rows
+    seen = []
+
+    def consume(lo, block):
+        seen.append((lo, block.copy()))
+
+    wigner._doubled_grid_transform(wave, prefactor, rows, consume)
+    assert [lo for lo, _ in seen] == list(range(rows.start, rows.stop, wigner._CHUNK))
+    assert np.array_equal(np.concatenate([block for _, block in seen]), oracle.f[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +602,9 @@ def test_blocked_closed_error_matches_full_outer_product():
         error, peak, top = closed_error(gp, half, wave.hbar, **motion)
         assert peak == np.max(closed) and top == np.max(half.f)
         assert experiments._rel(error, peak) == experiments._rel(closed - half.f, np.max(closed))
-    # a row range that cuts blocks, and ghost blocks multiplied by their sign once cut
+    # a row range that cuts blocks, over every ring row: held blocks and ghost blocks
     rows = slice(grid.x.size // 4 + 5, 3 * grid.x.size // 4 - 7)
-    n = grid.f.shape[0]
-    blocks = [(lo, block) for lo, block in grid.blocks(slice(0, n))]
-    blocks += [(n + lo, block, grid._sign) for lo, block in grid.blocks(slice(0, n))]
+    blocks = grid.blocks(slice(0, grid.x.size))
     error, peak, top = np.max(
         experiments._closed_errors(gp, grid.x, grid.p, wave.hbar, rows, blocks), axis=0
     )
