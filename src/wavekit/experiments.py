@@ -45,9 +45,22 @@ class OutputOptions:
 Units = Literal[tuple(PRESETS)]
 Model = Literal[tuple(m.value for m in kinetics.SourceModel)]
 Init = Literal["zero", "rayleigh-jeans", "wien", "planck"]
-# field annotations of values that divide or count, which must be positive
-_PositiveInt = Annotated[int, "positive"]
-_PositiveFloat = Annotated[float, "positive"]
+# declared ranges, Annotated[T, lo, hi]: a T in [lo, hi].  A count of modes or draws: one at least
+_Count = Annotated[int, 1, math.inf]
+# divided by: a normal float, whose reciprocal is finite
+_Divisor = Annotated[float, sys.float_info.min, math.inf]
+# squared and inverted: x^2 and 1/x^2 stay finite, times the factors up to 1e8 beside them
+_Scale = Annotated[float, 1e-150, 1e150]
+# squared or multiplied: x^2 stays finite, times the factors up to 1e8 beside it
+_Signed = Annotated[float, -1e150, 1e150]
+# as _Signed, above zero
+_Positive = Annotated[float, math.ulp(0.0), 1e150]
+# a time times a frequency up to 1e8: the phase stays finite
+_Time = Annotated[float, -1e300, 1e300]
+# a number of quanta: divided by in the relative errors and summed over up to 1e8 cells
+_Quanta = Annotated[float, sys.float_info.min, 1e300]
+# the points a side of a mesh whose stencils take one interior point: three at least
+_MeshPlanes = Annotated[int, 3, math.inf]
 
 _type_hints = functools.cache(functools.partial(typing.get_type_hints, include_extras=True))
 
@@ -67,9 +80,10 @@ def _misfit(value, hint) -> str | None:
     Values are never coerced: an integer in a float field stays an integer.
     """
     args = typing.get_args(hint)
-    if typing.get_origin(hint) is Annotated:  # a positive field
-        want = _misfit(value, args[0])
-        return "positive" if want is None and value <= 0 else want
+    if typing.get_origin(hint) is Annotated:  # a declared range
+        base, lo, hi = args
+        want = _misfit(value, base)
+        return f"in [{lo!r}, {hi!r}]" if want is None and not lo <= value <= hi else want
     if typing.get_origin(hint) is Literal:
         return None if value in args else "one of " + ", ".join(map(repr, args))
     if args:  # X | None
@@ -123,15 +137,15 @@ def _closed_errors(gp, x, p, hbar, rows, blocks, **motion):
 @dataclass(frozen=True)
 class PhononGaussianConfig:
     n_sites: int = 256
-    m: float = 1.0
+    m: _Positive = 1.0
     omega0: float = 0.0
     kappa: float = 1.0
     ell: float = 1.0
-    n_quanta: float = 32.0
-    g: float = 64.0
+    n_quanta: _Quanta = 32.0
+    g: _Divisor = 64.0
     k0: float = math.pi / 4.0
     x0: float | None = None
-    t_final: float = 40.0
+    t_final: _Time = 40.0
     random_phases: bool = False
     seed: int = 0
 
@@ -229,15 +243,15 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
 @dataclass(frozen=True)
 class TravelingWaveConfig:
     n_sites: int = 512
-    m: float = 1.0
+    m: _Positive = 1.0
     kappa: float = 1.0
-    ell: float = 1.0
-    amplitude: float = 1.0
-    width: _PositiveFloat = 12.0
+    ell: _Positive = 1.0
+    amplitude: _Signed = 1.0
+    width: _Scale = 12.0
     center: float | None = None
     direction: int = 1
-    t_final: _PositiveFloat = 64.0
-    dt_factor: _PositiveFloat = 0.1
+    t_final: _Positive = 64.0
+    dt_factor: _Divisor = 0.1
 
 
 def run_traveling_wave(cfg: TravelingWaveConfig, u: UnitSystem):
@@ -303,10 +317,10 @@ def run_traveling_wave(cfg: TravelingWaveConfig, u: UnitSystem):
 
 @dataclass(frozen=True)
 class WignerGaussianConfig:
-    n_modes: _PositiveInt = 512
-    ell: _PositiveFloat = 1.0
-    n_quanta: float = 16.0
-    g: float = 100.0
+    n_modes: _Count = 512
+    ell: _Scale = 1.0
+    n_quanta: _Quanta = 16.0
+    g: _Divisor = 100.0
     k0_cells: int = 128
     x0: float | None = None
     t_final: float = 50.0
@@ -317,20 +331,10 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
     wigner.check_grid_size(cfg.n_modes)
     length = cfg.ell * cfg.n_modes
     dk = 2.0 * np.pi / length
-    if not math.isfinite(length):
-        raise OverflowError(f"ell = {cfg.ell!r} overflows the ring length ell n")
-    # 2 pi / ell bounds every wavenumber, momentum and doubled site value the run computes
-    if not math.isfinite(2.0 * np.pi / cfg.ell):
-        raise OverflowError(f"ell = {cfg.ell!r} overflows the wavenumber scale 2 pi / ell")
     # a position on the periodic ring exists only mod ell n
     x0 = (length / 2.0 if cfg.x0 is None else cfg.x0) % length
-    xc = x0 + cfg.v * cfg.t_final
-    # a center whose last digit is coarser than the grid spacing ell / 2 is noise on the grid
-    if not math.isfinite(xc) or math.ulp(xc) > cfg.ell / 2.0:
-        raise ConfigError(
-            f"v = {cfg.v!r} and t_final = {cfg.t_final!r} overflow the moved center x0 + v t"
-            f" or leave it no digit at the grid spacing ell / 2, at ell = {cfg.ell!r}"
-        )
+    if not math.isfinite(x0 + cfg.v * cfg.t_final):
+        raise ConfigError(f"v = {cfg.v!r} and t_final = {cfg.t_final!r} overflow the moved center x0 + v t")
     gp = wigner.GaussianEtaParams(n_quanta=cfg.n_quanta, g=cfg.g, k0=cfg.k0_cells * dk, x0=x0)
     wave = wigner.gaussian_action_wave(gp, cfg.ell, cfg.n_modes, u.hbar)
     quanta = lattice.action_area(wave) / u.h
@@ -402,14 +406,15 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
 
 @dataclass(frozen=True)
 class PhotonFieldConfig:
-    box_length: _PositiveFloat = 2.0 * math.pi
-    eps: float = 1.0
-    mu: float = 1.0
-    n_random_modes: _PositiveInt = 4
+    # E^2 scales as box_length^-4: its fourth power and reciprocal stay finite
+    box_length: Annotated[float, 1e-75, 1e75] = 2.0 * math.pi
+    eps: _Scale = 1.0
+    mu: _Scale = 1.0
+    n_random_modes: _Count = 4
     max_index: int = 2
-    n_quanta: float = 5.0
+    n_quanta: _Quanta = 5.0
     seed: int = 7
-    t_final: float = 1.0
+    t_final: _Time = 1.0
 
 
 def _random_mode_set(cfg: PhotonFieldConfig, medium, hbar):
@@ -481,13 +486,13 @@ def run_photon_field(cfg: PhotonFieldConfig, u: UnitSystem):
 
 @dataclass(frozen=True)
 class HelicityCylindricalConfig:
-    k: float = 1.0
-    v: float = 1.0
-    mesh_n: int = 9
-    spacing: _PositiveFloat = 1e-3
-    dt: float = 1e-3
-    center_x: float = 0.3
-    center_y: float = -0.2
+    k: _Scale = 1.0
+    v: _Signed = 1.0
+    mesh_n: _MeshPlanes = 9
+    spacing: _Scale = 1e-3
+    dt: _Divisor = 1e-3
+    center_x: _Signed = 0.3
+    center_y: _Signed = -0.2
     center_z: float = 0.1
 
 
@@ -502,13 +507,14 @@ def _cylindrical_block(plane_k, k, v, mesh_n, spacing, dt, center, precession=Fa
     The axial solution's figures: its Beltrami residual |curl U - k U| / |k U|
     at h and h/2 and their floored ratio, and its equation residual between
     U(0) and U(dt).  The plane mode's figures, for the sigma = +1 mode U of
-    wavevector plane_k on the mesh_n^3 mesh, built after the stencil slabs: its
-    eigencheck for each helicity and, with precession, the defect of the free
-    evolution over omega t = 0.7 as a rigid precession of U about khat by
-    -omega t, relative to max|U|.  Every figure is a ratio of maxima reduced
-    slab by slab (_SLAB_BYTES sets the x-planes; the stencil checks take as many
-    interior planes with a one-plane halo); a max does not depend on the
-    visiting order, so each equals its whole-mesh value bit for bit.  The axial
+    wavevector plane_k on the mesh_n^3 mesh (mesh_n >= 3, as both configs
+    declare), built after the stencil slabs: its eigencheck for each helicity
+    and, with precession, the defect of the free evolution over omega t = 0.7
+    as a rigid precession of U about khat by -omega t, relative to max|U|.
+    Every figure is a ratio of maxima reduced slab by slab (_SLAB_BYTES sets
+    the x-planes; the stencil checks take as many interior planes with a
+    one-plane halo); a max does not depend on the visiting order, so each
+    equals its whole-mesh value bit for bit.  The axial
     solution is evaluated on open meshes, and the stencil slabs of a mesh write
     into one workspace: a flat buffer per role, reshaped for each slab.
     """
@@ -517,9 +523,8 @@ def _cylindrical_block(plane_k, k, v, mesh_n, spacing, dt, center, precession=Fa
         return [s + c for c in center]
 
     def slabs(n, h, halo=1):
-        ax, planes = axes(n, h), max(1, _SLAB_BYTES // max(48 * n * n, 1))
-        # one slab at least, so a mesh under 3 planes still meets stencil_curl's refusal
-        for i0 in range(halo, max(n - halo, 2), planes):
+        ax, planes = axes(n, h), max(1, _SLAB_BYTES // (48 * n * n))
+        for i0 in range(halo, n - halo, planes):
             i1 = min(i0 + planes, n - halo)
             yield np.meshgrid(ax[0][i0 - halo : i1 + halo], ax[1], ax[2], indexing="ij", sparse=True)
 
@@ -557,10 +562,6 @@ def _cylindrical_block(plane_k, k, v, mesh_n, spacing, dt, center, precession=Fa
         return parts
 
     helicity.check_mesh_size(2 * mesh_n - 1)
-    # the stencils multiply by 1 / (2 spacing), by 1 / spacing at h/2 and by 1 / dt
-    for name, value in (("spacing", spacing), ("dt", dt)):
-        if value > 0 and math.isinf(1.0 / value):
-            raise ConfigError(f"{name} = {value!r} is too small: its reciprocal overflows")
     work = {}
     equation, coarse = zip(*(coarse_parts(xs) for xs in slabs(mesh_n, spacing)))
     # halve the spacing on the same physical cube to expose the stencil order; emptied, the
@@ -596,19 +597,17 @@ def run_helicity_cylindrical(cfg: HelicityCylindricalConfig, u: UnitSystem):
 @dataclass(frozen=True)
 class ThermalPlanckConfig:
     gamma: float = 1.0
-    temperature: float = 1.0
+    temperature: _Divisor = 1.0
     v: float | None = None
     model: Model = "wien-stimulated"
     x_min: float = 0.05
     x_max: float = 20.0
-    n_cells: _PositiveInt = 200
+    n_cells: Annotated[int, 1, MAX_THERMAL_CELLS] = 200
     init: Init = "zero"
     n_folds: float = 30.0
 
 
 def run_thermal_planck(cfg: ThermalPlanckConfig, u: UnitSystem):
-    if cfg.n_cells > MAX_THERMAL_CELLS:
-        raise ConfigError(f"n_cells {cfg.n_cells} is over MAX_THERMAL_CELLS = {MAX_THERMAL_CELLS}")
     model = kinetics.SourceModel(cfg.model)
     params = kinetics.KineticParams.in_units(u, cfg.gamma, cfg.temperature, v=cfg.v)
     if not 0 < cfg.x_min < cfg.x_max:
@@ -684,13 +683,13 @@ def run_thermal_planck(cfg: ThermalPlanckConfig, u: UnitSystem):
 @dataclass(frozen=True)
 class VerifyLatticeConfig:
     n_sites: int = 128
-    m: float = 1.0
+    m: _Scale = 1.0
     omega0: float = 0.5
     kappa: float = 1.0
     ell: float = 1.0
     seed: int = 11
-    t_exact: float = 7.3
-    dt_factor: _PositiveFloat = 0.05
+    t_exact: _Time = 7.3
+    dt_factor: _Divisor = 0.05
     n_steps: int = 2000
     negative_control: bool = False
 
@@ -750,11 +749,11 @@ def verify_lattice(cfg: VerifyLatticeConfig, u: UnitSystem):
 
 @dataclass(frozen=True)
 class VerifyHelicityConfig:
-    k: float = 1.5
-    v: _PositiveFloat = 0.9
-    spacing: _PositiveFloat = 2e-3
-    dt: float = 2e-3
-    mesh_n: int = 7
+    k: _Scale = 1.5
+    v: _Positive = 0.9
+    spacing: _Scale = 2e-3
+    dt: _Divisor = 2e-3
+    mesh_n: _MeshPlanes = 7
     negative_control: bool = False
 
 

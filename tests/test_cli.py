@@ -237,8 +237,8 @@ def scenario_payload(out_dir, scenario, block, **params):
     }
 
 
-# the fields the config schema declares positive, since they later divide by their
-# value or count with it: (command, payload, field)
+# fields whose declared range excludes 0, since they later divide by their value or
+# count with it: (command, payload, field)
 ZERO_VALUES = [
     ("photon-field", lambda out: photon_payload(out, box_length=0), "box_length"),
     ("photon-field", lambda out: photon_payload(out, n_random_modes=0), "n_random_modes"),
@@ -267,28 +267,37 @@ ZERO_IDS = [
 ]
 
 
-# wigner-gaussian motions whose moved center x0 + v t_final overflows or keeps no digit
-# at the grid spacing ell / 2; the ids of the first two keep the name of a transport-phase
-# check that is gone, and the center check refuses them: (command, payload, named)
+# a wigner-gaussian motion whose moved center x0 + v t_final overflows the float range:
+# (command, payload, named)
 OVERFLOWING_MOTION = [
-    ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", t_final=1e308),
-     "v = 1.0 and t_final = 1e+308"),
-    ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", t_final=5e307),
-     "v = 1.0 and t_final = 5e+307"),
     ("wigner", lambda out: scenario_payload(
         out, "wigner-gaussian", "wigner", v=2.0, t_final=1e308), "v = 2.0 and t_final = 1e+308"),
-    # a moved center whose last digit is coarser than ell / 2 leaves the transported grid
-    # and its closed form as noise; at ell 1e-300, k0 = k0_cells 2 pi / (ell n) overflows
-    ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", t_final=1e300),
-     "v = 1.0 and t_final = 1e+300"),
-    ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", v=1e300),
-     "v = 1e+300 and t_final = 50.0"),
-    ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", ell=1e-300),
-     "v = 1.0 and t_final = 50.0"),
 ]
-OVERFLOWING_IDS = [
-    "overflowing-phase", "overflowing-phase-5e307", "overflowing-center", "coarse-center",
-    "coarse-center-fast", "coarse-center-tiny-ell",
+OVERFLOWING_IDS = ["overflowing-center"]
+
+# far motions that keep the moved center finite: v t is taken mod the ring length ell n,
+# exactly, so each runs; the ids of the first two keep the name of a transport-phase check
+# that is gone, and the next two of a digit refusal of the moved center that is gone
+FAR_MOTION = [{"t_final": 1e308}, {"t_final": 5e307}, {"t_final": 1e300}, {"v": 1e300}]
+FAR_MOTION_IDS = ["overflowing-phase", "overflowing-phase-5e307", "coarse-center", "coarse-center-fast"]
+
+# values outside their field's declared range, each refused by name before any runner
+# starts: (command, payload, field)
+OUT_OF_RANGE = [
+    # at ell 1e-300, k0 = k0_cells 2 pi / (ell n) and the lag products overflow
+    ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", ell=1e-300), "ell"),
+    # the ring length ell n and the wavenumber scale 2 pi / ell, which bounds every
+    # wavenumber, momentum and doubled site value of the run
+    *[("wigner", lambda out, ell=ell: scenario_payload(out, "wigner-gaussian", "wigner", ell=ell),
+       "ell") for ell in (5e-324, 1e-308, 2e-308, 1e308)],
+    ("photon-field", lambda out: photon_payload(out, eps=5e-324), "eps"),
+    ("phonon-sim", lambda out: traveling_payload(out, ell=1e308), "ell"),
+    ("verify", lambda out: verify_lattice_payload(out, m=5e-324), "m"),
+    ("phonon-sim", lambda out: traveling_payload(out, width=1e300), "width"),
+]
+OUT_OF_RANGE_IDS = [
+    "coarse-center-tiny-ell", "subnormal-wigner-ell", "tiny-wigner-ell", "tiny-wigner-ell-2e-308",
+    "huge-wigner-ell", "subnormal-eps", "huge-traveling-ell", "subnormal-verify-m", "huge-width",
 ]
 
 
@@ -357,7 +366,9 @@ OVERFLOWING_IDS = [
         ("phonon-sim", lambda out: traveling_payload(out, kappa=-1)),
         ("phonon-sim", lambda out: traveling_payload(out, n_sites=63)),
         ("phonon-sim", lambda out: scenario_payload(out, "phonon-gaussian", "lattice", omega0=-1)),
-    ] + [(command, payload) for command, payload, _ in ZERO_VALUES + OVERFLOWING_MOTION],
+    ] + [
+        (command, payload) for command, payload, _ in ZERO_VALUES + OVERFLOWING_MOTION + OUT_OF_RANGE
+    ],
     ids=[
         "string-int", "float-int", "bool-int", "list-int", "string-seed", "bool-temperature",
         "nan-temperature", "infinite-x-max", "unknown-units", "number-units", "null-units",
@@ -371,7 +382,7 @@ OVERFLOWING_IDS = [
         "subnormal-x-min-rayleigh-jeans", "subnormal-x-min-wien-stimulated", "subnormal-gamma",
         "huge-n-folds", "huge-thermal-grid", "zero-mass", "negative-kappa", "odd-sites",
         "negative-omega0",
-    ] + ZERO_IDS + OVERFLOWING_IDS,
+    ] + ZERO_IDS + OVERFLOWING_IDS + OUT_OF_RANGE_IDS,
 )
 def test_bad_values_exit_3_with_one_json_line(tmp_path, capsys, command, make_payload):
     out = tmp_path / "out"
@@ -385,14 +396,24 @@ def test_bad_values_exit_3_with_one_json_line(tmp_path, capsys, command, make_pa
     assert not out.exists()
 
 
+def assert_range_refusal(tmp_path, capsys, command, payload, field):
+    """The run exits 3 naming the field and its declared range [lo, hi]."""
+    _, block, cls, _ = experiments.SCENARIOS[payload["scenario"]]
+    _, lo, hi = typing.get_args(experiments._type_hints(cls)[field])
+    assert cli.main([command, "--config", str(write_config(tmp_path, payload))]) == 3
+    assert last_stderr_json(capsys.readouterr().err)["detail"] == (
+        f"bad value in {block}: {field} must be in [{lo!r}, {hi!r}], got {payload[block][field]!r}"
+    )
+
+
 @pytest.mark.parametrize("command, make_payload, field", ZERO_VALUES, ids=ZERO_IDS)
 def test_zero_value_diagnostic_names_the_field(tmp_path, capsys, command, make_payload, field):
-    payload = make_payload(tmp_path / "out")
-    cfg = write_config(tmp_path, payload)
-    assert cli.main([command, "--config", str(cfg)]) == 3
-    detail = last_stderr_json(capsys.readouterr().err)["detail"]
-    block = experiments.SCENARIOS[payload["scenario"]][1]
-    assert detail == f"bad value in {block}: {field} must be positive, got 0"
+    assert_range_refusal(tmp_path, capsys, command, make_payload(tmp_path / "out"), field)
+
+
+@pytest.mark.parametrize("command, make_payload, field", OUT_OF_RANGE, ids=OUT_OF_RANGE_IDS)
+def test_out_of_range_diagnostic_names_the_field(tmp_path, capsys, command, make_payload, field):
+    assert_range_refusal(tmp_path, capsys, command, make_payload(tmp_path / "out"), field)
 
 
 @pytest.mark.parametrize("command, make_payload, named", OVERFLOWING_MOTION, ids=OVERFLOWING_IDS)
@@ -401,8 +422,16 @@ def test_overflowing_motion_names_v_and_t_final(tmp_path, capsys, command, make_
     cfg = write_config(tmp_path, payload)
     assert cli.main([command, "--config", str(cfg)]) == 3
     detail = last_stderr_json(capsys.readouterr().err)["detail"]
-    assert detail.startswith(named) and "overflow" in detail
-    assert detail.endswith(f"at ell = {payload['wigner'].get('ell', 1.0)!r}")
+    assert detail == f"{named} overflow the moved center x0 + v t"
+
+
+@pytest.mark.parametrize("params", FAR_MOTION, ids=FAR_MOTION_IDS)
+def test_far_motion_meets_the_closed_form(tmp_path, capsys, params):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, scenario_payload(out, "wigner-gaussian", "wigner", **params))
+    assert cli.main(["wigner", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "summary.json").read_text())["closed_form_error_t"] <= 1e-6
 
 
 def test_empty_half_window_names_its_interval(tmp_path, capsys):
@@ -420,20 +449,16 @@ def test_empty_half_window_names_its_interval(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_positive_fields_match_readme():
+def test_declared_ranges_match_readme():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    sentence = readme.split("must be positive:", 1)[1].split(".", 1)[0]
-    listed, scenario = set(), None
-    for name, field in re.findall(r"([a-z]+(?:-[a-z]+)+)|`(\w+)`", sentence):
-        scenario = name or scenario
-        if field:
-            listed.add((scenario, field))
-    declared = {
-        (scenario, field)
+    section = readme.split("### Declared ranges", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^\| ([a-z-]+) +\| `(\w+)` +\| (\[.+?\]) +\|$", section, re.M)
+    declared = [
+        (scenario, field, "[{!r}, {!r}]".format(*typing.get_args(hint)[1:]))
         for scenario, (_, _, cls, _) in experiments.SCENARIOS.items()
         for field, hint in experiments._type_hints(cls).items()
-        if experiments._misfit(0, hint) == "positive"
-    }
+        if typing.get_origin(hint) is typing.Annotated
+    ]
     assert listed == declared
 
 
@@ -731,8 +756,6 @@ def test_negative_control_exits_4(tmp_path, capsys):
     [
         ("thermal-relax", "thermal-planck", "kinetics", {"temperature": 1e300}, "OverflowError"),
         ("thermal-relax", "thermal-planck", "kinetics", {"v": 1e-300}, "OverflowError"),
-        ("photon-field", "photon-field", "field", {"eps": 5e-324}, "OverflowError"),
-        ("phonon-sim", "traveling-wave", "lattice", {"width": 1e300}, "OverflowError"),
         ("phonon-sim", "traveling-wave", "lattice", {"kappa": 1e308}, "OverflowError"),
         ("phonon-sim", "phonon-gaussian", "lattice", {"omega0": 1e300}, "OverflowError"),
         ("verify", "verify-lattice", "lattice", {"omega0": 1e300}, "OverflowError"),
@@ -742,26 +765,16 @@ def test_negative_control_exits_4(tmp_path, capsys):
         ("verify", "verify-lattice", "lattice", {"ell": 5e-324}, "OverflowError"),
         ("phonon-sim", "phonon-gaussian", "lattice", {"ell": 5e-324}, "OverflowError"),
         ("phonon-sim", "traveling-wave", "lattice", {"ell": 5e-324}, "OverflowError"),
-        ("wigner", "wigner-gaussian", "wigner", {"ell": 5e-324}, "OverflowError"),
-        # the wavenumber scale 2 pi / ell overflows though 2 pi / (ell n) does not
-        ("wigner", "wigner-gaussian", "wigner", {"ell": 1e-308}, "OverflowError"),
-        ("wigner", "wigner-gaussian", "wigner", {"ell": 2e-308}, "OverflowError"),
-        ("phonon-sim", "traveling-wave", "lattice", {"ell": 1e308}, "OverflowError"),
-        ("wigner", "wigner-gaussian", "wigner", {"ell": 1e308}, "OverflowError"),
         ("phonon-sim", "phonon-gaussian", "lattice", {"ell": 1e308}, "OverflowError"),
         ("verify", "verify-lattice", "lattice", {"ell": 1e308}, "OverflowError"),
-        ("verify", "verify-lattice", "lattice", {"m": 5e-324}, "OverflowError"),
         ("phonon-sim", "phonon-gaussian", "lattice", {"m": 5e-324}, "OverflowError"),
         ("phonon-sim", "traveling-wave", "lattice", {"m": 5e-324}, "OverflowError"),
     ],
     ids=[
-        "huge-temperature", "tiny-thermal-v", "subnormal-eps", "huge-width", "huge-kappa",
-        "huge-phonon-omega0", "huge-verify-omega0", "huge-verify-dt", "huge-verify-kappa",
-        "huge-phonon-kappa", "subnormal-verify-ell", "subnormal-phonon-ell",
-        "subnormal-traveling-ell", "subnormal-wigner-ell", "tiny-wigner-ell",
-        "tiny-wigner-ell-2e-308", "huge-traveling-ell",
-        "huge-wigner-ell", "huge-phonon-ell", "huge-verify-ell", "subnormal-verify-m",
-        "subnormal-phonon-m", "subnormal-traveling-m",
+        "huge-temperature", "tiny-thermal-v", "huge-kappa", "huge-phonon-omega0",
+        "huge-verify-omega0", "huge-verify-dt", "huge-verify-kappa", "huge-phonon-kappa",
+        "subnormal-verify-ell", "subnormal-phonon-ell", "subnormal-traveling-ell",
+        "huge-phonon-ell", "huge-verify-ell", "subnormal-phonon-m", "subnormal-traveling-m",
     ],
 )
 def test_float_overflow_exits_4_with_one_json_line(
@@ -784,11 +797,16 @@ def test_float_overflow_exits_4_with_one_json_line(
 
 
 # an edge-value sweep: one numeric field of one scenario config at a time, every other
-# field at its default.  Each run exits 0, 3 or 4, a failure writes exactly one JSON line
-# and no files, and no run raises a warning: numpy's overflow, division by zero and
-# invalid operations stop the run at the CLI's numeric boundary instead
+# field as the config has it.  Each run exits 0, 3 or 4, a failure writes exactly one JSON
+# line and no files, and no run raises a warning: numpy's overflow, division by zero and
+# invalid operations stop the run at the CLI's numeric boundary instead.  A numeric failure
+# says what failed: none stops on numpy's bare "overflow encountered in ..." text, which
+# names no field
 SWEEP_REALS = (0, 5e-324, 1e-300, 1e300)
 SWEEP_INTS = (0, 1, 2)
+# the sample configs take the values between and beyond these too
+SAMPLE_EDGE_REALS = (0, -1, 5e-324, 1e-320, 1e-300, 1e-160, 1e17, 1e300, 1e308, -1e308, -1e300)
+SAMPLE_EDGE_INTS = (0, -1, 10**17)
 SWEEP_ERRORS = {3: "validation", 4: "numeric"}
 
 
@@ -802,14 +820,13 @@ def scalar_types(hint):
     return set().union(*map(scalar_types, args)) if args else {hint}
 
 
-@pytest.mark.parametrize("scenario", list(experiments.SCENARIOS))
-def test_edge_value_sweep_fails_cleanly(tmp_path, capsys, scenario):
-    command, block, cls, _ = experiments.SCENARIOS[scenario]
+def edge_sweep(tmp_path, capsys, base, reals, ints):
+    command, block, cls, _ = experiments.SCENARIOS[base["scenario"]]
     out, ran = tmp_path / "out", 0
     for field, hint in experiments._type_hints(cls).items():
         types = scalar_types(hint)
-        for value in SWEEP_REALS if float in types else SWEEP_INTS if int in types else ():
-            payload = scenario_payload(out, scenario, block)
+        for value in reals if float in types else ints if int in types else ():
+            payload = {**json.loads(json.dumps(base)), "output": {"dir": str(out)}}
             (payload if field == "seed" else payload[block])[field] = value
             cfg = write_config(tmp_path, payload)
             with warnings.catch_warnings():
@@ -822,51 +839,64 @@ def test_edge_value_sweep_fails_cleanly(tmp_path, capsys, scenario):
             else:
                 lines = err.splitlines()
                 assert code in SWEEP_ERRORS and len(lines) == 1, where
-                assert json.loads(lines[0])["error"] == SWEEP_ERRORS[code], where
+                diagnostic = json.loads(lines[0])
+                assert diagnostic["error"] == SWEEP_ERRORS[code], where
+                assert "encountered in" not in diagnostic["detail"], where
                 assert not out.exists(), where
             shutil.rmtree(out, ignore_errors=True)
             ran += 1
     assert ran
 
 
-# the helicity stencil checks reduce their max-norms slab by slab; these inputs pin the
-# outcomes that a slab loop gets wrong when it visits no slab on a mesh under 3 planes or
-# skips the equation residual's dt refusal.  The stencils multiply by 1 / spacing and
-# 1 / dt, so a subnormal spacing or dt is refused by name before any mesh is built (it
-# exited 4 on numpy's "overflow encountered in divide"); a subnormal k stops at the CLI's
-# numeric boundary, at its first overflow.
+@pytest.mark.parametrize("scenario", list(experiments.SCENARIOS))
+def test_edge_value_sweep_fails_cleanly(tmp_path, capsys, scenario):
+    base = scenario_payload(tmp_path / "out", scenario, experiments.SCENARIOS[scenario][1])
+    edge_sweep(tmp_path, capsys, base, SWEEP_REALS, SWEEP_INTS)
+
+
+@pytest.mark.parametrize("path", SAMPLE_CONFIGS, ids=[path.stem for path in SAMPLE_CONFIGS])
+def test_sample_config_edge_sweep_names_every_failure(tmp_path, capsys, path):
+    edge_sweep(tmp_path, capsys, json.loads(path.read_text()), SAMPLE_EDGE_REALS, SAMPLE_EDGE_INTS)
+
+
+# the helicity runners' edge inputs: the stencils take one interior point a side and
+# multiply by 1 / spacing and 1 / dt, and the axial solution by 1 / k, so the declared
+# ranges of mesh_n, spacing, dt and k refuse each of these by name before any mesh is built
+DT_RANGE = "[2.2250738585072014e-308, inf]"
+
+
 @pytest.mark.parametrize(
     "command, scenario, params, code, diagnostic",
     [
         ("helicity-check", "helicity-cylindrical", {"mesh_n": 2}, 3,
-         {"error": "validation", "detail": "need at least 3 points per axis"}),
+         {"error": "validation", "detail": "bad value in helicity: mesh_n must be in [3, inf], got 2"}),
         ("verify", "verify-helicity", {"mesh_n": 2}, 3,
-         {"error": "validation", "detail": "need at least 3 points per axis"}),
+         {"error": "validation", "detail": "bad value in helicity: mesh_n must be in [3, inf], got 2"}),
         ("helicity-check", "helicity-cylindrical", {"dt": 0}, 3,
-         {"error": "validation", "detail": "dt must be positive"}),
+         {"error": "validation", "detail": f"bad value in helicity: dt must be in {DT_RANGE}, got 0"}),
         ("verify", "verify-helicity", {"dt": 0}, 3,
-         {"error": "validation", "detail": "dt must be positive"}),
+         {"error": "validation", "detail": f"bad value in helicity: dt must be in {DT_RANGE}, got 0"}),
         ("helicity-check", "helicity-cylindrical", {"spacing": 1e-320}, 3,
          {"error": "validation",
-          "detail": "spacing = 1e-320 is too small: its reciprocal overflows"}),
-        ("helicity-check", "helicity-cylindrical", {"k": 5e-324}, 4,
-         {"error": "numeric", "detail": "helicity-cylindrical failed: FloatingPointError:"
-          " overflow encountered in scalar divide"}),
+          "detail": "bad value in helicity: spacing must be in [1e-150, 1e+150], got 1e-320"}),
+        ("helicity-check", "helicity-cylindrical", {"k": 5e-324}, 3,
+         {"error": "validation",
+          "detail": "bad value in helicity: k must be in [1e-150, 1e+150], got 5e-324"}),
         ("verify", "verify-helicity", {"spacing": 1e-320}, 3,
          {"error": "validation",
-          "detail": "spacing = 1e-320 is too small: its reciprocal overflows"}),
-        ("helicity-check", "helicity-cylindrical", {"dt": 1e-310}, 3,
-         {"error": "validation",
-          "detail": "dt = 1e-310 is too small: its reciprocal overflows"}),
-        ("verify", "verify-helicity", {"dt": 1e-310}, 3,
-         {"error": "validation",
-          "detail": "dt = 1e-310 is too small: its reciprocal overflows"}),
+          "detail": "bad value in helicity: spacing must be in [1e-150, 1e+150], got 1e-320"}),
         ("helicity-check", "helicity-cylindrical", {"spacing": -1e308}, 3,
          {"error": "validation",
-          "detail": "bad value in helicity: spacing must be positive, got -1e+308"}),
+          "detail": "bad value in helicity: spacing must be in [1e-150, 1e+150], got -1e+308"}),
         ("verify", "verify-helicity", {"spacing": -1e308}, 3,
          {"error": "validation",
-          "detail": "bad value in helicity: spacing must be positive, got -1e+308"}),
+          "detail": "bad value in helicity: spacing must be in [1e-150, 1e+150], got -1e+308"}),
+        ("helicity-check", "helicity-cylindrical", {"dt": 1e-310}, 3,
+         {"error": "validation",
+          "detail": f"bad value in helicity: dt must be in {DT_RANGE}, got 1e-310"}),
+        ("verify", "verify-helicity", {"dt": 1e-310}, 3,
+         {"error": "validation",
+          "detail": f"bad value in helicity: dt must be in {DT_RANGE}, got 1e-310"}),
     ],
     ids=[
         "two-plane-mesh", "two-plane-verify-mesh", "zero-dt", "zero-verify-dt",
