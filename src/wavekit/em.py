@@ -30,7 +30,7 @@ import numpy as np
 
 TRANSVERSALITY_TOL = 1e-9
 GRID_TOL = 1e-9
-# Size limit, checked before anything is allocated (README "Size limits").
+# Size limit of check_grid_size; a config range ends at it (README "Declared ranges").
 MAX_GRID_POINTS = 2**21  # n_grid^3 points of a field grid: n_grid <= 128
 
 

@@ -32,7 +32,7 @@ class ConfigError(ValueError):
 
 SCHEMA_VERSION = 1
 
-# Size limit, checked before anything is allocated (README "Size limits").
+# Size limit, the upper end of a declared range (README "Declared ranges").
 MAX_THERMAL_CELLS = 2**24  # thermal-planck n_cells: 128 MiB per grid array
 
 
@@ -45,8 +45,7 @@ class OutputOptions:
 Units = Literal[tuple(PRESETS)]
 Model = Literal[tuple(m.value for m in kinetics.SourceModel)]
 Init = Literal["zero", "rayleigh-jeans", "wien", "planck"]
-# declared ranges, Annotated[T, lo, hi]: a T in [lo, hi].  A count of modes or draws: one at least
-_Count = Annotated[int, 1, math.inf]
+# declared ranges, Annotated[T, lo, hi]: a T in [lo, hi]
 # divided by: a normal float, whose reciprocal is finite
 _Divisor = Annotated[float, sys.float_info.min, math.inf]
 # squared and inverted: x^2 and 1/x^2 stay finite, times the factors up to 1e8 beside them
@@ -57,10 +56,18 @@ _Signed = Annotated[float, -1e150, 1e150]
 _Positive = Annotated[float, math.ulp(0.0), 1e150]
 # a time times a frequency up to 1e8: the phase stays finite
 _Time = Annotated[float, -1e300, 1e300]
-# a number of quanta: divided by in the relative errors and summed over up to 1e8 cells
-_Quanta = Annotated[float, sys.float_info.min, 1e300]
-# the points a side of a mesh whose stencils take one interior point: three at least
-_MeshPlanes = Annotated[int, 3, math.inf]
+# divided by, and times factors up to 1e8: a number of quanta summed over cells, or a time step
+_Bounded = Annotated[float, sys.float_info.min, 1e300]
+# a packet's width g: divides a squared distance up to 1e8
+_Width = Annotated[float, 1e-300, math.inf]
+# lattice constants: 1/m, omega0^2 + 4 kappa, ell n and 2 pi / (ell n) finite, times up to 1e8
+_Mass = Annotated[float, 1e-300, 1e150]
+_Spacing = Annotated[float, 1e-300, 1e300]
+_Pinning = Annotated[float, 0.0, 1e150]
+_Coupling = Annotated[float, math.ulp(0.0), 1e300]
+_GridModes = Annotated[int, 1, math.isqrt(wigner.MAX_GRID_CELLS) // 2]  # n modes: (2n)^2 cells
+# a helicity mesh's points a side: one interior point, and (2 mesh_n - 1)^3 <= 2^24 at h/2
+_MeshPlanes = Annotated[int, 3, 128]
 
 _type_hints = functools.cache(functools.partial(typing.get_type_hints, include_extras=True))
 
@@ -136,13 +143,13 @@ def _closed_errors(gp, x, p, hbar, rows, blocks, **motion):
 
 @dataclass(frozen=True)
 class PhononGaussianConfig:
-    n_sites: int = 256
-    m: _Positive = 1.0
-    omega0: float = 0.0
-    kappa: float = 1.0
-    ell: float = 1.0
-    n_quanta: _Quanta = 32.0
-    g: _Divisor = 64.0
+    n_sites: _GridModes = 256
+    m: _Mass = 1.0
+    omega0: _Pinning = 0.0
+    kappa: _Coupling = 1.0
+    ell: _Spacing = 1.0
+    n_quanta: _Bounded = 32.0
+    g: _Width = 64.0
     k0: float = math.pi / 4.0
     x0: float | None = None
     t_final: _Time = 40.0
@@ -151,7 +158,6 @@ class PhononGaussianConfig:
 
 
 def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
-    wigner.check_grid_size(cfg.n_sites)
     params = lattice.LatticeParams(
         m=cfg.m, omega0=cfg.omega0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
     )
@@ -243,9 +249,9 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
 @dataclass(frozen=True)
 class TravelingWaveConfig:
     n_sites: int = 512
-    m: _Positive = 1.0
-    kappa: float = 1.0
-    ell: _Positive = 1.0
+    m: _Mass = 1.0
+    kappa: _Coupling = 1.0
+    ell: _Scale = 1.0  # the bump squares its offsets
     amplitude: _Signed = 1.0
     width: _Scale = 12.0
     center: float | None = None
@@ -317,10 +323,10 @@ def run_traveling_wave(cfg: TravelingWaveConfig, u: UnitSystem):
 
 @dataclass(frozen=True)
 class WignerGaussianConfig:
-    n_modes: _Count = 512
+    n_modes: _GridModes = 512
     ell: _Scale = 1.0
-    n_quanta: _Quanta = 16.0
-    g: _Divisor = 100.0
+    n_quanta: _Bounded = 16.0
+    g: _Width = 100.0
     k0_cells: int = 128
     x0: float | None = None
     t_final: float = 50.0
@@ -328,7 +334,6 @@ class WignerGaussianConfig:
 
 
 def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
-    wigner.check_grid_size(cfg.n_modes)
     length = cfg.ell * cfg.n_modes
     dk = 2.0 * np.pi / length
     # a position on the periodic ring exists only mod ell n
@@ -410,22 +415,18 @@ class PhotonFieldConfig:
     box_length: Annotated[float, 1e-75, 1e75] = 2.0 * math.pi
     eps: _Scale = 1.0
     mu: _Scale = 1.0
-    n_random_modes: _Count = 4
-    max_index: int = 2
-    n_quanta: _Quanta = 5.0
+    # M^2 mode pairs in MAX_PAIRS; a field grid of 4 max_index + 1 points a side in MAX_GRID_POINTS
+    n_random_modes: Annotated[int, 1, math.isqrt(wigner.MAX_PAIRS)] = 4
+    max_index: Annotated[int, 0, (round(em.MAX_GRID_POINTS ** (1 / 3)) - 1) // 4] = 2
+    n_quanta: _Bounded = 5.0
     seed: int = 7
     t_final: _Time = 1.0
 
 
 def _random_mode_set(cfg: PhotonFieldConfig, medium, hbar):
-    available = (2 * max(cfg.max_index, 0) + 1) ** 3 - 1  # nonzero index triples
+    available = (2 * cfg.max_index + 1) ** 3 - 1  # nonzero index triples
     if cfg.n_random_modes > available:
         raise ConfigError(f"n_random_modes exceeds the {available} nonzero wavevectors")
-    wigner.check_pair_count(cfg.n_random_modes)
-    # the field-energy grid of any mode set drawn within max_index; it has at
-    # least 4 max_index + 1 points a side, refused before the grid search
-    em.check_grid_size(4 * cfg.max_index + 1)
-    em.check_grid_size(em.default_grid(cfg.max_index))
     rng = np.random.default_rng(cfg.seed)
     chosen: list[tuple[int, int, int]] = []
     while len(chosen) < cfg.n_random_modes:
@@ -490,7 +491,7 @@ class HelicityCylindricalConfig:
     v: _Signed = 1.0
     mesh_n: _MeshPlanes = 9
     spacing: _Scale = 1e-3
-    dt: _Divisor = 1e-3
+    dt: _Bounded = 1e-3
     center_x: _Signed = 0.3
     center_y: _Signed = -0.2
     center_z: float = 0.1
@@ -561,7 +562,6 @@ def _cylindrical_block(plane_k, k, v, mesh_n, spacing, dt, center, precession=Fa
             parts.append((np.max(np.abs(rotated - U * np.exp(0.7j))), np.max(np.abs(U))))
         return parts
 
-    helicity.check_mesh_size(2 * mesh_n - 1)
     work = {}
     equation, coarse = zip(*(coarse_parts(xs) for xs in slabs(mesh_n, spacing)))
     # halve the spacing on the same physical cube to expose the stencil order; emptied, the
@@ -612,12 +612,17 @@ def run_thermal_planck(cfg: ThermalPlanckConfig, u: UnitSystem):
     params = kinetics.KineticParams.in_units(u, cfg.gamma, cfg.temperature, v=cfg.v)
     if not 0 < cfg.x_min < cfg.x_max:
         raise ConfigError("need 0 < x_min < x_max")
-    # every x lies in (0, x_max] and v > 0, so the top momentum and energy bound the grid's
+    # every x lies in (0, x_max] and v > 0, so the top momentum and energy bound the grid's; the
+    # spectrum goes as lambda^-5 within 8x of the Wien peak h v / (WIEN_X k_B T)
     p_top = cfg.x_max * params.p_thermal
-    if not (math.isfinite(p_top) and math.isfinite(params.v * p_top)):
+    lam_max, product = kinetics.wien_peak(params)
+    with np.errstate(all="ignore"):
+        lam = np.linspace(lam_max / 8.0, lam_max * 8.0, 200)
+        spectrum = kinetics.spectral_energy_density(lam, params)
+    if not (math.isfinite(params.v * p_top) and np.all((spectrum > 0) & (spectrum < math.inf))):
         raise ConfigError(
-            f"the top momentum x_max k_B T / v or its energy is not finite from x_max ="
-            f" {cfg.x_max!r}, temperature = {cfg.temperature!r} and v = {params.v!r}"
+            f"the top momentum x_max k_B T / v, its energy or the spectrum is out of the float"
+            f" range from x_max = {cfg.x_max!r}, temperature = {cfg.temperature!r} and v = {params.v!r}"
         )
     x = np.linspace(cfg.x_min, cfg.x_max, cfg.n_cells)
     p = x * params.p_thermal
@@ -647,7 +652,6 @@ def run_thermal_planck(cfg: ThermalPlanckConfig, u: UnitSystem):
     else:
         resid = float(np.max(np.abs(final.f - target) / np.maximum(target, 1e-300)))
 
-    lam_max, product = kinetics.wien_peak(params)
     n_density = kinetics.thermal_photon_count(params)
     summary = {
         "model": model.value,
@@ -661,7 +665,6 @@ def run_thermal_planck(cfg: ThermalPlanckConfig, u: UnitSystem):
         "photons_per_peak_cube": n_density * lam_max**3,
         "temperature": cfg.temperature,
     }
-    lam = np.linspace(lam_max / 8.0, lam_max * 8.0, 200)
     artifacts = {
         "distribution.csv": {
             "x": x,
@@ -671,7 +674,7 @@ def run_thermal_planck(cfg: ThermalPlanckConfig, u: UnitSystem):
         },
         "spectrum.csv": {
             "wavelength": lam,
-            "energy_density": kinetics.spectral_energy_density(lam, params),
+            "energy_density": spectrum,
         },
     }
     return summary, artifacts
@@ -684,9 +687,9 @@ def run_thermal_planck(cfg: ThermalPlanckConfig, u: UnitSystem):
 class VerifyLatticeConfig:
     n_sites: int = 128
     m: _Scale = 1.0
-    omega0: float = 0.5
-    kappa: float = 1.0
-    ell: float = 1.0
+    omega0: _Pinning = 0.5
+    kappa: _Coupling = 1.0
+    ell: _Spacing = 1.0
     seed: int = 11
     t_exact: _Time = 7.3
     dt_factor: _Divisor = 0.05
@@ -752,7 +755,7 @@ class VerifyHelicityConfig:
     k: _Scale = 1.5
     v: _Positive = 0.9
     spacing: _Scale = 2e-3
-    dt: _Divisor = 2e-3
+    dt: _Bounded = 2e-3
     mesh_n: _MeshPlanes = 7
     negative_control: bool = False
 

@@ -39,17 +39,6 @@ import numpy as np
 
 from .em import MediumParams, _component_first, polarization_basis
 
-# Size limit, checked before anything is allocated (README "Size limits").
-MAX_MESH_POINTS = 2**24  # n^3 points of a gridded check: n <= 256
-
-
-def check_mesh_size(n: int) -> None:
-    """Refuse a mesh whose n^3 points exceed MAX_MESH_POINTS."""
-    if n**3 > MAX_MESH_POINTS:
-        raise ValueError(
-            f"a mesh of {n}^3 = {n**3} points is over MAX_MESH_POINTS = {MAX_MESH_POINTS}"
-        )
-
 
 @dataclass(frozen=True)
 class ComplexPotentialMode:

@@ -60,7 +60,7 @@ from .lattice import ActionWave
 # Rows (transform) or momentum columns (transport) per FFT batch.
 _CHUNK = 64
 
-# Size limits, checked before anything is allocated (README "Size limits").
+# Size limits of the checks below; config ranges end at them (README "Declared ranges").
 # (2n)^2 cells of a 1-D grid: n <= 4096 modes; a full-period grid holds n rows, 256 MiB of float64
 MAX_GRID_CELLS = 2**26
 MAX_PAIRS = 2**20  # M^2 mode pairs of a 3-D density: M <= 1024 modes
@@ -204,20 +204,18 @@ def _row_blocks(site: np.ndarray, prefactor: float, rows: slice, out=None):
     # two 3n-long copies of the ring
     ahead = sliding_window_view(np.conj(np.concatenate([site, site[:n]])), n + 1)
     behind = sliding_window_view(np.concatenate([site[n:], site]), n + 1)[:, ::-1]
+    # (-1)^r on lag r shifts the transform by n bins, the fftshift to momenta s = -n..n-1
+    sign = (-1.0) ** np.arange(n + 1)
     lags = np.empty((min(_CHUNK, two_n), n + 1), dtype=complex)
     for lo in range(rows.start, rows.stop, _CHUNK):
         hi = min(lo + _CHUNK, rows.stop)
         g = lags[: hi - lo]
         np.copyto(g, ahead[lo:hi])
         np.multiply(g, behind[lo:hi], out=g)
+        g *= sign
         block = np.empty((hi - lo, two_n)) if out is None else out[lo - rows.start :][: hi - lo]
         np.fft.irfft(g, n=two_n, axis=1, norm="forward", out=block)
-        # fftshift: momentum index s = -n..n-1 is FFT bin s mod 2n; the lag buffer, which
-        # irfft is done with, holds one half meanwhile
-        low = g.view(float)[:, :n]
-        np.multiply(block[:, :n], prefactor, out=low)
-        np.multiply(block[:, n:], prefactor, out=block[:, :n])
-        block[:, n:] = low
+        block *= prefactor
         yield lo, block
 
 

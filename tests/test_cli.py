@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import wavekit
-from wavekit import cli, experiments, gridio, lattice, wigner
+from wavekit import cli, em, experiments, gridio, lattice, wigner
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -284,6 +284,23 @@ FAR_MOTION_IDS = ["overflowing-phase", "overflowing-phase-5e307", "coarse-center
 # values outside their field's declared range, each refused by name before any runner
 # starts: (command, payload, field)
 OUT_OF_RANGE = [
+    # sizes just past the library limit that the upper end of their range keeps: 1025^2 pairs is
+    # just over wigner.MAX_PAIRS, a 10^6-mode grid would take about 29 TiB, (2 * 4097)^2 cells is
+    # just over wigner.MAX_GRID_CELLS, max_index 32 needs a 132^3 field grid, over
+    # em.MAX_GRID_POINTS = 128^3, and 10^30 one of 4 * 10^30 + 1 points a side; mesh_n 129 a
+    # 257^3 half-spacing mesh, over 2^24 points
+    ("photon-field", lambda out: photon_payload(out, n_random_modes=1025, max_index=5),
+     "n_random_modes"),
+    ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", n_modes=10**6),
+     "n_modes"),
+    ("phonon-sim", lambda out: scenario_payload(out, "phonon-gaussian", "lattice", n_sites=4097),
+     "n_sites"),
+    ("photon-field", lambda out: photon_payload(out, max_index=32), "max_index"),
+    ("photon-field", lambda out: photon_payload(out, max_index=10**30), "max_index"),
+    ("helicity-check", lambda out: scenario_payload(
+        out, "helicity-cylindrical", "helicity", mesh_n=129), "mesh_n"),
+    ("verify", lambda out: scenario_payload(out, "verify-helicity", "helicity", mesh_n=129),
+     "mesh_n"),
     # at ell 1e-300, k0 = k0_cells 2 pi / (ell n) and the lag products overflow
     ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", ell=1e-300), "ell"),
     # the ring length ell n and the wavenumber scale 2 pi / ell, which bounds every
@@ -294,10 +311,19 @@ OUT_OF_RANGE = [
     ("phonon-sim", lambda out: traveling_payload(out, ell=1e308), "ell"),
     ("verify", lambda out: verify_lattice_payload(out, m=5e-324), "m"),
     ("phonon-sim", lambda out: traveling_payload(out, width=1e300), "width"),
+    # just below the lattice ranges, where 1/m, 2 pi / (ell n) or xc^2 / g stopped on numpy's
+    # bare "overflow encountered in ..."
+    ("phonon-sim", lambda out: traveling_payload(out, m=1e-308), "m"),
+    ("phonon-sim", lambda out: traveling_payload(out, ell=1e-309), "ell"),
+    ("phonon-sim", lambda out: scenario_payload(out, "phonon-gaussian", "lattice", m=1e-308), "m"),
+    ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", g=1e-307), "g"),
 ]
 OUT_OF_RANGE_IDS = [
+    "too-many-pairs", "huge-wigner-grid", "huge-phonon-grid", "huge-field-grid",
+    "enormous-field-grid", "huge-helicity-mesh", "huge-verify-mesh",
     "coarse-center-tiny-ell", "subnormal-wigner-ell", "tiny-wigner-ell", "tiny-wigner-ell-2e-308",
     "huge-wigner-ell", "subnormal-eps", "huge-traveling-ell", "subnormal-verify-m", "huge-width",
+    "tiny-traveling-m", "tiny-traveling-ell", "tiny-phonon-m", "tiny-wigner-g",
 ]
 
 
@@ -320,20 +346,6 @@ OUT_OF_RANGE_IDS = [
         # max_index 1 leaves 3^3 - 1 = 26 nonzero wavevectors to draw from
         ("photon-field", lambda out: photon_payload(out, n_random_modes=27)),
         ("photon-field", lambda out: photon_payload(out, n_random_modes=-3)),
-        # size limits, refused before anything is allocated: 1025^2 pairs is just
-        # over wigner.MAX_PAIRS, a 10^6-mode grid would take about 29 TiB, and
-        # (2 * 4097)^2 cells is just over wigner.MAX_GRID_CELLS
-        ("photon-field", lambda out: photon_payload(out, n_random_modes=1025, max_index=5)),
-        ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", n_modes=10**6)),
-        ("phonon-sim", lambda out: scenario_payload(out, "phonon-gaussian", "lattice", n_sites=4097)),
-        # max_index 32 needs a 132^3 field grid, just over em.MAX_GRID_POINTS = 128^3, and
-        # mesh_n 129 a 257^3 half-spacing mesh, just over helicity.MAX_MESH_POINTS = 256^3
-        ("photon-field", lambda out: photon_payload(out, max_index=32)),
-        # refused on its 4 * 10^30 + 1 points a side before any grid length is searched
-        ("photon-field", lambda out: photon_payload(out, max_index=10**30)),
-        ("helicity-check", lambda out: scenario_payload(
-            out, "helicity-cylindrical", "helicity", mesh_n=129)),
-        ("verify", lambda out: scenario_payload(out, "verify-helicity", "helicity", mesh_n=129)),
         # 8193 energy samples on 16384 sites are just over lattice.MAX_SERIES_CELLS = 2^27:
         # 8192 steps of dt = 0.1/2, and verify-lattice's sample every 10 steps
         ("phonon-sim", lambda out: traveling_payload(out, n_sites=16384, t_final=409.6)),
@@ -373,9 +385,8 @@ OUT_OF_RANGE_IDS = [
         "string-int", "float-int", "bool-int", "list-int", "string-seed", "bool-temperature",
         "nan-temperature", "infinite-x-max", "unknown-units", "number-units", "null-units",
         "list-scenario", "bool-schema-version",
-        "too-many-modes", "negative-modes", "too-many-pairs", "huge-wigner-grid",
-        "huge-phonon-grid", "huge-field-grid", "enormous-field-grid", "huge-helicity-mesh",
-        "huge-verify-mesh", "long-wave-series", "long-verify-series", "empty-packet-far-k0",
+        "too-many-modes", "negative-modes", "long-wave-series", "long-verify-series",
+        "empty-packet-far-k0",
         "empty-packet-two-sites", "empty-wigner-packet", "empty-packet-k0-1e300",
         "empty-packet-k0-minus-1e300", "empty-packet-k0-1e308", "empty-packet-k0-minus-1e308",
         "empty-wigner-packet-overflowing-k0", "flat-bump", "two-site-bump",
@@ -545,10 +556,16 @@ def test_finite_motions_run_without_warnings(tmp_path, capsys, command, scenario
         # the top momentum x_max k_B T / v of the grid overflows
         ({"x_max": 1e308, "temperature": 10.0}, "x_max = 1e+308, temperature = 10.0"),
         ({"temperature": 1e308}, "x_max = 8.0, temperature = 1e+308"),
+        # the spectrum goes as lambda^-5 about the Wien peak h v / (4.97 k_B T), which these put
+        # out of the float range; each stopped on numpy's bare "... encountered in ..."
+        ({"temperature": 1e-80}, "temperature = 1e-80"),
+        ({"temperature": 1e80}, "temperature = 1e+80"),
+        ({"v": 1e-80}, "v = 1e-80"),
     ],
     ids=[
         "subnormal-x-min-rayleigh-jeans", "subnormal-x-min", "subnormal-gamma", "huge-n-folds",
-        "huge-x-max", "huge-temperature",
+        "huge-x-max", "huge-temperature", "tiny-temperature", "large-temperature",
+        "small-thermal-v",
     ],
 )
 def test_non_finite_thermal_refusal_names_its_cause(tmp_path, capsys, kinetics, named):
@@ -748,27 +765,48 @@ def test_negative_control_exits_4(tmp_path, capsys):
 
 
 # Python float arithmetic in a runner that overflows or divides by zero; each used to
-# escape as a traceback with exit 1.  The lattice constants whose top frequency, ring
-# length, wavenumber step or 1/m overflows used to exit 3 or 4 naming dt, the packet,
-# a non-finite state or NaN invariants instead.
+# escape as a traceback with exit 1, and then exited 4 naming the exception.  A verify-helicity
+# step dt of 1e300 still does.  The lattice constants whose top frequency, ring length,
+# wavenumber step or 1/m overflows used to exit 4 from lattice.LatticeParams, and before that
+# 3 or 4 naming dt, the packet, a non-finite state or NaN invariants; their declared ranges
+# refuse them by name now.  A thermal temperature of 1e300 or v of 1e-300 puts the spectrum
+# out of the float range, which the thermal runner refuses naming temperature and v.
+LATTICE_RANGE = "bad value in lattice: {} must be in {}, got {}"
+
+
 @pytest.mark.parametrize(
-    "command, scenario, block, params, raised",
+    "command, scenario, block, params, code, named",
     [
-        ("thermal-relax", "thermal-planck", "kinetics", {"temperature": 1e300}, "OverflowError"),
-        ("thermal-relax", "thermal-planck", "kinetics", {"v": 1e-300}, "OverflowError"),
-        ("phonon-sim", "traveling-wave", "lattice", {"kappa": 1e308}, "OverflowError"),
-        ("phonon-sim", "phonon-gaussian", "lattice", {"omega0": 1e300}, "OverflowError"),
-        ("verify", "verify-lattice", "lattice", {"omega0": 1e300}, "OverflowError"),
-        ("verify", "verify-helicity", "helicity", {"dt": 1e300}, "OverflowError"),
-        ("verify", "verify-lattice", "lattice", {"kappa": 1e308}, "OverflowError"),
-        ("phonon-sim", "phonon-gaussian", "lattice", {"kappa": 1e308}, "OverflowError"),
-        ("verify", "verify-lattice", "lattice", {"ell": 5e-324}, "OverflowError"),
-        ("phonon-sim", "phonon-gaussian", "lattice", {"ell": 5e-324}, "OverflowError"),
-        ("phonon-sim", "traveling-wave", "lattice", {"ell": 5e-324}, "OverflowError"),
-        ("phonon-sim", "phonon-gaussian", "lattice", {"ell": 1e308}, "OverflowError"),
-        ("verify", "verify-lattice", "lattice", {"ell": 1e308}, "OverflowError"),
-        ("phonon-sim", "phonon-gaussian", "lattice", {"m": 5e-324}, "OverflowError"),
-        ("phonon-sim", "traveling-wave", "lattice", {"m": 5e-324}, "OverflowError"),
+        ("thermal-relax", "thermal-planck", "kinetics", {"temperature": 1e300}, 3,
+         "temperature = 1e+300 and v = 1.0"),
+        ("thermal-relax", "thermal-planck", "kinetics", {"v": 1e-300}, 3,
+         "temperature = 1.0 and v = 1e-300"),
+        ("phonon-sim", "traveling-wave", "lattice", {"kappa": 1e308}, 3,
+         LATTICE_RANGE.format("kappa", "[5e-324, 1e+300]", "1e+308")),
+        ("phonon-sim", "phonon-gaussian", "lattice", {"omega0": 1e300}, 3,
+         LATTICE_RANGE.format("omega0", "[0.0, 1e+150]", "1e+300")),
+        ("verify", "verify-lattice", "lattice", {"omega0": 1e300}, 3,
+         LATTICE_RANGE.format("omega0", "[0.0, 1e+150]", "1e+300")),
+        ("verify", "verify-helicity", "helicity", {"dt": 1e300}, 4,
+         "verify-helicity failed: OverflowError"),
+        ("verify", "verify-lattice", "lattice", {"kappa": 1e308}, 3,
+         LATTICE_RANGE.format("kappa", "[5e-324, 1e+300]", "1e+308")),
+        ("phonon-sim", "phonon-gaussian", "lattice", {"kappa": 1e308}, 3,
+         LATTICE_RANGE.format("kappa", "[5e-324, 1e+300]", "1e+308")),
+        ("verify", "verify-lattice", "lattice", {"ell": 5e-324}, 3,
+         LATTICE_RANGE.format("ell", "[1e-300, 1e+300]", "5e-324")),
+        ("phonon-sim", "phonon-gaussian", "lattice", {"ell": 5e-324}, 3,
+         LATTICE_RANGE.format("ell", "[1e-300, 1e+300]", "5e-324")),
+        ("phonon-sim", "traveling-wave", "lattice", {"ell": 5e-324}, 3,
+         LATTICE_RANGE.format("ell", "[1e-150, 1e+150]", "5e-324")),
+        ("phonon-sim", "phonon-gaussian", "lattice", {"ell": 1e308}, 3,
+         LATTICE_RANGE.format("ell", "[1e-300, 1e+300]", "1e+308")),
+        ("verify", "verify-lattice", "lattice", {"ell": 1e308}, 3,
+         LATTICE_RANGE.format("ell", "[1e-300, 1e+300]", "1e+308")),
+        ("phonon-sim", "phonon-gaussian", "lattice", {"m": 5e-324}, 3,
+         LATTICE_RANGE.format("m", "[1e-300, 1e+150]", "5e-324")),
+        ("phonon-sim", "traveling-wave", "lattice", {"m": 5e-324}, 3,
+         LATTICE_RANGE.format("m", "[1e-300, 1e+150]", "5e-324")),
     ],
     ids=[
         "huge-temperature", "tiny-thermal-v", "huge-kappa", "huge-phonon-omega0",
@@ -778,21 +816,17 @@ def test_negative_control_exits_4(tmp_path, capsys):
     ],
 )
 def test_float_overflow_exits_4_with_one_json_line(
-    tmp_path, capsys, command, scenario, block, params, raised
+    tmp_path, capsys, command, scenario, block, params, code, named
 ):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, scenario_payload(out, scenario, block, **params))
-    code = cli.main([command, "--config", str(cfg)])
+    assert cli.main([command, "--config", str(cfg)]) == code
     captured = capsys.readouterr()
-    assert code == 4, captured.err
     lines = captured.err.splitlines()
     assert len(lines) == 1, captured.err
     diagnostic = json.loads(lines[0])
-    assert diagnostic["error"] == "numeric"
-    assert scenario in diagnostic["detail"] and raised in diagnostic["detail"]
-    if set(params) <= {"omega0", "kappa", "ell", "m"}:
-        # the refusal of overflowing lattice constants names the field
-        assert all(f"{name} = " in diagnostic["detail"] for name in params), diagnostic
+    assert diagnostic["error"] == SWEEP_ERRORS[code]
+    assert named in diagnostic["detail"], diagnostic
     assert captured.out == "" and not out.exists()
 
 
@@ -820,12 +854,20 @@ def scalar_types(hint):
     return set().union(*map(scalar_types, args)) if args else {hint}
 
 
-def edge_sweep(tmp_path, capsys, base, reals, ints):
+def typed_values(reals, ints):
+    """values(scenario, field, hint) of edge_sweep: the reals for a field that takes floats, else
+    the ints for one that takes integers."""
+    def values(scenario, field, hint):
+        types = scalar_types(hint)
+        return reals if float in types else ints if int in types else ()
+    return values
+
+
+def edge_sweep(tmp_path, capsys, base, values):
     command, block, cls, _ = experiments.SCENARIOS[base["scenario"]]
     out, ran = tmp_path / "out", 0
     for field, hint in experiments._type_hints(cls).items():
-        types = scalar_types(hint)
-        for value in reals if float in types else ints if int in types else ():
+        for value in values(base["scenario"], field, hint):
             payload = {**json.loads(json.dumps(base)), "output": {"dir": str(out)}}
             (payload if field == "seed" else payload[block])[field] = value
             cfg = write_config(tmp_path, payload)
@@ -851,27 +893,81 @@ def edge_sweep(tmp_path, capsys, base, reals, ints):
 @pytest.mark.parametrize("scenario", list(experiments.SCENARIOS))
 def test_edge_value_sweep_fails_cleanly(tmp_path, capsys, scenario):
     base = scenario_payload(tmp_path / "out", scenario, experiments.SCENARIOS[scenario][1])
-    edge_sweep(tmp_path, capsys, base, SWEEP_REALS, SWEEP_INTS)
+    edge_sweep(tmp_path, capsys, base, typed_values(SWEEP_REALS, SWEEP_INTS))
 
 
 @pytest.mark.parametrize("path", SAMPLE_CONFIGS, ids=[path.stem for path in SAMPLE_CONFIGS])
 def test_sample_config_edge_sweep_names_every_failure(tmp_path, capsys, path):
-    edge_sweep(tmp_path, capsys, json.loads(path.read_text()), SAMPLE_EDGE_REALS, SAMPLE_EDGE_INTS)
+    values = typed_values(SAMPLE_EDGE_REALS, SAMPLE_EDGE_INTS)
+    edge_sweep(tmp_path, capsys, json.loads(path.read_text()), values)
+
+
+# the declared ranges swept densely: each ranged field of a sample config at both ends of its
+# range, an infinite end as the largest float, and at every 40th power of ten inside it, from
+# 1e-280 to 1e280, which takes 1e-80 and 1e80.  Left out, to keep the suite's time: the end
+# 2^24 of thermal-planck n_cells, where one run takes about 46 s and 5.7 GB, and the end 128 of
+# a helicity mesh_n, about 3 s a run; test_size_ranges_end_at_the_library_limits pins both ends
+RANGE_POWERS = [10.0**e for e in range(-280, 281, 40)]
+RANGE_LEFT_OUT = {
+    ("thermal-planck", "n_cells", experiments.MAX_THERMAL_CELLS),
+    ("helicity-cylindrical", "mesh_n", 128),
+    ("verify-helicity", "mesh_n", 128),
+}
+
+
+def range_values(scenario, field, hint):
+    if typing.get_origin(hint) is not typing.Annotated:
+        return []
+    kind, lo, hi = typing.get_args(hint)
+    ends = [min(max(end, -sys.float_info.max), sys.float_info.max) for end in (lo, hi)]
+    values = [kind(v) for v in (ends[0], *(v for v in RANGE_POWERS if lo < v < hi), ends[1])]
+    return [v for v in values if (scenario, field, v) not in RANGE_LEFT_OUT]
+
+
+@pytest.mark.parametrize("path", SAMPLE_CONFIGS, ids=[path.stem for path in SAMPLE_CONFIGS])
+def test_sample_config_range_sweep_names_every_failure(tmp_path, capsys, path):
+    edge_sweep(tmp_path, capsys, json.loads(path.read_text()), range_values)
+
+
+def test_size_ranges_end_at_the_library_limits():
+    # each size range ends where the library's own check, which looks only at the size, stops
+    def hi(scenario, field):
+        return typing.get_args(experiments._type_hints(experiments.SCENARIOS[scenario][2])[field])[2]
+
+    for scenario, field in (("wigner-gaussian", "n_modes"), ("phonon-gaussian", "n_sites")):
+        wigner.check_grid_size(hi(scenario, field))
+        with pytest.raises(ValueError, match="MAX_GRID_CELLS"):
+            wigner.check_grid_size(hi(scenario, field) + 1)
+    wigner.check_pair_count(hi("photon-field", "n_random_modes"))
+    with pytest.raises(ValueError, match="MAX_PAIRS"):
+        wigner.check_pair_count(hi("photon-field", "n_random_modes") + 1)
+    # a mode set drawn within max_index takes a field grid of default_grid(max_index) points a
+    # side at most, and of 4 max_index + 1 at least
+    max_index = hi("photon-field", "max_index")
+    assert em.default_grid(max_index) ** 3 <= em.MAX_GRID_POINTS
+    em.check_grid_size(em.default_grid(max_index))
+    with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
+        em.check_grid_size(4 * (max_index + 1) + 1)
+    # the half-spacing mesh of a helicity run has (2 mesh_n - 1)^3 points, within 2^24
+    for scenario in ("helicity-cylindrical", "verify-helicity"):
+        mesh_n = hi(scenario, "mesh_n")
+        assert (2 * mesh_n - 1) ** 3 <= 2**24 < (2 * mesh_n + 1) ** 3
+    assert hi("thermal-planck", "n_cells") == experiments.MAX_THERMAL_CELLS
 
 
 # the helicity runners' edge inputs: the stencils take one interior point a side and
 # multiply by 1 / spacing and 1 / dt, and the axial solution by 1 / k, so the declared
 # ranges of mesh_n, spacing, dt and k refuse each of these by name before any mesh is built
-DT_RANGE = "[2.2250738585072014e-308, inf]"
+DT_RANGE = "[2.2250738585072014e-308, 1e+300]"
 
 
 @pytest.mark.parametrize(
     "command, scenario, params, code, diagnostic",
     [
         ("helicity-check", "helicity-cylindrical", {"mesh_n": 2}, 3,
-         {"error": "validation", "detail": "bad value in helicity: mesh_n must be in [3, inf], got 2"}),
+         {"error": "validation", "detail": "bad value in helicity: mesh_n must be in [3, 128], got 2"}),
         ("verify", "verify-helicity", {"mesh_n": 2}, 3,
-         {"error": "validation", "detail": "bad value in helicity: mesh_n must be in [3, inf], got 2"}),
+         {"error": "validation", "detail": "bad value in helicity: mesh_n must be in [3, 128], got 2"}),
         ("helicity-check", "helicity-cylindrical", {"dt": 0}, 3,
          {"error": "validation", "detail": f"bad value in helicity: dt must be in {DT_RANGE}, got 0"}),
         ("verify", "verify-helicity", {"dt": 0}, 3,

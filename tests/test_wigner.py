@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from wavekit import cli, em, experiments, gridio, helicity, lattice, wigner
+from wavekit import cli, em, experiments, gridio, lattice, wigner
 from wavekit.units import get_units
 
 
@@ -1003,9 +1003,6 @@ def test_size_limits_refuse_just_past_the_limit():
     em.check_grid_size(128)
     with pytest.raises(ValueError, match="MAX_GRID_POINTS"):
         em.field_energy(modes, n_grid=129)
-    helicity.check_mesh_size(256)
-    with pytest.raises(ValueError, match="MAX_MESH_POINTS"):
-        helicity.check_mesh_size(257)
     lattice.check_series_size(2**26, 2)
     two_sites = lattice.LatticeParams(n_sites=2)
     state = lattice.LatticeState(u=np.zeros(2), v=np.ones(2))
