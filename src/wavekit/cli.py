@@ -53,10 +53,12 @@ def _write_artifacts(out_dir: Path, summary: dict, artifacts: dict, top) -> list
     out_dir.mkdir(parents=True, exist_ok=True)
     gridio.write_json(out_dir / "summary.json", {"version": __version__, **summary})
     gridio.write_json(out_dir / "effective-config.json", experiments.effective_dict(top))
-    # the file suffix names the format; a .wgrd payload writes its file at the path it is given
-    writers = {".csv": gridio.write_csv, ".wgrd": lambda path, write: write(path)}
+    # the suffix names the format: a .wgrd payload is write_wigner_grid's arguments after the path
     for name in sorted(artifacts):
-        writers[Path(name).suffix](out_dir / name, artifacts[name])
+        if name.endswith(".wgrd"):
+            gridio.write_wigner_grid(out_dir / name, *artifacts[name])
+        else:
+            gridio.write_csv(out_dir / name, artifacts[name])
     return ["summary.json", "effective-config.json", *sorted(artifacts)]
 
 
@@ -125,7 +127,3 @@ def main(argv=None) -> int:
         # float overflow, division by zero or invalid operation; parse_config does no arithmetic
         _diagnostic("numeric", f"{top.scenario} failed: {type(exc).__name__}: {exc}")
         return NUMERIC_EXIT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,12 +1,14 @@
 """Config-driven scenario runners behind the CLI.
 
 Each scenario pairs a frozen config dataclass with a runner that takes its
-config and the run's UnitSystem and returns (summary, artifacts): summary is
-a JSON-ready dict, artifacts maps file names to their payloads, a column
-dict for a .csv name and for a .wgrd name a function that writes the file at
-a path, so a grid's rows can be transformed as they are written.  run_config
-looks up the config's top-level units and heads every summary with scenario
-and units.  Runners are pure given config and units, so identical configs
+config and the run's UnitSystem and returns (summary, artifacts), plain data:
+summary is a JSON-ready dict of what the run computed, never a config value,
+which the effective config records; artifacts maps file names to their
+payloads, a column dict for a .csv name and for a .wgrd name the arguments
+of gridio.write_wigner_grid after the path, whose blocks may be a generator,
+so a grid's rows can be transformed as they are written.  run_config looks
+up the config's top-level units and heads every summary with scenario and
+units.  Runners are pure given config and units, so identical configs
 reproduce identical artifacts.
 """
 
@@ -22,7 +24,7 @@ from typing import Annotated, Literal
 
 import numpy as np
 
-from . import em, gridio, helicity, kinetics, lattice, wigner
+from . import em, helicity, kinetics, lattice, wigner
 from .units import PRESETS, UnitSystem, get_units
 
 
@@ -206,7 +208,6 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
     k = wave.k
     raw_area = lattice.action_area(raw)
     summary = {
-        "n_sites": cfg.n_sites,
         "action_area": area,
         "quanta": area / u.h,
         "projected_area_loss": _rel(raw_area - area, raw_area),
@@ -220,7 +221,6 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
         "psi_vs_mode_evolution": _rel(psi_t - wave_t.psik, np.max(np.abs(wave_t.psik))),
         "wigner_closed_form_error": wigner_error,
         "wigner_peak": float(peak_f),
-        "t_final": cfg.t_final,
     }
     artifacts = {
         "spectrum.csv": {
@@ -236,9 +236,7 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
             "u_final": state_t.u,
             "v_final": state_t.v,
         },
-        "wigner.wgrd": lambda path: gridio.write_wigner_grid(
-            path, x[crop], p[p_mask], crops, u.hbar, defect
-        ),
+        "wigner.wgrd": (x[crop], p[p_mask], crops, u.hbar, defect),
     }
     return summary, artifacts
 
@@ -296,8 +294,6 @@ def run_traveling_wave(cfg: TravelingWaveConfig, u: UnitSystem):
     wave = lattice.psi_from_modes(modes0, u.hbar)
     summary = {
         "sound_speed": params.v_ell,
-        "direction": cfg.direction,
-        "t_final": cfg.t_final,
         "chirality_leakage": lattice.chirality_leakage(wave, cfg.direction),
         "transport_error": _rel(exact_t.u - predicted, scale),
         "leapfrog_vs_exact": _rel(leap_t.u - exact_t.u, scale),
@@ -376,12 +372,6 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
     density_h = np.abs(site) ** 2 / u.hbar
     total = float(dx * dp * np.sum(row_sums))
 
-    def write_grid(path):
-        # rows 0..n-1 transformed again as they are written, by the t = 0 pass's arithmetic on
-        # its site values: the same bytes, and no raise in the CLI's np.errstate where it had none
-        blocks = wigner._row_blocks(site, prefactor, slice(0, n))
-        gridio.write_wigner_grid(path, x, p, (block for _, block in blocks), u.hbar, defect)
-
     summary = {
         "total_number": total,
         "quanta": quanta,
@@ -393,10 +383,11 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
         "closed_form_error_t0": _rel(error_t0, peak),
         "closed_form_error_t": _rel(error_t, peak),
         "marginal_defect": defect,
-        "t_final": cfg.t_final,
     }
+    # rows 0..n-1 transformed again as the CLI writes them, by the t = 0 pass's arithmetic
+    grid_rows = (block for _, block in wigner._row_blocks(site, prefactor, slice(0, n)))
     artifacts = {
-        "grid.wgrd": write_grid,
+        "grid.wgrd": (x, p, grid_rows, u.hbar, defect),
         "marginals.csv": {
             "x": x,
             "marginal_x": marg_x,
@@ -411,8 +402,9 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
 
 @dataclass(frozen=True)
 class PhotonFieldConfig:
-    # E^2 scales as box_length^-4: its fourth power and reciprocal stay finite
-    box_length: Annotated[float, 1e-75, 1e75] = 2.0 * math.pi
+    # a 3-D density pair weight goes as (2 pi / box_length)^6, finite times factors up to 1e8;
+    # E^2 goes as box_length^-4, whose fourth power stays finite
+    box_length: Annotated[float, 1e-49, 1e75] = 2.0 * math.pi
     eps: _Scale = 1.0
     mu: _Scale = 1.0
     # M^2 mode pairs in MAX_PAIRS; a field grid of 4 max_index + 1 points a side in MAX_GRID_POINTS
@@ -457,7 +449,6 @@ def run_photon_field(cfg: PhotonFieldConfig, u: UnitSystem):
 
     modes_t = em.evolve_mode_set(modes, cfg.t_final)
     summary = {
-        "n_modes": int(modes.k.shape[0]),
         "photon_number": number,
         "number_vs_wigner": _rel(number - wigner.wigner_3d_total(w3), number),
         "energy_mode": e_mode,
@@ -467,7 +458,6 @@ def run_photon_field(cfg: PhotonFieldConfig, u: UnitSystem):
         "energy_wigner_vs_mode": _rel(e_wigner - e_mode, e_mode),
         "energy_drift": _rel(em.mode_energy_3d(modes_t) - e_mode, e_mode),
         "number_drift": _rel(em.photon_number(modes_t) - number, number),
-        "t_final": cfg.t_final,
     }
     k = modes.k
     artifacts = {
@@ -587,8 +577,7 @@ def _cylindrical_block(plane_k, k, v, mesh_n, spacing, dt, center, precession=Fa
 def run_helicity_cylindrical(cfg: HelicityCylindricalConfig, u: UnitSystem):
     center = (cfg.center_x, cfg.center_y, cfg.center_z)
     plane_k = np.array([0.0, 0.5, cfg.k])
-    figures = _cylindrical_block(plane_k, cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, center)
-    return {**figures, "k": cfg.k, "spacing": cfg.spacing, "dt": cfg.dt}, {}
+    return _cylindrical_block(plane_k, cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, center), {}
 
 
 # --- thermal-planck ----------------------------------------------------------
@@ -654,16 +643,13 @@ def run_thermal_planck(cfg: ThermalPlanckConfig, u: UnitSystem):
 
     n_density = kinetics.thermal_photon_count(params)
     summary = {
-        "model": model.value,
         "relative_residual": resid,
         "stationarity_residual": _rel(rhs, params.gamma * 2.0 / params.h**3),
         "elapsed": elapsed,
-        "n_folds": cfg.n_folds,
         "peak_wavelength": lam_max,
         "peak_product": product,
         "photon_density": n_density,
         "photons_per_peak_cube": n_density * lam_max**3,
-        "temperature": cfg.temperature,
     }
     artifacts = {
         "distribution.csv": {
@@ -761,12 +747,16 @@ class VerifyHelicityConfig:
 
 
 def verify_helicity(cfg: VerifyHelicityConfig, u: UnitSystem):
+    kh, omega_dt = cfg.k * cfg.spacing, cfg.v * cfg.k * cfg.dt
+    if max(kh, omega_dt) > 1e154:  # the bound squares both; an infinite bound passes every check
+        raise ConfigError(
+            f"k spacing = {kh!r} or v k dt = {omega_dt!r} over 1e154 overflows the residual bound"
+        )
+    bound = 0.5 * kh**2 + 0.25 * omega_dt**2
     plane_k = np.array([0.3, -0.4, cfg.k])
     fig = _cylindrical_block(
         plane_k, cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, (0.25, 0.15, -0.3), precession=True
     )
-    omega = cfg.v * cfg.k
-    bound = 0.5 * (cfg.k * cfg.spacing) ** 2 + 0.25 * (omega * cfg.dt) ** 2
     # the negative control holds the sigma = +1 mode to the sigma = -1 eigencheck
     same = fig["eigencheck_opposite" if cfg.negative_control else "eigencheck_same"]
     # unfloored, so a zero half-spacing residual stops the run

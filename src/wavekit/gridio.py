@@ -20,6 +20,7 @@ from .wigner import WignerGrid
 _MAGIC = b"WGRD"
 _VERSION = 3  # version 3: a full-period grid's body holds its rows 0..n-1 only
 _HEADER = struct.Struct("<4sIB7xQQdd")
+_CSV_BLOCK_ROWS = 2**16  # rows formatted and written at a time: a few MB of text
 
 
 def write_csv(path, columns: dict) -> None:
@@ -28,11 +29,13 @@ def write_csv(path, columns: dict) -> None:
     lengths = {a.size for a in arrays.values()}
     if len(lengths) != 1:
         raise ValueError("all columns must have the same length")
-    names = list(arrays)
     # Python floats from tolist format faster than numpy scalars, to the same digits
-    fmt = ",".join(["%.17g"] * len(names))
-    rows = zip(*(arrays[n].tolist() for n in names))
-    Path(path).write_text("\n".join([",".join(names), *(fmt % row for row in rows)]) + "\n")
+    fmt = ",".join(["%.17g"] * len(arrays)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(arrays) + "\n")
+        for lo in range(0, lengths.pop(), _CSV_BLOCK_ROWS):
+            rows = zip(*(a[lo : lo + _CSV_BLOCK_ROWS].tolist() for a in arrays.values()))
+            fh.write("".join([fmt % row for row in rows]))
 
 
 def read_csv(path) -> dict:

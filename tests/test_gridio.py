@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,25 @@ def test_csv_matches_per_value_formatting(tmp_path):
     path = tmp_path / "t.csv"
     gridio.write_csv(path, cols)
     assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def test_csv_writes_a_block_of_rows_at_a_time(tmp_path, monkeypatch):
+    # 64 full blocks and a part: the write holds a few blocks' text at its traced peak, never the
+    # file's, and the bytes are the per-value formatting's across the block seams
+    monkeypatch.setattr(gridio, "_CSV_BLOCK_ROWS", 512)
+    rng = np.random.default_rng(5)
+    cols = {"x": rng.normal(size=64 * 512 + 7), "f": rng.normal(size=64 * 512 + 7)}
+    path = tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        gridio.write_csv(path, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = path.read_text()
+    assert peak < 8 * len(text) / 64, peak
+    lines = ["x,f", *(f"{x:.17g},{f:.17g}" for x, f in zip(cols["x"], cols["f"]))]
+    assert text == "\n".join(lines) + "\n"
 
 
 def test_csv_bytes_are_reproducible(tmp_path):
