@@ -402,9 +402,9 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
 
 @dataclass(frozen=True)
 class PhotonFieldConfig:
-    # a 3-D density pair weight goes as (2 pi / box_length)^6, finite times factors up to 1e8;
-    # E^2 goes as box_length^-4, whose fourth power stays finite
-    box_length: Annotated[float, 1e-49, 1e75] = 2.0 * math.pi
+    # a 3-D density pair weight goes as (2 pi / box_length)^6, which stays normal times factors
+    # up to 1e8 for box_length from about 5.7e-50 to 5.5e50
+    box_length: Annotated[float, 1e-49, 1e49] = 2.0 * math.pi
     eps: _Scale = 1.0
     mu: _Scale = 1.0
     # M^2 mode pairs in MAX_PAIRS; a field grid of 4 max_index + 1 points a side in MAX_GRID_POINTS
@@ -747,12 +747,13 @@ class VerifyHelicityConfig:
 
 
 def verify_helicity(cfg: VerifyHelicityConfig, u: UnitSystem):
-    kh, omega_dt = cfg.k * cfg.spacing, cfg.v * cfg.k * cfg.dt
-    if max(kh, omega_dt) > 1e154:  # the bound squares both; an infinite bound passes every check
+    k = float(cfg.k)  # an int k is kept as given; float products overflow to inf, not raise
+    kh, omega_dt = k * cfg.spacing, cfg.v * k * cfg.dt
+    bound = 0.5 * kh * kh + 0.25 * omega_dt * omega_dt
+    if not math.isfinite(bound):  # an infinite bound passes every check
         raise ConfigError(
-            f"k spacing = {kh!r} or v k dt = {omega_dt!r} over 1e154 overflows the residual bound"
+            f"k spacing = {kh!r} and v k dt = {omega_dt!r} overflow the residual bound"
         )
-    bound = 0.5 * kh**2 + 0.25 * omega_dt**2
     plane_k = np.array([0.3, -0.4, cfg.k])
     fig = _cylindrical_block(
         plane_k, cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, (0.25, 0.15, -0.3), precession=True

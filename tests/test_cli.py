@@ -130,10 +130,16 @@ def test_sample_config_figures_within_bounds(tmp_path, capsys, path):
     code = cli.main([experiments.SCENARIOS[scenario][0], "--config", str(path), "--out", str(out)])
     stdout = capsys.readouterr().out
     assert code == 0
+    # effective-config.json records each config value; the summary holds what the run computed
+    params = experiments.parse_config(json.loads(path.read_text())).params
+    fields = set(experiments._type_hints(type(params)))
     if scenario.startswith("verify-"):
         assert stdout.splitlines()[-1] == "all checks passed", stdout
+        checks = {line.split()[1].rstrip(":") for line in stdout.splitlines()[:-1]}
+        assert not checks & fields, sorted(checks)
         return
     summary = json.loads((out / "summary.json").read_text())
+    assert not (set(summary) - {"version", "scenario", "units"}) & fields, sorted(summary)
     bounds = dict(FIGURE_BOUNDS[scenario])
     if scenario == "traveling-wave":
         dt_factor = json.loads((out / "effective-config.json").read_text())["lattice"]["dt_factor"]
@@ -144,16 +150,6 @@ def test_sample_config_figures_within_bounds(tmp_path, capsys, path):
         if not abs(summary[name] - target) <= tolerance
     }
     assert not misses, misses
-
-
-@pytest.mark.parametrize("path", SAMPLE_CONFIGS, ids=lambda path: path.stem)
-def test_sample_config_summary_echoes_no_config_value(path):
-    # effective-config.json records each config value; summary.json, this summary under its
-    # version, holds what the run computed
-    top = experiments.parse_config(json.loads(path.read_text()))
-    summary, _ = experiments.run_config(top)
-    echoed = set(summary) - {"scenario", "units"}
-    assert not echoed & set(experiments._type_hints(type(top.params))), sorted(summary)
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +323,16 @@ OUT_OF_RANGE = [
     ("phonon-sim", lambda out: traveling_payload(out, ell=1e-309), "ell"),
     ("phonon-sim", lambda out: scenario_payload(out, "phonon-gaussian", "lattice", m=1e-308), "m"),
     ("wigner", lambda out: scenario_payload(out, "wigner-gaussian", "wigner", g=1e-307), "g"),
+    # the 3-D density's pair weight (2 pi / box_length)^6 underflowed to 0 and the Wigner figures
+    # read 1.0 on an exit 0
+    ("photon-field", lambda out: photon_payload(out, box_length=1e75), "box_length"),
 ]
 OUT_OF_RANGE_IDS = [
     "too-many-pairs", "huge-wigner-grid", "huge-phonon-grid", "huge-field-grid",
     "enormous-field-grid", "huge-helicity-mesh", "huge-verify-mesh",
     "coarse-center-tiny-ell", "subnormal-wigner-ell", "tiny-wigner-ell", "tiny-wigner-ell-2e-308",
     "huge-wigner-ell", "subnormal-eps", "huge-traveling-ell", "subnormal-verify-m", "huge-width",
-    "tiny-traveling-m", "tiny-traveling-ell", "tiny-phonon-m", "tiny-wigner-g",
+    "tiny-traveling-m", "tiny-traveling-ell", "tiny-phonon-m", "tiny-wigner-g", "huge-box-length",
 ]
 
 
@@ -798,7 +797,9 @@ LATTICE_RANGE = "bad value in lattice: {} must be in {}, got {}"
         ("verify", "verify-lattice", "lattice", {"omega0": 1e300}, 3,
          LATTICE_RANGE.format("omega0", "[0.0, 1e+150]", "1e+300")),
         ("verify", "verify-helicity", "helicity", {"dt": 1e300}, 3,
-         "over 1e154 overflows the residual bound"),
+         "and v k dt = 1.3500000000000002e+300 overflow the residual bound"),
+        ("verify", "verify-helicity", "helicity", {"k": 1e150, "spacing": 1e10}, 3,
+         "k spacing = 1e+160 and"),
         ("verify", "verify-lattice", "lattice", {"kappa": 1e308}, 3,
          LATTICE_RANGE.format("kappa", "[5e-324, 1e+300]", "1e+308")),
         ("phonon-sim", "phonon-gaussian", "lattice", {"kappa": 1e308}, 3,
@@ -820,7 +821,8 @@ LATTICE_RANGE = "bad value in lattice: {} must be in {}, got {}"
     ],
     ids=[
         "huge-temperature", "tiny-thermal-v", "huge-kappa", "huge-phonon-omega0",
-        "huge-verify-omega0", "huge-verify-dt", "huge-verify-kappa", "huge-phonon-kappa",
+        "huge-verify-omega0", "huge-verify-dt", "huge-verify-k-spacing", "huge-verify-kappa",
+        "huge-phonon-kappa",
         "subnormal-verify-ell", "subnormal-phonon-ell", "subnormal-traveling-ell",
         "huge-phonon-ell", "huge-verify-ell", "subnormal-phonon-m", "subnormal-traveling-m",
     ],
