@@ -800,6 +800,9 @@ LATTICE_RANGE = "bad value in lattice: {} must be in {}, got {}"
          "and v k dt = 1.3500000000000002e+300 overflow the residual bound"),
         ("verify", "verify-helicity", "helicity", {"k": 1e150, "spacing": 1e10}, 3,
          "k spacing = 1e+160 and"),
+        # ints are kept as given, and int products used to stop on "int too large to convert"
+        ("verify", "verify-helicity", "helicity", {"k": 10**149, "v": 10**149, "dt": 10**299}, 3,
+         "and v k dt = inf overflow the residual bound"),
         ("verify", "verify-lattice", "lattice", {"kappa": 1e308}, 3,
          LATTICE_RANGE.format("kappa", "[5e-324, 1e+300]", "1e+308")),
         ("phonon-sim", "phonon-gaussian", "lattice", {"kappa": 1e308}, 3,
@@ -821,8 +824,8 @@ LATTICE_RANGE = "bad value in lattice: {} must be in {}, got {}"
     ],
     ids=[
         "huge-temperature", "tiny-thermal-v", "huge-kappa", "huge-phonon-omega0",
-        "huge-verify-omega0", "huge-verify-dt", "huge-verify-k-spacing", "huge-verify-kappa",
-        "huge-phonon-kappa",
+        "huge-verify-omega0", "huge-verify-dt", "huge-verify-k-spacing", "huge-int-verify-dt",
+        "huge-verify-kappa", "huge-phonon-kappa",
         "subnormal-verify-ell", "subnormal-phonon-ell", "subnormal-traveling-ell",
         "huge-phonon-ell", "huge-verify-ell", "subnormal-phonon-m", "subnormal-traveling-m",
     ],
