@@ -14,6 +14,7 @@ one-line JSON diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -49,33 +50,62 @@ _PARSER.add_argument("--config", required=True, metavar="PATH", help="JSON scena
 _PARSER.add_argument("--out", default=None, metavar="DIR", help="output directory override")
 
 
+class Staging:
+    """The sink runners take: sink(name, x, p) opens a gridio.GridRows at the staging name
+    <name>.partial in the output directory, into which a runner streams a .wgrd artifact's
+    rows as it makes them; paths lists the files opened, to be renamed or unlinked."""
+
+    def __init__(self, out_dir: Path):
+        self.out_dir, self.paths = out_dir, []
+
+    def __call__(self, name: str, x, p) -> gridio.GridRows:
+        self.paths.append(self.out_dir / f"{name}.partial")
+        return gridio.GridRows(self.paths[-1], x, p)
+
+
 def _write_artifacts(out_dir: Path, summary: dict, artifacts: dict, top) -> list[str]:
-    out_dir.mkdir(parents=True, exist_ok=True)
     gridio.write_json(out_dir / "summary.json", {"version": __version__, **summary})
     gridio.write_json(out_dir / "effective-config.json", experiments.effective_dict(top))
-    # the suffix names the format: a .wgrd payload is write_wigner_grid's arguments after the path
+    # the suffix names the format: a .wgrd payload is write_wigner_grid's arguments after the
+    # path, its blocks the GridRows at a staging name, which the header completes and the
+    # rename publishes
     for name in sorted(artifacts):
         if name.endswith(".wgrd"):
-            gridio.write_wigner_grid(out_dir / name, *artifacts[name])
+            rows = artifacts[name][2]
+            gridio.write_wigner_grid(rows.path, *artifacts[name])
+            rows.path.replace(out_dir / name)
         else:
             gridio.write_csv(out_dir / name, artifacts[name])
     return ["summary.json", "effective-config.json", *sorted(artifacts)]
 
 
 def _report_run(top) -> int:
-    summary, artifacts = experiments.run_config(top)
-    bad = [
-        key for key, value in summary.items() if isinstance(value, float) and not math.isfinite(value)
-    ]
-    if bad:
-        _diagnostic("numeric", f"non-finite results: {', '.join(bad)}")
-        return NUMERIC_EXIT
     out_dir = Path(top.output.dir or f"{top.scenario}-out")
+    # the directories this run makes, deepest first: a failed run removes them again
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    sink, done = Staging(out_dir), False
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        summary, artifacts = experiments.run_config(top, sink)
+        bad = [
+            key for key, value in summary.items()
+            if isinstance(value, float) and not math.isfinite(value)
+        ]
+        if bad:
+            _diagnostic("numeric", f"non-finite results: {', '.join(bad)}")
+            return NUMERIC_EXIT
         written = _write_artifacts(out_dir, summary, artifacts, top)
+        done = True
     except OSError as exc:
         _diagnostic("output", f"cannot write to output directory {out_dir}: {exc}")
         return PARSE_EXIT
+    finally:
+        if not done:  # exit 2, 3 or 4: no staging file stays, nor a directory this run made
+            for path in sink.paths:
+                path.unlink(missing_ok=True)
+            for path in made:
+                with contextlib.suppress(OSError):
+                    path.rmdir()
     for key in sorted(summary):
         print(f"{key} = {summary[key]}")
     print(f"wrote {', '.join(written)} to {out_dir}")
@@ -83,7 +113,7 @@ def _report_run(top) -> int:
 
 
 def _report_checks(top) -> int:
-    summary, _ = experiments.run_config(top)
+    summary, _ = experiments.run_config(top, None)  # the verify runners write no file
     for name, row in summary["checks"].items():
         tag = "PASS" if row["passed"] else "FAIL"
         print(f"{tag} {name}: value={row['value']:.6g} bound={row['bound']:.6g}")

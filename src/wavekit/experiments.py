@@ -1,15 +1,16 @@
 """Config-driven scenario runners behind the CLI.
 
 Each scenario pairs a frozen config dataclass with a runner that takes its
-config and the run's UnitSystem and returns (summary, artifacts), plain data:
+config, the run's UnitSystem and a sink, and returns (summary, artifacts):
 summary is a JSON-ready dict of what the run computed, never a config value,
 which the effective config records; artifacts maps file names to their
 payloads, a column dict for a .csv name and for a .wgrd name the arguments
-of gridio.write_wigner_grid after the path, whose blocks may be a generator,
-so a grid's rows can be transformed as they are written.  run_config looks
-up the config's top-level units and heads every summary with scenario and
-units.  Runners are pure given config and units, so identical configs
-reproduce identical artifacts.
+of gridio.write_wigner_grid after the path.  A runner that writes a .wgrd
+file streams its rows as its transform makes them into sink(name, x, p), a
+gridio.GridRows, which is the payload's blocks; the other runners never call
+the sink.  run_config looks up the config's top-level units and heads every
+summary with scenario and units.  Runners compute from config and units
+alone, so identical configs reproduce identical artifacts.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class PhononGaussianConfig:
     seed: int = 0
 
 
-def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
+def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem, sink):
     params = lattice.LatticeParams(
         m=cfg.m, omega0=cfg.omega0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
     )
@@ -194,14 +195,15 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
     widths = (params.length / 4.0, 4.0 * math.sqrt(cfg.g / 2.0))
     half, crop = (wigner._window_rows(x, x0 - w, x0 + w) for w in widths)
     p_mask = np.abs(p - u.hbar * cfg.k0) <= 4.0 * u.hbar / math.sqrt(2.0 * cfg.g)
-    checks, crops = [], []
+    checks = []
 
     def take(lo, block):
         checks.extend(_closed_errors(gp, x, p, u.hbar, half, [(lo, block)]))
-        crops.append(block[max(crop.start - lo, 0) : max(crop.stop - lo, 0), p_mask])
+        grid.write(block[max(crop.start - lo, 0) : max(crop.stop - lo, 0), p_mask])
 
     rows = slice(min(half.start, crop.start), max(half.stop, crop.stop))
-    _, _, defect = wigner._doubled_grid_transform(wave, wigner._number_prefactor(wave), rows, take)
+    with sink("wigner.wgrd", x[crop], p[p_mask]) as grid:
+        _, _, defect = wigner._doubled_grid_transform(wave, wigner._number_prefactor(wave), rows, take)
     error, _, peak_f = np.max(checks, axis=0)
     wigner_error = _rel(error, cfg.n_quanta / (math.pi * u.hbar))
 
@@ -236,7 +238,7 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem):
             "u_final": state_t.u,
             "v_final": state_t.v,
         },
-        "wigner.wgrd": (x[crop], p[p_mask], crops, u.hbar, defect),
+        "wigner.wgrd": (x[crop], p[p_mask], grid, u.hbar, defect),
     }
     return summary, artifacts
 
@@ -258,7 +260,7 @@ class TravelingWaveConfig:
     dt_factor: _Divisor = 0.1
 
 
-def run_traveling_wave(cfg: TravelingWaveConfig, u: UnitSystem):
+def run_traveling_wave(cfg: TravelingWaveConfig, u: UnitSystem, sink):
     params = lattice.LatticeParams(
         m=cfg.m, omega0=0.0, kappa=cfg.kappa, ell=cfg.ell, n_sites=cfg.n_sites
     )
@@ -329,7 +331,7 @@ class WignerGaussianConfig:
     v: float = 1.0
 
 
-def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
+def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem, sink):
     length = cfg.ell * cfg.n_modes
     dk = 2.0 * np.pi / length
     # a position on the periodic ring exists only mod ell n
@@ -345,14 +347,18 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
     n, prefactor = cfg.n_modes, wigner._number_prefactor(wave)
     site = wigner.doubled_site_values(wave)
 
-    # the t = 0 pass checks every ring row in the half window
+    # the t = 0 pass checks every ring row in the half window, and writes grid.wgrd from the
+    # held rows 0..n-1, which come in order, each block before its ghost rows
     rows = wigner._window_rows(x, x0 - length / 4.0, x0 + length / 4.0)
     checks = []
 
     def check(lo, block):
         checks.extend(_closed_errors(gp, x, p, u.hbar, rows, [(lo, block)]))
+        if lo < n:
+            grid.write(block)
 
-    row_sums, column_sums, defect = wigner._doubled_grid_transform(wave, prefactor, consume=check)
+    with sink("grid.wgrd", x, p) as grid:
+        row_sums, column_sums, defect = wigner._doubled_grid_transform(wave, prefactor, consume=check)
     error_t0, peak, _ = np.max(checks, axis=0)
     # every grid wavenumber times ell n is a multiple of 2 pi, so the motion counts only mod
     # ell n, which fmod takes exactly; the closed form moves by vg t = vt
@@ -384,10 +390,8 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem):
         "closed_form_error_t": _rel(error_t, peak),
         "marginal_defect": defect,
     }
-    # rows 0..n-1 transformed again as the CLI writes them, by the t = 0 pass's arithmetic
-    grid_rows = (block for _, block in wigner._row_blocks(site, prefactor, slice(0, n)))
     artifacts = {
-        "grid.wgrd": (x, p, grid_rows, u.hbar, defect),
+        "grid.wgrd": (x, p, grid, u.hbar, defect),
         "marginals.csv": {
             "x": x,
             "marginal_x": marg_x,
@@ -436,7 +440,7 @@ def _random_mode_set(cfg: PhotonFieldConfig, medium, hbar):
     return em.PhotonModeSet(k=k, psik=psik, box_length=cfg.box_length, medium=medium, hbar=hbar)
 
 
-def run_photon_field(cfg: PhotonFieldConfig, u: UnitSystem):
+def run_photon_field(cfg: PhotonFieldConfig, u: UnitSystem, sink):
     medium = em.MediumParams(eps=cfg.eps, mu=cfg.mu, c=u.c)
     modes = _random_mode_set(cfg, medium, u.hbar)
     modes = em.normalize_photons(modes, cfg.n_quanta)
@@ -574,7 +578,7 @@ def _cylindrical_block(plane_k, k, v, mesh_n, spacing, dt, center, precession=Fa
     return figures
 
 
-def run_helicity_cylindrical(cfg: HelicityCylindricalConfig, u: UnitSystem):
+def run_helicity_cylindrical(cfg: HelicityCylindricalConfig, u: UnitSystem, sink):
     center = (cfg.center_x, cfg.center_y, cfg.center_z)
     plane_k = np.array([0.0, 0.5, cfg.k])
     return _cylindrical_block(plane_k, cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, center), {}
@@ -596,7 +600,7 @@ class ThermalPlanckConfig:
     n_folds: float = 30.0
 
 
-def run_thermal_planck(cfg: ThermalPlanckConfig, u: UnitSystem):
+def run_thermal_planck(cfg: ThermalPlanckConfig, u: UnitSystem, sink):
     model = kinetics.SourceModel(cfg.model)
     params = kinetics.KineticParams.in_units(u, cfg.gamma, cfg.temperature, v=cfg.v)
     if not 0 < cfg.x_min < cfg.x_max:
@@ -683,7 +687,7 @@ class VerifyLatticeConfig:
     negative_control: bool = False
 
 
-def verify_lattice(cfg: VerifyLatticeConfig, u: UnitSystem):
+def verify_lattice(cfg: VerifyLatticeConfig, u: UnitSystem, sink):
     sample_every = 10
     lattice.check_series_size(cfg.n_steps // sample_every + 1, cfg.n_sites)
     params = lattice.LatticeParams(
@@ -746,7 +750,7 @@ class VerifyHelicityConfig:
     negative_control: bool = False
 
 
-def verify_helicity(cfg: VerifyHelicityConfig, u: UnitSystem):
+def verify_helicity(cfg: VerifyHelicityConfig, u: UnitSystem, sink):
     k = float(cfg.k)  # an int k is kept as given; float products overflow to inf, not raise
     kh, omega_dt = k * cfg.spacing, cfg.v * k * cfg.dt
     bound = 0.5 * kh * kh + 0.25 * omega_dt * omega_dt
@@ -868,7 +872,7 @@ def effective_dict(top: TopConfig) -> dict:
     return result
 
 
-def run_config(top: TopConfig):
+def run_config(top: TopConfig, sink):
     runner = SCENARIOS[top.scenario][3]
-    summary, artifacts = runner(top.params, get_units(top.units))
+    summary, artifacts = runner(top.params, get_units(top.units), sink)
     return {"scenario": top.scenario, "units": top.units, **summary}, artifacts

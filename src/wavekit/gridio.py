@@ -47,18 +47,40 @@ def read_csv(path) -> dict:
     }
 
 
+class GridRows:
+    """The axes and held rows of a .wgrd file at path, written as the rows are made, in blocks
+    in order; write_wigner_grid(path, x, p, rows, hbar, defect) then writes the header, which
+    counts them.  Leaving a with block closes the file."""
+
+    def __init__(self, path, x, p):
+        self.path, self.count = path, 0
+        self._fh = open(path, "wb")
+        self._fh.seek(_HEADER.size)
+        self._fh.write(np.concatenate([x, p]).astype("<f8").tobytes())
+
+    def write(self, block) -> None:
+        self._fh.write(memoryview(np.ascontiguousarray(block, dtype="<f8")))
+        self.count += len(block)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+
 def write_wigner_grid(path, x, p, blocks, hbar, defect=0.0) -> None:
     """A WignerGrid's axes and held rows, all of a window's or rows 0..n-1 of a full period
-    (flagged once counted), from blocks in order: (grid.f,) or a stream of row blocks."""
-    with open(path, "wb") as fh:
-        fh.seek(_HEADER.size)
-        fh.write(np.concatenate([x, p]).astype("<f8").tobytes())
-        rows = 0
-        for block in blocks:
-            fh.write(memoryview(np.ascontiguousarray(block, dtype="<f8")))
-            rows += len(block)
-        fh.seek(0)
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, len(x) == 2 * rows, len(x), len(p), hbar, defect))
+    (flagged once counted), from blocks in order: (grid.f,), a stream of row blocks, or the
+    closed GridRows that wrote them at path as they were made.  The header goes in last."""
+    rows = blocks
+    if not isinstance(blocks, GridRows):
+        with GridRows(path, x, p) as rows:
+            for block in blocks:
+                rows.write(block)
+    full = len(x) == 2 * rows.count
+    with open(path, "r+b") as fh:
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, full, len(x), len(p), hbar, defect))
 
 
 def read_wigner_grid(path) -> WignerGrid:

@@ -154,9 +154,8 @@ def kinetic_rhs(
 ) -> np.ndarray:
     """df/dt = G(eps, f) - gamma f, with the gain G of the model."""
     model = SourceModel(model)
-    x = params.x_of(eps)
     f = np.asarray(f, dtype=float)
-    gain = _spontaneous(x, params.gamma * 2.0 / params.h**3, model)
+    gain = _spontaneous(params.x_of(eps), params.gamma * 2.0 / params.h**3, model)
     if model is SourceModel.WIEN_STIMULATED:
         gain = gain * (1.0 + (params.h**3 / 2.0) * f)
     return gain - params.gamma * f
@@ -169,9 +168,8 @@ def kinetic_step(
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     eps = state.eps(params)
+    decay = np.exp(-effective_rate(eps, params, model) * dt)
     f_star = equilibrium_f(eps, params, model)
-    rate = effective_rate(eps, params, model)
-    decay = np.exp(-rate * dt)
     f_new = f_star + (state.f - f_star) * decay
     return KineticState(p=state.p, f=f_new, t=state.t + dt)
 
@@ -186,9 +184,8 @@ def relax_to_equilibrium(
     """
     if n_folds <= 0:
         raise ValueError("n_folds must be positive")
-    eps = state.eps(params)
-    rate = effective_rate(eps, params, model)
-    t = float(n_folds / np.min(rate))  # inf, not ZeroDivisionError, if a rate underflows to 0
+    # inf, not ZeroDivisionError, if a rate underflows to 0; no rate array is held over the step
+    t = float(n_folds / np.min(effective_rate(state.eps(params), params, model)))
     return kinetic_step(state, params, t, model), t
 
 

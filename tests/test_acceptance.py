@@ -14,7 +14,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 from scipy.special import zeta
 
-from wavekit import em, experiments, helicity, kinetics, lattice, wigner
+from wavekit import cli, em, experiments, helicity, kinetics, lattice, wigner
 
 
 def report(num, slug, ok, detail):
@@ -36,7 +36,7 @@ def thermal_summary(tmp_path):
         "kinetics": {},
     }
     top = experiments.parse_config(payload)
-    summary, _ = experiments.run_config(top)
+    summary, _ = experiments.run_config(top, cli.Staging(tmp_path))
     return summary
 
 

@@ -585,10 +585,10 @@ def test_non_finite_thermal_refusal_names_its_cause(tmp_path, capsys, kinetics, 
     assert ("x_min" in detail) == ("x_min" in kinetics)
 
 
-def run_summary(scenario, **params):
+def run_summary(out, scenario, **params):
     block = experiments.SCENARIOS[scenario][1]
     payload = {"schema_version": 1, "scenario": scenario, "units": "natural", block: params}
-    return experiments.run_config(experiments.parse_config(payload))[0]
+    return experiments.run_config(experiments.parse_config(payload), cli.Staging(out))[0]
 
 
 # a position on the periodic ring exists only mod its length ell n, so packet and bump
@@ -612,27 +612,27 @@ def test_packet_off_the_ring_wraps_onto_it(tmp_path, capsys, command, scenario, 
 
 
 @pytest.mark.parametrize("scenario, length", [("wigner-gaussian", 512), ("phonon-gaussian", 256)])
-def test_packet_start_is_taken_mod_the_ring(scenario, length):
+def test_packet_start_is_taken_mod_the_ring(tmp_path, scenario, length):
     # 100.3 + turns is inexact, so the wrapped starts differ in their last bits
-    base = run_summary(scenario, x0=100.3)
+    base = run_summary(tmp_path, scenario, x0=100.3)
     for turns in (1, -1):
-        assert run_summary(scenario, x0=100.3 + turns * length) == pytest.approx(
+        assert run_summary(tmp_path, scenario, x0=100.3 + turns * length) == pytest.approx(
             base, rel=1e-12, abs=1e-12
         )
 
 
-def test_packet_moved_past_the_ring_end_meets_the_closed_form():
+def test_packet_moved_past_the_ring_end_meets_the_closed_form(tmp_path):
     # v t_final = 400 moves the center from 256 to 656 on a ring of 512, i.e. to 144
-    summary = run_summary("wigner-gaussian", n_modes=512, t_final=400.0)
+    summary = run_summary(tmp_path, "wigner-gaussian", n_modes=512, t_final=400.0)
     assert summary["closed_form_error_t0"] <= 1e-6
     assert summary["closed_form_error_t"] <= 1e-6
 
 
-def test_bump_center_is_taken_mod_the_ring():
+def test_bump_center_is_taken_mod_the_ring(tmp_path):
     # the default center is 512 / 4 = 128 sites; a whole-site shift moves the bump rigidly
-    base = run_summary("traveling-wave")
+    base = run_summary(tmp_path, "traveling-wave")
     for center in (0.0, 511.0, -3.0, 3 * 512.0):
-        summary = run_summary("traveling-wave", center=center)
+        summary = run_summary(tmp_path, "traveling-wave", center=center)
         assert summary["transport_error"] == pytest.approx(base["transport_error"], rel=1e-9)
         assert summary["chirality_leakage"] <= 1e-12
 
@@ -724,7 +724,7 @@ def test_non_object_blocks_exit_3(tmp_path, capsys, monkeypatch, where, value):
 def test_non_finite_summary_exits_4_and_writes_nothing(tmp_path, capsys, monkeypatch):
     command, block, cls, _ = experiments.SCENARIOS["thermal-planck"]
 
-    def runner(cfg, units):
+    def runner(cfg, units, sink):
         return {"figure": math.inf}, {}
 
     monkeypatch.setitem(experiments.SCENARIOS, "thermal-planck", (command, block, cls, runner))
@@ -1132,8 +1132,8 @@ def test_phonon_crop_is_the_windowed_transform(tmp_path, capsys):
         assert crop.marginal_defect == grid.marginal_defect
 
 
-# wigner-gaussian holds no grid: its grid.wgrd rows are transformed again as they are
-# written, and a row's numbers do not depend on its block, so the file is the held grid's
+# wigner-gaussian holds no grid: its t = 0 pass writes grid.wgrd's rows as it makes them,
+# and a row's numbers do not depend on its block, so the file is the held grid's
 @pytest.mark.parametrize("n_modes", [63, 64, 512])
 def test_streamed_grid_file_is_the_held_grids(tmp_path, capsys, n_modes):
     out = tmp_path / "out"
@@ -1150,6 +1150,88 @@ def test_streamed_grid_file_is_the_held_grids(tmp_path, capsys, n_modes):
     held = tmp_path / "held.wgrd"
     gridio.write_wigner_grid(held, grid.x, grid.p, (grid.f,), grid.hbar, grid.marginal_defect)
     assert (out / "grid.wgrd").read_bytes() == held.read_bytes()
+
+
+def counted_row_blocks(monkeypatch, nan_in_pass=None):
+    """Record [rows, rows yielded] of each wigner._row_blocks pass; with nan_in_pass k, its
+    k-th pass (from 1) yields a NaN."""
+    row_blocks, passes = wigner._row_blocks, []
+
+    def counted(site, prefactor, rows, out=None):
+        passes.append([rows, 0])
+        for lo, block in row_blocks(site, prefactor, rows, out):
+            if len(passes) == nan_in_pass:
+                block[0, 0] = np.nan
+            passes[-1][1] += len(block)
+            yield lo, block
+
+    monkeypatch.setattr(wigner, "_row_blocks", counted)
+    return passes
+
+
+# grid.wgrd takes its rows from the t = 0 pass, so a run transforms rows 0..n-1 and its
+# moved half window, each once (it transformed rows 0..n-1 once more to write the file)
+@pytest.mark.parametrize("n_modes", [63, 64])
+def test_wigner_run_transforms_each_row_once_per_pass(tmp_path, capsys, monkeypatch, n_modes):
+    passes = counted_row_blocks(monkeypatch)
+    params = {"n_modes": n_modes, "k0_cells": n_modes // 4, "g": n_modes / 5.0}
+    payload = scenario_payload(tmp_path / "out", "wigner-gaussian", "wigner", **params)
+    assert cli.main(["wigner", "--config", str(write_config(tmp_path, payload))]) == 0
+    capsys.readouterr()
+    moved = passes[1][0]
+    assert [rows for rows, _ in passes] == [slice(0, n_modes), moved]
+    assert sum(count for _, count in passes) == n_modes + moved.stop - moved.start
+
+
+# a run that fails after its t = 0 pass has streamed grid.wgrd's rows into a staging file
+# leaves an earlier run's artifacts as they were, and no staging file beside them
+@pytest.mark.parametrize("failure", ["refused", "non-finite", "overflow"])
+def test_failed_wigner_run_keeps_the_earlier_artifacts(tmp_path, capsys, monkeypatch, failure):
+    out = tmp_path / "out"
+    payload = scenario_payload(out, "wigner-gaussian", "wigner", n_modes=64, k0_cells=16)
+    assert cli.main(["wigner", "--config", str(write_config(tmp_path, payload))]) == 0
+    capsys.readouterr()
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    if failure == "refused":  # test_empty_half_window_names_its_interval's run
+        payload = scenario_payload(out, "wigner-gaussian", "wigner", n_modes=1, k0_cells=0, t_final=0.3)
+    elif failure == "non-finite":  # closed_form_error_t reads NaN
+        counted_row_blocks(monkeypatch, nan_in_pass=2)
+    else:  # the moved check's closed form overflows
+        closed = wigner.wigner_gaussian_closed
+
+        def overflow(*args, t=0.0, **kwargs):
+            if t:
+                raise FloatingPointError("overflow encountered in multiply")
+            return closed(*args, t=t, **kwargs)
+
+        monkeypatch.setattr(wigner, "wigner_gaussian_closed", overflow)
+    code = cli.main(["wigner", "--config", str(write_config(tmp_path, payload))])
+    assert code == (3 if failure == "refused" else 4)
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_unwritable_output_dir_stops_wigner_before_its_run(tmp_path, capsys, monkeypatch, where):
+    # an output directory that is an existing file, or lies beneath one, is found before the
+    # t = 0 pass would stream grid.wgrd's rows into it
+    passes = counted_row_blocks(monkeypatch)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    if where == "config":
+        out, argv = blocker, []
+    else:
+        out, argv = blocker / "out", ["--out", str(blocker / "out")]
+    payload = scenario_payload(out, "wigner-gaussian", "wigner", n_modes=64, k0_cells=16)
+    cfg = write_config(tmp_path, payload)
+    code = cli.main(["wigner", "--config", str(cfg), *argv])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    diagnostic = json.loads(lines[0])
+    assert diagnostic["error"] == "output" and str(out) in diagnostic["detail"]
+    assert blocker.read_text() == "" and passes == []
 
 
 def test_effective_config_reproduces_summary(tmp_path, capsys):

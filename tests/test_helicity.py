@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from wavekit import em, experiments, helicity
+from wavekit import cli, em, experiments, helicity
 from wavekit.units import get_units
 
 DENSE = em.MediumParams(eps=2.25, mu=1.1, c=1.0)
@@ -419,16 +419,18 @@ def test_plane_mode_checks_keep_a_nan_of_one_slab(monkeypatch):
     ],
     ids=["helicity-cylindrical", "verify-helicity", "helicity-cylindrical-65", "verify-helicity-65"],
 )
-def test_helicity_runner_peak_memory_under_one_half_spacing_field(scenario, mesh_n, bound):
+def test_helicity_runner_peak_memory_under_one_half_spacing_field(
+    tmp_path, scenario, mesh_n, bound
+):
     # every check holds one slab at a time: neither the whole (2 mesh_n - 1)^3 mesh of the
     # half-spacing check nor the mesh_n^3 mesh of the plane-mode and precession checks
     _, _, config_class, run = experiments.SCENARIOS[scenario]
     cfg = config_class(mesh_n=mesh_n)
-    units = get_units("natural")
-    run(cfg, units)  # warm-up, so one-time caches are not counted
+    units, sink = get_units("natural"), cli.Staging(tmp_path)
+    run(cfg, units, sink)  # warm-up, so one-time caches are not counted
     tracemalloc.start()
     try:
-        run(cfg, units)
+        run(cfg, units, sink)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

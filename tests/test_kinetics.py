@@ -1,7 +1,10 @@
 """Relaxation kinetics: fixed points, rates against an independent integrator,
 transport, and the thermal-law quantities."""
 
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 from scipy.special import zeta
 
-from wavekit import kinetics, units
+from wavekit import cli, experiments, kinetics, units
 
 NATURAL = kinetics.KineticParams(gamma=1.0, temperature=1.0)
 ALL_MODELS = list(kinetics.SourceModel)
@@ -362,3 +365,22 @@ def test_spectral_density_no_overflow_in_tails():
     vals = kinetics.spectral_energy_density(np.array([1e-6, 1e6]), NATURAL)
     assert np.all(np.isfinite(vals))
     assert vals[0] == 0.0  # deep quantum cutoff underflows cleanly
+
+
+def test_thermal_runner_peak_memory_in_grids(tmp_path):
+    # the runner holds x, p, eps and f0 over the relaxation; kinetic_step adds its eps and
+    # decay, and equilibrium_f its x, expm1 and quotient: 9 grid-sized arrays at the peak.
+    # It read 11.1 while relax_to_equilibrium held its eps and rates over the step
+    n_cells = 2**18
+    config = Path(__file__).resolve().parents[1] / "configs" / "thermal-planck.json"
+    payload = json.loads(config.read_text())
+    payload["kinetics"]["n_cells"] = n_cells
+    top, sink = experiments.parse_config(payload), cli.Staging(tmp_path)
+    experiments.run_config(top, sink)  # warm-up, so one-time caches are not counted
+    tracemalloc.start()
+    try:
+        experiments.run_config(top, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.1 * n_cells * 8

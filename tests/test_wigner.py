@@ -642,10 +642,10 @@ def whole_grid_error_t(cfg, hbar):
 # the moved half window [-27.5, 47.5) to its rows from x = 0; at g = 30 and k0_cells 20
 # the packet's weight near k = 0 mixes the chiralities, so its error reads about 4.9e-6
 @pytest.mark.parametrize("x0, t_final", [(None, 17.32), (140.0, 20.0)], ids=["centred", "edge-cut"])
-def test_streamed_closed_error_matches_whole_grid(x0, t_final):
+def test_streamed_closed_error_matches_whole_grid(tmp_path, x0, t_final):
     cfg = experiments.WignerGaussianConfig(n_modes=150, g=30.0, k0_cells=20, x0=x0, t_final=t_final)
     units = get_units("natural")
-    summary, _ = experiments.run_wigner_gaussian(cfg, units)
+    summary, _ = experiments.run_wigner_gaussian(cfg, units, cli.Staging(tmp_path))
     oracle, bound = whole_grid_error_t(cfg, units.hbar)
     assert abs(summary["closed_form_error_t"] - oracle) <= bound
 
@@ -654,13 +654,13 @@ def test_streamed_closed_error_matches_whole_grid(x0, t_final):
 # many turns the packet makes (before v t was reduced mod ell n it read 4e-9 at 1e5 turns
 # and 4e-5 at 1e9); the tenth of a turn leaves a motion that does not reduce to 0
 @pytest.mark.parametrize("turns", [1e5, 1e9, 1e5 + 0.1, 1e9 + 0.1])
-def test_moved_check_keeps_its_digits_over_many_turns(turns):
+def test_moved_check_keeps_its_digits_over_many_turns(tmp_path, turns):
     cfg = experiments.WignerGaussianConfig(n_modes=512, t_final=turns * 512)
-    summary, _ = experiments.run_wigner_gaussian(cfg, get_units("natural"))
+    summary, _ = experiments.run_wigner_gaussian(cfg, get_units("natural"), cli.Staging(tmp_path))
     assert summary["closed_form_error_t"] <= 10 * summary["closed_form_error_t0"]
 
 
-def test_streamed_closed_error_keeps_a_nan_in_the_last_block(monkeypatch):
+def test_streamed_closed_error_keeps_a_nan_in_the_last_block(tmp_path, monkeypatch):
     row_blocks = wigner._row_blocks
 
     passes = []
@@ -675,12 +675,12 @@ def test_streamed_closed_error_keeps_a_nan_in_the_last_block(monkeypatch):
 
     monkeypatch.setattr(wigner, "_row_blocks", nan_in_last_block)
     cfg = experiments.WignerGaussianConfig(n_modes=150, g=30.0, k0_cells=20)
-    summary, _ = experiments.run_wigner_gaussian(cfg, get_units("natural"))
+    summary, _ = experiments.run_wigner_gaussian(cfg, get_units("natural"), cli.Staging(tmp_path))
     assert np.isnan(summary["closed_form_error_t"])
     assert not np.isnan(summary["closed_form_error_t0"])
 
 
-def test_t0_check_reads_the_ghost_rows(monkeypatch):
+def test_t0_check_reads_the_ghost_rows(tmp_path, monkeypatch):
     row_blocks = wigner._row_blocks
 
     passes = []
@@ -696,7 +696,7 @@ def test_t0_check_reads_the_ghost_rows(monkeypatch):
 
     monkeypatch.setattr(wigner, "_row_blocks", nan_in_row_0)
     cfg = experiments.WignerGaussianConfig(n_modes=150, g=30.0, k0_cells=20)
-    summary, _ = experiments.run_wigner_gaussian(cfg, get_units("natural"))
+    summary, _ = experiments.run_wigner_gaussian(cfg, get_units("natural"), cli.Staging(tmp_path))
     assert np.isnan(summary["closed_form_error_t0"])
     assert not np.isnan(summary["closed_form_error_t"])
 
@@ -705,10 +705,10 @@ def test_t0_check_reads_the_ghost_rows(monkeypatch):
 # round-off (with p[1] - p[0] they read 1.05e-13 at n_modes 2048), and the p marginal
 # takes the even-s columns at odd n too (it read 1.0 at n_modes 63, 65 and 127)
 @pytest.mark.parametrize("n_modes", [63, 64, 65, 127, 2048])
-def test_runner_marginals_keep_their_digits(n_modes):
+def test_runner_marginals_keep_their_digits(tmp_path, n_modes):
     cfg = experiments.WignerGaussianConfig(n_modes=n_modes, g=n_modes / 5.0,
                                            k0_cells=n_modes // 4, t_final=n_modes / 10.0)
-    summary, _ = experiments.run_wigner_gaussian(cfg, get_units("natural"))
+    summary, _ = experiments.run_wigner_gaussian(cfg, get_units("natural"), cli.Staging(tmp_path))
     assert summary["marginal_p_error"] < 1e-14
     if n_modes == 2048:
         assert summary["total_error"] <= 1e-15 and summary["marginal_x_error"] <= 1e-15
@@ -720,15 +720,14 @@ def test_runner_marginals_keep_their_digits(n_modes):
 )
 def test_runner_peak_memory_per_grid(scenario, size, bound, tmp_path):
     # neither runner holds a grid: each consumes the 64-row blocks of its transforms as
-    # they come and keeps reductions, and phonon-gaussian a crop; wigner-gaussian's
-    # grid.wgrd is transformed again block by block as it is written, inside the span
+    # they come, keeps reductions and writes its .wgrd rows as they go by
     command, block, _, _ = experiments.SCENARIOS[scenario]
     top = experiments.parse_config(
         {"schema_version": 1, "scenario": scenario, block: size}, command, str(tmp_path)
     )
 
     def run():
-        summary, artifacts = experiments.run_config(top)
+        summary, artifacts = experiments.run_config(top, cli.Staging(tmp_path))
         cli._write_artifacts(tmp_path, summary, artifacts, top)
 
     run()  # warm-up, so one-time caches are not counted
