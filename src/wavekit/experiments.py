@@ -71,6 +71,8 @@ _Coupling = Annotated[float, math.ulp(0.0), 1e300]
 _GridModes = Annotated[int, 1, math.isqrt(wigner.MAX_GRID_CELLS) // 2]  # n modes: (2n)^2 cells
 # a helicity mesh's points a side: one interior point, and (2 mesh_n - 1)^3 <= 2^24 at h/2
 _MeshPlanes = Annotated[int, 3, 128]
+# a random generator's seed: numpy takes any integer from 0 up
+_Seed = Annotated[int, 0, math.inf]
 
 _type_hints = functools.cache(functools.partial(typing.get_type_hints, include_extras=True))
 
@@ -157,7 +159,7 @@ class PhononGaussianConfig:
     x0: float | None = None
     t_final: _Time = 40.0
     random_phases: bool = False
-    seed: int = 0
+    seed: _Seed = 0
 
 
 def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem, sink):
@@ -415,7 +417,7 @@ class PhotonFieldConfig:
     n_random_modes: Annotated[int, 1, math.isqrt(wigner.MAX_PAIRS)] = 4
     max_index: Annotated[int, 0, (round(em.MAX_GRID_POINTS ** (1 / 3)) - 1) // 4] = 2
     n_quanta: _Bounded = 5.0
-    seed: int = 7
+    seed: _Seed = 7
     t_final: _Time = 1.0
 
 
@@ -680,7 +682,7 @@ class VerifyLatticeConfig:
     omega0: _Pinning = 0.5
     kappa: _Coupling = 1.0
     ell: _Spacing = 1.0
-    seed: int = 11
+    seed: _Seed = 11
     t_exact: _Time = 7.3
     dt_factor: _Divisor = 0.05
     n_steps: int = 2000

@@ -154,7 +154,8 @@ def _cylindrical_on_axes(x0, x1, x2, k, v, t=0.0, scale=1.0, out=None) -> np.nda
     envelope = np.exp(1j * k * (x2 - v * t))
     if out is None:
         out = np.empty((3, *np.broadcast_shapes(np.shape(x0), np.shape(x1), envelope.shape)), complex)
-    np.divide(np.multiply(scale * (x0 - 1j * x1), envelope, out=out[0]), np.sqrt(2.0), out=out[0])
+    # as in stencil_curl's diff, a multiply by 1 / sqrt(2) is numpy's complex division by sqrt(2)
+    np.multiply(np.multiply(scale * (x0 - 1j * x1), envelope, out=out[0]), 1.0 / np.sqrt(2.0), out=out[0])
     np.multiply(1j, out[0], out=out[1])
     out[2] = 1j * (np.sqrt(2.0) / k) * scale * envelope
     return out

@@ -46,11 +46,14 @@ loses the low modes' digits to cancellation.  By Parseval the energy after
 N steps is A + Re sum_j Z_j*exp(2i*N*theta_j), with A and Z_j fixed by the
 initial state.  leapfrog_energy_series therefore takes one rfft pair, one
 rotation and one inverse rfft pair for the final state, and a per-bin phase
-recurrence, re-seeded from exact phases, for the energy samples: O(n) memory
-and O(n log n + samples*n) work for any step count.  leapfrog_step is the
-one-step form; the step loop lives on in the tests as the oracle.  See
-Hairer, Lubich & Wanner, Geometric Numerical Integration (2006), sec. I.5
-and XI.
+recurrence for the energy samples.  The recurrence is re-seeded from exact
+phases every _RESEED samples, so its blocks are independent lanes: they turn
+side by side as the rows of one array, _LANE_BYTES of lanes at a time, with
+one Python step per sample of a lane.  Memory is O(n + samples) plus that
+budget, and work O(n log n + samples*n) for any step count.  leapfrog_step is
+the one-step form; the step loop and the one-lane recurrence live on in the
+tests as oracles.  See Hairer, Lubich & Wanner, Geometric Numerical
+Integration (2006), sec. I.5 and XI.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ REALITY_TOL = 1e-10
 # energy samples x sites of one leapfrog series: 4x the largest benchmark run, 2001 x 16384
 MAX_SERIES_CELLS = 2**27
 _RESEED = 256  # energy samples between exact re-seeds of the phase recurrence
+_LANE_BYTES = 2**18  # bytes of recurrence lanes that a leapfrog series turns side by side
 
 
 @dataclass(frozen=True)
@@ -250,7 +254,10 @@ def leapfrog_energy_series(
     """n_steps of leapfrog, sampling the energy at steps 0, sample_every, 2*sample_every, ...
 
     Returns (times, energies, final state), evaluated by the exact discrete
-    propagator described in the module docstring instead of step by step.
+    propagator described in the module docstring instead of step by step.  The
+    energy samples come from lanes of _RESEED samples each, turned in groups of
+    at most _LANE_BYTES; each lane keeps the one-lane recurrence's arithmetic, so
+    the samples do not depend on the grouping.
     """
     if n_steps < 1 or sample_every < 1:
         raise ValueError("n_steps and sample_every must be positive")
@@ -285,14 +292,23 @@ def leapfrog_energy_series(
     a = m_omega * uk
     base = float(np.sum(weight * (2.0 - q) / (1.0 - q) * (np.abs(a) ** 2 + np.abs(vk) ** 2)))
     z = weight * q / (1.0 - q) * np.conj(a + 1j * vk) * (a - 1j * vk)
-    energies = np.empty(n_samples)
+    # lane r holds samples r*_RESEED.. of the phase recurrence, re-seeded from exact phases so
+    # its round-off cannot build up; the lanes are independent and turn side by side in groups
+    n_lanes = -(-n_samples // _RESEED)
+    grid = np.empty((n_lanes, _RESEED))
     turn = np.exp(2j * sample_every * theta)
-    for start in range(0, n_samples, _RESEED):
-        # re-seed from exact phases so the recurrence's round-off cannot build up
-        term = z * np.exp(2j * steps[start] * theta)
-        for i in range(start, min(start + _RESEED, n_samples)):
-            energies[i] = np.sum(term.real)
-            term *= turn
+    group = max(1, _LANE_BYTES // (16 * uk.size))
+    workspace = np.empty((min(group, n_lanes), uk.size), complex)
+    for first in range(0, n_lanes, group):
+        lanes = workspace[: n_lanes - first]
+        for row, lane in enumerate(lanes, first):
+            # the 1-D product itself: numpy may take it as exp * z in place of a large temporary,
+            # and a complex product's last bits depend on the order of its operands
+            lane[:] = z * np.exp(2j * steps[row * _RESEED] * theta)
+        for i in range(min(_RESEED, n_samples - first * _RESEED)):
+            np.add.reduce(lanes.real, axis=1, out=grid[first : first + len(lanes), i])
+            lanes *= turn
+    energies = grid.ravel()[:n_samples]
     energies += base
     times = state.t + steps * dt
     return times, energies, LatticeState(u=u_final, v=v_final, t=state.t + n_steps * dt)

@@ -326,6 +326,11 @@ OUT_OF_RANGE = [
     # the 3-D density's pair weight (2 pi / box_length)^6 underflowed to 0 and the Wigner figures
     # read 1.0 on an exit 0
     ("photon-field", lambda out: photon_payload(out, box_length=1e75), "box_length"),
+    # numpy's default_rng refused these with its bare "expected non-negative integer"
+    ("photon-field", lambda out: {**photon_payload(out), "seed": -1}, "seed"),
+    ("verify", lambda out: verify_lattice_payload(out, seed=-1), "seed"),
+    ("phonon-sim", lambda out: {**scenario_payload(
+        out, "phonon-gaussian", "lattice", random_phases=True), "seed": -1}, "seed"),
 ]
 OUT_OF_RANGE_IDS = [
     "too-many-pairs", "huge-wigner-grid", "huge-phonon-grid", "huge-field-grid",
@@ -333,6 +338,7 @@ OUT_OF_RANGE_IDS = [
     "coarse-center-tiny-ell", "subnormal-wigner-ell", "tiny-wigner-ell", "tiny-wigner-ell-2e-308",
     "huge-wigner-ell", "subnormal-eps", "huge-traveling-ell", "subnormal-verify-m", "huge-width",
     "tiny-traveling-m", "tiny-traveling-ell", "tiny-phonon-m", "tiny-wigner-g", "huge-box-length",
+    "negative-photon-seed", "negative-verify-seed", "negative-phonon-seed",
 ]
 
 
@@ -421,8 +427,9 @@ def assert_range_refusal(tmp_path, capsys, command, payload, field):
     _, block, cls, _ = experiments.SCENARIOS[payload["scenario"]]
     _, lo, hi = typing.get_args(experiments._type_hints(cls)[field])
     assert cli.main([command, "--config", str(write_config(tmp_path, payload))]) == 3
+    value = (payload if field == "seed" else payload[block])[field]
     assert last_stderr_json(capsys.readouterr().err)["detail"] == (
-        f"bad value in {block}: {field} must be in [{lo!r}, {hi!r}], got {payload[block][field]!r}"
+        f"bad value in {block}: {field} must be in [{lo!r}, {hi!r}], got {value!r}"
     )
 
 

@@ -1,6 +1,7 @@
 """Chain dynamics: energy bookkeeping, mode transforms, exact evolution, leapfrog."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,3 +377,106 @@ def test_leapfrog_series_matches_step_loop(case):
     assert np.max(np.abs(final.u - ref.u)) <= 1e-12 * np.max(np.abs(ref.u))
     assert np.max(np.abs(final.v - ref.v)) <= 1e-12 * np.max(np.abs(ref.v))
     assert np.max(np.abs(energies - ref_energies)) <= 1e-13 * ref_energies[0]
+
+
+# ---------------------------------------------------------------------------
+# leapfrog series against the per-sample phase recurrence its lanes replaced
+
+
+def recurrence_series(state, params, dt, n_steps, sample_every=1):
+    """The series with one pass of the phase recurrence per energy sample, kept as the
+    bit-exact oracle of the lanes that leapfrog_energy_series turns side by side."""
+    n = state.u.size
+    n_samples = n_steps // sample_every + 1
+    steps = np.arange(n_samples) * sample_every
+    m = params.m
+    uk = np.fft.rfft(state.u)
+    vk = np.fft.rfft(state.v)
+    j = np.arange(uk.size)
+    half = 0.5 * dt * np.sqrt(params.omega0**2 + 4.0 * params.kappa * np.sin(np.pi * j / n) ** 2)
+    theta = 2.0 * np.arcsin(half)
+    m_omega = m * np.sin(theta) / dt
+    c, s = np.cos(n_steps * theta), np.sin(n_steps * theta)
+    s_over = np.divide(s, m_omega, out=np.full(uk.size, n_steps * dt / m), where=m_omega > 0)
+    u_final = np.fft.irfft(c * uk + s_over * vk, n)
+    v_final = np.fft.irfft(c * vk - m_omega * s * uk, n)
+    weight = np.full(uk.size, 1.0 / (2.0 * m * n))
+    weight[0] /= 2.0
+    if n % 2 == 0:
+        weight[-1] /= 2.0
+    q = half**2
+    a = m_omega * uk
+    base = float(np.sum(weight * (2.0 - q) / (1.0 - q) * (np.abs(a) ** 2 + np.abs(vk) ** 2)))
+    z = weight * q / (1.0 - q) * np.conj(a + 1j * vk) * (a - 1j * vk)
+    energies = np.empty(n_samples)
+    turn = np.exp(2j * sample_every * theta)
+    for start in range(0, n_samples, 256):
+        term = z * np.exp(2j * steps[start] * theta)
+        for i in range(start, min(start + 256, n_samples)):
+            energies[i] = np.sum(term.real)
+            term *= turn
+    energies += base
+    times = state.t + steps * dt
+    return times, energies, lattice.LatticeState(u=u_final, v=v_final, t=state.t + n_steps * dt)
+
+
+def assert_same_series(params, state, dt, n_steps, sample_every):
+    times, energies, final = lattice.leapfrog_energy_series(state, params, dt, n_steps, sample_every)
+    ref_times, ref_energies, ref = recurrence_series(state, params, dt, n_steps, sample_every)
+    where = (params.n_sites, n_steps, sample_every)
+    assert energies.shape == (n_steps // sample_every + 1,), where
+    assert np.array_equal(energies, ref_energies), where
+    assert np.array_equal(times, ref_times), where
+    assert np.array_equal(final.u, ref.u) and np.array_equal(final.v, ref.v), where
+    assert final.t == ref.t, where
+
+
+@pytest.mark.parametrize("n_sites", [2, 64, 1024, 16384, 131072])
+def test_leapfrog_series_lanes_match_the_recurrence_bit_for_bit(n_sites):
+    # 1, 255, 256, 257 and 2001 samples, or as many as MAX_SERIES_CELLS allows (1024 on
+    # 131072 sites); at sample_every 1 a series takes 2 samples at least, and at 10 the step
+    # counts are ragged.  On 1024 sites, 2001 samples are 8 lanes in one group, the last lane
+    # partial; on 16384 and 131072 each lane is a group of its own.  Near the stability limit
+    # the oscillating energy is large against the constant part, so a lane's last bits show
+    params = chain(n_sites, omega0=0.3)
+    state = drifting_state(params)
+    dt = 1.99 / params.omega_max
+    for n_samples in (1, 255, 256, 257, 2001):
+        n_samples = min(n_samples, lattice.MAX_SERIES_CELLS // n_sites)
+        for sample_every in (1, 10):
+            n_steps = max(1, (n_samples - 1) * sample_every + sample_every // 2)
+            assert_same_series(params, state, dt, n_steps, sample_every)
+
+
+@pytest.mark.parametrize(
+    "n_sites, lanes, n_steps",
+    [
+        (64, 3, 2000),  # 8 lanes in groups of 3, 3 and 2, the last lane partial
+        # 3 lanes in groups of 2 and 1; a group seeded by one broadcast exp over its lanes
+        # would differ here in the last bits
+        (131072, 2, 512),
+    ],
+)
+def test_leapfrog_series_lane_groups_match_the_recurrence(monkeypatch, n_sites, lanes, n_steps):
+    params = chain(n_sites, omega0=0.3)
+    monkeypatch.setattr(lattice, "_LANE_BYTES", lanes * 16 * (n_sites // 2 + 1))
+    assert_same_series(params, drifting_state(params), 1.99 / params.omega_max, n_steps, 1)
+
+
+def test_leapfrog_series_workspace_is_bounded():
+    # the largest series that MAX_SERIES_CELLS allows on 16384 sites: 8192 samples in 32 lanes
+    params = chain(16384)
+    state = random_state(params, seed=2)
+    n_samples = lattice.MAX_SERIES_CELLS // params.n_sites
+    bins = params.n_sites // 2 + 1
+    # the O(n) arrays, 32 float64 values per real-FFT bin and 4 per sample, plus the lane
+    # budget.  Measured 2.16 MB of the bound's 2.62 MB, the one-lane recurrence's peak, which
+    # the transforms set; the 32 lanes at once would add 4.2 MB
+    bound = 8 * (32 * bins + 4 * n_samples) + lattice._LANE_BYTES
+    tracemalloc.start()
+    try:
+        lattice.leapfrog_energy_series(state, params, 0.5 / params.omega_max, n_samples - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
