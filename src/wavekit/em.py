@@ -243,21 +243,28 @@ class PhotonModeSet:
 
 
 def polarization_basis(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Right-handed transverse triad (e1, e2, khat) for one wavevector.
+    """Right-handed transverse triad (e1, e2, khat) for one wavevector, or for each row of an
+    (M, 3) stack, each of k's shape.
 
     e1 lies along k x zhat, falling back to k x xhat near the pole.
     """
     k = np.asarray(k, dtype=float)
-    norm = np.linalg.norm(k)
-    if norm == 0:
+    rows = k.reshape(-1, 3)
+
+    def norms(a):
+        # a stacked vector-vector matmul is the dot that np.linalg.norm takes of one vector
+        return np.sqrt(a[:, None, :] @ a[:, :, None])[:, 0]
+
+    norm = norms(rows)
+    if not np.all(norm):
         raise ValueError("k must be nonzero")
-    khat = k / norm
-    e1 = np.cross(k, [0.0, 0.0, 1.0])
-    if np.linalg.norm(e1) < 1e-9 * norm:
-        e1 = np.cross(k, [1.0, 0.0, 0.0])
-    e1 = e1 / np.linalg.norm(e1)
+    khat = rows / norm
+    e1 = np.cross(rows, [0.0, 0.0, 1.0])
+    pole = norms(e1)[:, 0] < 1e-9 * norm[:, 0]
+    e1[pole] = np.cross(rows[pole], [1.0, 0.0, 0.0])
+    e1 /= norms(e1)
     e2 = np.cross(khat, e1)
-    return e1, e2, khat
+    return e1.reshape(k.shape), e2.reshape(k.shape), khat.reshape(k.shape)
 
 
 def photon_action_wave(

@@ -426,19 +426,16 @@ def _random_mode_set(cfg: PhotonFieldConfig, medium, hbar):
     if cfg.n_random_modes > available:
         raise ConfigError(f"n_random_modes exceeds the {available} nonzero wavevectors")
     rng = np.random.default_rng(cfg.seed)
-    chosen: list[tuple[int, int, int]] = []
+    chosen: dict[tuple[int, int, int], None] = {}  # in the order of their first draws
     while len(chosen) < cfg.n_random_modes:
         n = tuple(int(c) for c in rng.integers(-cfg.max_index, cfg.max_index + 1, size=3))
-        if n == (0, 0, 0) or n in chosen:
-            continue
-        chosen.append(n)
+        if n != (0, 0, 0):
+            chosen.setdefault(n)
     base = 2.0 * np.pi / cfg.box_length
-    k = base * np.asarray(chosen, dtype=float)
-    psik = np.zeros((len(chosen), 3), dtype=complex)
-    for i in range(len(chosen)):
-        e1, e2, _ = em.polarization_basis(k[i])
-        c = rng.normal(size=4)
-        psik[i] = (c[0] + 1j * c[1]) * e1 + (c[2] + 1j * c[3]) * e2
+    k = base * np.asarray(list(chosen), dtype=float)
+    e1, e2, _ = em.polarization_basis(k)
+    c = rng.normal(size=(len(k), 4)).T[:, :, None]  # the stream of one draw of 4 per mode
+    psik = (c[0] + 1j * c[1]) * e1 + (c[2] + 1j * c[3]) * e2
     return em.PhotonModeSet(k=k, psik=psik, box_length=cfg.box_length, medium=medium, hbar=hbar)
 
 

@@ -20,7 +20,9 @@ from .wigner import WignerGrid
 _MAGIC = b"WGRD"
 _VERSION = 3  # version 3: a full-period grid's body holds its rows 0..n-1 only
 _HEADER = struct.Struct("<4sIB7xQQdd")
-_CSV_BLOCK_ROWS = 2**16  # rows formatted and written at a time: a few MB of text
+# text formatted and written at a time, in rows of at most 25 bytes a value: the widest %.17g
+# field, -2.2250738585072014e-308, and its separator
+_CSV_BLOCK_BYTES = 2**18
 
 
 def write_csv(path, columns: dict) -> None:
@@ -31,10 +33,11 @@ def write_csv(path, columns: dict) -> None:
         raise ValueError("all columns must have the same length")
     # Python floats from tolist format faster than numpy scalars, to the same digits
     fmt = ",".join(["%.17g"] * len(arrays)) + "\n"
+    step = max(1, _CSV_BLOCK_BYTES // (25 * len(arrays)))
     with open(path, "w") as fh:
         fh.write(",".join(arrays) + "\n")
-        for lo in range(0, lengths.pop(), _CSV_BLOCK_ROWS):
-            rows = zip(*(a[lo : lo + _CSV_BLOCK_ROWS].tolist() for a in arrays.values()))
+        for lo in range(0, lengths.pop(), step):
+            rows = zip(*(a[lo : lo + step].tolist() for a in arrays.values()))
             fh.write("".join([fmt % row for row in rows]))
 
 

@@ -20,12 +20,13 @@ continuum closed forms live on a half window centered on the packet.
 
 The lag product psi(x + y) psi*(x - y) is Hermitian in y, so each x row is
 built from lags 0..n only and transformed to real numbers by one real inverse
-FFT; rows of any contiguous range go in fixed blocks, written straight into f
-or reduced as they come.  The transform is translation covariant, exactly on
-the doubled grid: psi(x - a), with modes psi'_k e^{-ika}, has f(x - a, p).
-Transport of a stored grid is evolve_wigner_group_velocity (rfft/irfft along
-x, one phase row per column).  WignerGrid.marginal_defect records how well the
-computed f satisfies the marginal-x identity above, relative to its peak.
+FFT; rows of any contiguous range go in blocks of at most _ROW_BYTES, written
+straight into f or reduced as they come.  The transform is translation
+covariant, exactly on the doubled grid: psi(x - a), with modes psi'_k e^{-ika},
+has f(x - a, p).  Transport of a stored grid is evolve_wigner_group_velocity
+(rfft/irfft along x, one phase row per column).  WignerGrid.marginal_defect
+records how well the computed f satisfies the marginal-x identity above,
+relative to its peak.
 
 3-D.  A photon mode set {psi'_a at k_a} on box measure w = (2pi)^3/V has
 
@@ -57,8 +58,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .em import PhotonModeSet
 from .lattice import ActionWave
 
-# Rows (transform) or momentum columns (transport) per FFT batch.
+# Rows (transform) or momentum columns (transport) per FFT batch: at most _CHUNK, and at most
+# _ROW_BYTES of the block's float64 values, so a pass holds O(_ROW_BYTES) of blocks at any n
 _CHUNK = 64
+_ROW_BYTES = 2**20
 
 # Size limits of the checks below; config ranges end at them (README "Declared ranges").
 # (2n)^2 cells of a 1-D grid: n <= 4096 modes; a full-period grid holds n rows, 256 MiB of float64
@@ -134,12 +137,12 @@ class WignerGrid:
         return self.dx * np.sum(self.f[:, n % 2 :: 2], axis=0)
 
     def blocks(self, rows: slice):
-        """Yield (lo, block): f on the rows lo.. of x, at most _CHUNK rows at a time, over
+        """Yield (lo, block): f on the rows lo.. of x, _block_rows(len(p)) rows at a time, over
         the row range rows; a block of held rows is a view of f, a ghost block a copy."""
-        n = self.f.shape[0]
+        n, step = self.f.shape[0], _block_rows(self.p.size)
         for part in (range(rows.start, min(rows.stop, n)), range(max(rows.start, n), rows.stop)):
-            for lo in part[::_CHUNK]:
-                hi = min(lo + _CHUNK, part.stop)
+            for lo in part[::step]:
+                hi = min(lo + step, part.stop)
                 yield lo, self.f[lo:hi] if hi <= n else self.f[lo - n : hi - n] * self._sign
 
     def window(self, x_lo: float, x_hi: float) -> "WignerGrid":
@@ -149,6 +152,11 @@ class WignerGrid:
         held = rows.stop <= len(self.f)
         f = self.f[rows] if held else np.concatenate([block for _, block in self.blocks(rows)])
         return replace(self, x=self.x[rows], f=f)
+
+
+def _block_rows(width: int) -> int:
+    """Rows (or columns) of width float64 values per block: 64 up to n = 1024, then fewer."""
+    return max(1, min(_CHUNK, _ROW_BYTES // (8 * width)))
 
 
 def _spacing(axis: np.ndarray) -> float:
@@ -189,8 +197,8 @@ def doubled_site_values(wave: ActionWave) -> np.ndarray:
 
 
 def _row_blocks(site: np.ndarray, prefactor: float, rows: slice, out=None):
-    """Yield (lo, block): f at the doubled grid's rows lo.., _CHUNK rows at a time, over the
-    row range rows, from the 2n half-spaced site values.
+    """Yield (lo, block): f at the doubled grid's rows lo.., _block_rows(2n) rows at a time,
+    over the row range rows, from the 2n half-spaced site values.
 
     Row m needs the lag product g[m, r] = psi(x_m + r*ell/2) psi*(x_m - r*ell/2) on the
     ring of 2n lags; g[m, -r] = conj(g[m, r]), so lags 0..n fix the row and its transform
@@ -206,9 +214,10 @@ def _row_blocks(site: np.ndarray, prefactor: float, rows: slice, out=None):
     behind = sliding_window_view(np.concatenate([site[n:], site]), n + 1)[:, ::-1]
     # (-1)^r on lag r shifts the transform by n bins, the fftshift to momenta s = -n..n-1
     sign = (-1.0) ** np.arange(n + 1)
-    lags = np.empty((min(_CHUNK, two_n), n + 1), dtype=complex)
-    for lo in range(rows.start, rows.stop, _CHUNK):
-        hi = min(lo + _CHUNK, rows.stop)
+    step = _block_rows(two_n)
+    lags = np.empty((min(step, two_n), n + 1), dtype=complex)
+    for lo in range(rows.start, rows.stop, step):
+        hi = min(lo + step, rows.stop)
         g = lags[: hi - lo]
         np.copyto(g, ahead[lo:hi])
         np.multiply(g, behind[lo:hi], out=g)
@@ -239,7 +248,7 @@ def _doubled_grid_transform(wave: ActionWave, prefactor: float, rows=None, consu
     full, rows = rows is None, rows or slice(0, n)
     f = None if consume else np.empty((rows.stop - rows.start, two_n))
     sign = (-1.0) ** (np.arange(two_n) - n)
-    ghost = np.empty((min(_CHUNK, n), two_n)) if full and consume else None
+    ghost = np.empty((min(_block_rows(two_n), n), two_n)) if full and consume else None
     site = doubled_site_values(wave)
     row_sums = np.empty(two_n if full else rows.stop - rows.start)
     # -0.0 is the additive identity of IEEE floats, so the first row is taken as it is
@@ -346,8 +355,9 @@ def evolve_wigner_group_velocity(grid: WignerGrid, vg, t: float) -> WignerGrid:
     q = 2.0 * np.pi * np.fft.rfftfreq(n2, d=grid.dx)
     vg = np.broadcast_to(np.asarray(vg, dtype=float), grid.p.shape)
     f_new = np.empty_like(grid.f)
-    for lo in range(0, grid.p.size, _CHUNK):
-        cols = slice(lo, lo + _CHUNK)
+    step = _block_rows(n2)
+    for lo in range(0, grid.p.size, step):
+        cols = slice(lo, lo + step)
         # the columns' 2n rows; a translation keeps the ghost, so rows 0..n-1 are kept
         half = grid.f[:, cols]
         spectrum = np.fft.rfft(np.concatenate([half, half * grid._sign[cols]]), axis=0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
-from wavekit import em
+from wavekit import em, experiments
 
 VACUUM = em.MediumParams()
 DENSE = em.MediumParams(eps=2.25, mu=1.1, c=1.0)
@@ -233,6 +233,63 @@ def test_polarization_basis_triads():
         assert np.max(np.abs(np.cross(e1, e2) - khat)) < 1e-12
     with pytest.raises(ValueError):
         em.polarization_basis(np.zeros(3))
+
+
+# the one-vector triad and per-mode loop that the stacked polarization_basis and
+# experiments._random_mode_set replaced, kept as their bit-exact oracles
+
+
+def triad_reference(k):
+    norm = np.linalg.norm(k)
+    khat = k / norm
+    e1 = np.cross(k, [0.0, 0.0, 1.0])
+    if np.linalg.norm(e1) < 1e-9 * norm:
+        e1 = np.cross(k, [1.0, 0.0, 0.0])
+    e1 = e1 / np.linalg.norm(e1)
+    return e1, np.cross(khat, e1), khat
+
+
+def mode_set_reference(cfg):
+    rng = np.random.default_rng(cfg.seed)
+    chosen = []
+    while len(chosen) < cfg.n_random_modes:
+        n = tuple(int(c) for c in rng.integers(-cfg.max_index, cfg.max_index + 1, size=3))
+        if n == (0, 0, 0) or n in chosen:
+            continue
+        chosen.append(n)
+    k = 2.0 * np.pi / cfg.box_length * np.asarray(chosen, dtype=float)
+    psik = np.zeros((len(chosen), 3), dtype=complex)
+    for i in range(len(chosen)):
+        e1, e2, _ = triad_reference(k[i])
+        c = rng.normal(size=4)
+        psik[i] = (c[0] + 1j * c[1]) * e1 + (c[2] + 1j * c[3]) * e2
+    return k, psik
+
+
+def test_stacked_triads_match_the_one_vector_triad():
+    rng = np.random.default_rng(8)
+    k = rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-100, 100, size=(500, 1))
+    k[:4] = [[0.0, 0.0, 3.0], [0.0, 0.0, -2.0], [1e-12, 0.0, 1.0], [0.0, 1e-8, -1.0]]  # poles
+    stacked = em.polarization_basis(k)
+    for i, row in enumerate(k):
+        for got, one, ref in zip(stacked, em.polarization_basis(row), triad_reference(row)):
+            assert one.shape == (3,) and np.array_equal(one, ref) and np.array_equal(got[i], ref)
+
+
+def test_mode_set_matches_the_per_mode_loop():
+    # 210 seeded configs: one mode, every nonzero vector of max_index 1 (poles (0, 0, +-1)
+    # among them, on the x-hat fallback), and 1..124 of max_index 2
+    configs = []
+    for seed in range(70):
+        box_length = (2.0 * math.pi, 1.3, 7e-3)[seed % 3]
+        for max_index, m in ((3, 1), (1, 26), (2, seed % 124 + 1)):
+            configs.append(experiments.PhotonFieldConfig(
+                n_random_modes=m, max_index=max_index, seed=seed, box_length=box_length))
+    for cfg in configs:
+        modes = experiments._random_mode_set(cfg, VACUUM, 1.0)
+        k, psik = mode_set_reference(cfg)
+        assert np.array_equal(modes.k, k)
+        assert np.array_equal(modes.psik.view(float), psik.view(float))
 
 
 def test_potential_psi_roundtrip():

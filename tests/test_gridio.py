@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wavekit import gridio, wigner
 
@@ -56,7 +58,7 @@ def test_csv_matches_per_value_formatting(tmp_path):
 def test_csv_writes_a_block_of_rows_at_a_time(tmp_path, monkeypatch):
     # 64 full blocks and a part: the write holds a few blocks' text at its traced peak, never the
     # file's, and the bytes are the per-value formatting's across the block seams
-    monkeypatch.setattr(gridio, "_CSV_BLOCK_ROWS", 512)
+    monkeypatch.setattr(gridio, "_CSV_BLOCK_BYTES", 512 * 2 * 25)  # 512 rows of 2 values
     rng = np.random.default_rng(5)
     cols = {"x": rng.normal(size=64 * 512 + 7), "f": rng.normal(size=64 * 512 + 7)}
     path = tmp_path / "t.csv"
@@ -70,6 +72,52 @@ def test_csv_writes_a_block_of_rows_at_a_time(tmp_path, monkeypatch):
     assert peak < 8 * len(text) / 64, peak
     lines = ["x,f", *(f"{x:.17g},{f:.17g}" for x, f in zip(cols["x"], cols["f"]))]
     assert text == "\n".join(lines) + "\n"
+
+
+def test_csv_peak_memory_is_its_block_budget(tmp_path):
+    # 2^16 rows of 5 columns: 2^16-row blocks peaked at 25.4 MB; _CSV_BLOCK_BYTES of text
+    # peaks near 0.9 MB, its text, row strings and the block's Python floats
+    rng = np.random.default_rng(6)
+    cols = {name: rng.normal(size=2**16) for name in "abcde"}
+    gridio.write_csv(tmp_path / "t.csv", cols)  # warm-up, so one-time caches are not counted
+    tracemalloc.start()
+    try:
+        gridio.write_csv(tmp_path / "t.csv", cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+
+
+# %.17g turns to exponent notation at 1e17, and the widest field is -2.2250738585072014e-308
+SPECIAL = [-0.0, 5e-324, -2.2250738585072014e-308, 1e17, 1e17 - 16, -1e17, 1e17 + 16,
+           1e308, -1e308, math.inf, -math.inf, math.nan]
+VALUES = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.integers(-(2**60), 2**60).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+# lengths that 3-row blocks do not divide, 1 to 6 columns; budgets of 1 row, 3 rows and more
+# rows than the file
+@given(
+    st.integers(1, 40)
+    .filter(lambda n: n % 3)
+    .flatmap(lambda n: st.lists(st.lists(VALUES, min_size=n, max_size=n), min_size=1, max_size=6))
+)
+@example([SPECIAL + [0.1]] * 2)
+def test_csv_bytes_do_not_depend_on_the_block(tmp_path_factory, columns):
+    cols = {f"c{i}": column for i, column in enumerate(columns)}
+    text = ",".join(cols) + "\n" + "".join(
+        ",".join("%.17g" % value for value in row) + "\n" for row in zip(*columns)
+    )
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    for rows in (1, 3, len(columns[0]) + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gridio, "_CSV_BLOCK_BYTES", rows * 25 * len(cols))
+            gridio.write_csv(path, cols)
+        assert path.read_bytes() == text.encode()
 
 
 def test_csv_bytes_are_reproducible(tmp_path):

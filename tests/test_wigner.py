@@ -110,7 +110,7 @@ def complex_fft_transport(grid, speeds, t):
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
 def test_half_lag_core_matches_full_matrix(n):
     if n == 300:
-        assert 2 * n > wigner._CHUNK  # the grid spans several row blocks
+        assert 2 * n > wigner._block_rows(2 * n)  # the grid spans several row blocks
     wave = random_wave(n, seed=n)
     omega = np.abs(wave.k) + 0.5
     cases = (
@@ -126,7 +126,7 @@ def test_rfft_transport_matches_complex_fft():
     wave = random_wave(150, seed=5)
     grid = wigner.wigner_1d(wave)
     whole = whole_transform(wave)
-    assert grid.p.size > wigner._CHUNK  # the columns span several blocks
+    assert grid.p.size > wigner._block_rows(grid.p.size)  # the columns span several blocks
     k_of_p = grid.p / grid.hbar
     t = 3.7
     for vg, speeds in (
@@ -142,16 +142,47 @@ def test_rfft_transport_matches_complex_fft():
 def test_row_blocks_match_the_whole_transform():
     wave = random_wave(150, seed=7)
     grid = whole_transform(wave)
-    rows = slice(37, 37 + 2 * wigner._CHUNK + 11)  # starts off 0 and ends in a short block
+    step = wigner._block_rows(2 * 150)
+    rows = slice(37, 37 + 2 * step + 11)  # starts off 0 and ends in a short block
     prefactor = wigner._number_prefactor(wave)
     blocks = list(wigner._row_blocks(wigner.doubled_site_values(wave), prefactor, rows))
-    assert [lo for lo, _ in blocks] == list(range(rows.start, rows.stop, wigner._CHUNK))
-    assert blocks[-1][1].shape[0] < wigner._CHUNK
+    assert [lo for lo, _ in blocks] == list(range(rows.start, rows.stop, step))
+    assert blocks[-1][1].shape[0] < step
     assert np.array_equal(np.concatenate([block for _, block in blocks]), grid.f[rows])
     # a row slice that starts and ends off the block bounds
     part = wigner._doubled_grid_transform(wave, prefactor, slice(37, 178))
     assert np.array_equal(part.f, grid.f[37:178]) and np.array_equal(part.x, grid.x[37:178])
     assert np.array_equal(part.p, grid.p) and not part.full_period
+
+
+def test_blocks_are_sized_in_bytes_past_1024_modes(monkeypatch):
+    # a 64-row block of 2n values would pass _ROW_BYTES at n = 2048, so there the byte rule binds
+    assert [wigner._block_rows(2 * n) for n in (1, 512, 1024, 2048, 4096)] == [64, 64, 64, 32, 16]
+    wave = random_wave(2048, seed=11)
+    prefactor = wigner._number_prefactor(wave)
+    seen = []
+    wigner._doubled_grid_transform(wave, prefactor, consume=lambda lo, b: seen.append((lo, len(b))))
+    assert seen == [(lo + half, 32) for lo in range(0, 2048, 32) for half in (0, 2048)]
+    rows = slice(1000, 1000 + 3 * 32 + 5)  # off the block bounds, with a short last block
+    site = wigner.doubled_site_values(wave)
+    blocks = list(wigner._row_blocks(site, prefactor, rows))
+    assert [(lo, len(block)) for lo, block in blocks] == [(1000, 32), (1032, 32), (1064, 32),
+                                                          (1096, 5)]
+    x, p = np.arange(101.0), np.arange(4096.0)
+    window = wigner.WignerGrid(x=x, p=p, f=np.zeros((101, 4096)), hbar=1.0)
+    assert [len(block) for _, block in window.blocks(slice(0, 101))] == [32, 32, 32, 5]
+    # a row's numbers do not depend on the block it falls in
+    monkeypatch.setattr(wigner, "_ROW_BYTES", 1)
+    one_row = np.concatenate([block for _, block in wigner._row_blocks(site, prefactor, rows)])
+    assert np.array_equal(np.concatenate([block for _, block in blocks]), one_row)
+
+
+def test_transport_columns_do_not_depend_on_the_block(monkeypatch):
+    grid = wigner.wigner_1d(random_wave(150, seed=9))
+    vg = np.cos(grid.p / grid.hbar)
+    moved = wigner.evolve_wigner_group_velocity(grid, vg, 3.7)
+    monkeypatch.setattr(wigner, "_ROW_BYTES", 7 * 8 * grid.x.size)  # 7 columns a block
+    assert np.array_equal(wigner.evolve_wigner_group_velocity(grid, vg, 3.7).f, moved.f)
 
 
 def translated(wave, a):
@@ -300,7 +331,7 @@ def test_half_ring_matches_the_whole_transform(n, ell, hbar, seed, tmp_path_fact
     assert np.array_equal(grid.x, oracle.x) and np.array_equal(grid.p, oracle.p)
     assert np.array_equal(grid.f, oracle.f[:n])
     blocks = list(grid.blocks(slice(0, 2 * n)))
-    assert all(len(block) <= wigner._CHUNK for _, block in blocks)
+    assert all(len(block) <= wigner._block_rows(2 * n) for _, block in blocks)
     f = np.concatenate([block for _, block in blocks])
     assert np.array_equal(f[:n], oracle.f[:n])
     assert np.max(np.abs(f[n:] - oracle.f[n:])) <= covariance_bound(oracle.f)
@@ -379,7 +410,7 @@ def test_row_slice_transform_is_the_whole_transforms_rows(n, seed, first, span):
         seen.append((lo, block.copy()))
 
     wigner._doubled_grid_transform(wave, prefactor, rows, consume)
-    assert [lo for lo, _ in seen] == list(range(rows.start, rows.stop, wigner._CHUNK))
+    assert [lo for lo, _ in seen] == list(range(rows.start, rows.stop, wigner._block_rows(2 * n)))
     assert np.array_equal(np.concatenate([block for _, block in seen]), oracle.f[rows])
 
 
@@ -669,7 +700,7 @@ def test_streamed_closed_error_keeps_a_nan_in_the_last_block(tmp_path, monkeypat
         # only the second pass, the transform of the evolved wave, not the t = 0 pass
         passes.append(rows)
         for lo, block in row_blocks(site, prefactor, rows, out):
-            if len(passes) == 2 and lo + wigner._CHUNK >= rows.stop:
+            if len(passes) == 2 and lo + wigner._block_rows(2 * 150) >= rows.stop:
                 block[-1, -1] = np.nan
             yield lo, block
 
@@ -714,13 +745,8 @@ def test_runner_marginals_keep_their_digits(tmp_path, n_modes):
         assert summary["total_error"] <= 1e-15 and summary["marginal_x_error"] <= 1e-15
 
 
-@pytest.mark.parametrize(
-    "scenario, size, bound",
-    [("wigner-gaussian", {"n_modes": 512}, 0.35), ("phonon-gaussian", {"n_sites": 512}, 0.35)],
-)
-def test_runner_peak_memory_per_grid(scenario, size, bound, tmp_path):
-    # neither runner holds a grid: each consumes the 64-row blocks of its transforms as
-    # they come, keeps reductions and writes its .wgrd rows as they go by
+def runner_peak(scenario, size, tmp_path):
+    """tracemalloc peak of one run_config and its artifact writes, after a warm-up run."""
     command, block, _, _ = experiments.SCENARIOS[scenario]
     top = experiments.parse_config(
         {"schema_version": 1, "scenario": scenario, block: size}, command, str(tmp_path)
@@ -734,10 +760,32 @@ def test_runner_peak_memory_per_grid(scenario, size, bound, tmp_path):
     tracemalloc.start()
     try:
         run()
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound * (2 * 512) ** 2 * 8
+
+
+@pytest.mark.parametrize(
+    "scenario, size, bound",
+    [("wigner-gaussian", {"n_modes": 512}, 0.35), ("phonon-gaussian", {"n_sites": 512}, 0.35)],
+)
+def test_runner_peak_memory_per_grid(scenario, size, bound, tmp_path):
+    # neither runner holds a grid: each consumes the blocks of its transforms as they come, at
+    # most 64 rows and _ROW_BYTES of values each, keeps reductions and writes its .wgrd rows
+    # as they go by; at 512 modes the 64 rows bind
+    assert runner_peak(scenario, size, tmp_path) <= bound * (2 * 512) ** 2 * 8
+
+
+@pytest.mark.parametrize(
+    "scenario, size",
+    [("wigner-gaussian", {"n_modes": 4096}), ("phonon-gaussian", {"n_sites": 4096})],
+)
+def test_runner_peak_memory_at_the_declared_end(scenario, size, tmp_path):
+    # at 4096 modes _ROW_BYTES = 1 MiB binds: four block buffers (lags, rows, ghost rows, the
+    # closed form) of 1 MiB and 48 float64 vectors of the 2n = 8192 grid points, 7.3 MB in all
+    # (it reads 5.2-5.6 MB; 64-row blocks peaked at 14.6-18.2 MB)
+    peak = runner_peak(scenario, size, tmp_path)
+    assert peak <= 4 * 2**20 + 48 * 8 * 8192, peak
 
 
 def test_wigner_1d_peak_memory_is_half_a_grid():
