@@ -193,9 +193,9 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem, sink):
 
     # the half window and a plot-ready crop of +-4 sigma about the packet center in each
     # direction: the rows from the first of them to the last are transformed, block by block
-    x, p = wigner._doubled_axes(wave)
+    x, p = wigner.doubled_axes(wave)
     widths = (params.length / 4.0, 4.0 * math.sqrt(cfg.g / 2.0))
-    half, crop = (wigner._window_rows(x, x0 - w, x0 + w) for w in widths)
+    half, crop = (wigner.window_rows(x, x0 - w, x0 + w) for w in widths)
     p_mask = np.abs(p - u.hbar * cfg.k0) <= 4.0 * u.hbar / math.sqrt(2.0 * cfg.g)
     checks = []
 
@@ -205,7 +205,7 @@ def run_phonon_gaussian(cfg: PhononGaussianConfig, u: UnitSystem, sink):
 
     rows = slice(min(half.start, crop.start), max(half.stop, crop.stop))
     with sink("wigner.wgrd", x[crop], p[p_mask]) as grid:
-        _, _, defect = wigner._doubled_grid_transform(wave, wigner._number_prefactor(wave), rows, take)
+        _, _, defect = wigner.doubled_grid_transform(wave, wigner.number_prefactor(wave), rows, take)
     error, _, peak_f = np.max(checks, axis=0)
     wigner_error = _rel(error, cfg.n_quanta / (math.pi * u.hbar))
 
@@ -345,13 +345,13 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem, sink):
     quanta = lattice.action_area(wave) / u.h
     if quanta == 0:
         raise ConfigError("the Gaussian packet (n_quanta, g, k0_cells) misses every grid mode")
-    x, p = wigner._doubled_axes(wave)
-    n, prefactor = cfg.n_modes, wigner._number_prefactor(wave)
+    x, p = wigner.doubled_axes(wave)
+    n, prefactor = cfg.n_modes, wigner.number_prefactor(wave)
     site = wigner.doubled_site_values(wave)
 
     # the t = 0 pass checks every ring row in the half window, and writes grid.wgrd from the
     # held rows 0..n-1, which come in order, each block before its ghost rows
-    rows = wigner._window_rows(x, x0 - length / 4.0, x0 + length / 4.0)
+    rows = wigner.window_rows(x, x0 - length / 4.0, x0 + length / 4.0)
     checks = []
 
     def check(lo, block):
@@ -360,7 +360,7 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem, sink):
             grid.write(block)
 
     with sink("grid.wgrd", x, p) as grid:
-        row_sums, column_sums, defect = wigner._doubled_grid_transform(wave, prefactor, consume=check)
+        row_sums, column_sums, defect = wigner.doubled_grid_transform(wave, prefactor, consume=check)
     error_t0, peak, _ = np.max(checks, axis=0)
     # every grid wavenumber times ell n is a multiple of 2 pi, so the motion counts only mod
     # ell n, which fmod takes exactly; the closed form moves by vg t = vt
@@ -370,12 +370,13 @@ def run_wigner_gaussian(cfg: WignerGaussianConfig, u: UnitSystem, sink):
     gp_t = dataclasses.replace(gp, x0=x0 - (x0 + vt - moved))
     # omega = v|k|: the evolved wave has modes psi'_k exp(-i |k| vt), and its transform on
     # the moved half window is checked block by block against the closed form moved by +vt
-    rows = wigner._window_rows(x, moved - length / 4.0, moved + length / 4.0)
+    rows = wigner.window_rows(x, moved - length / 4.0, moved + length / 4.0)
     psi_t = dataclasses.replace(wave, psik=wave.psik * np.exp(-1j * np.abs(wave.k) * vt))
-    blocks = wigner._row_blocks(wigner.doubled_site_values(psi_t), prefactor, rows)
+    blocks = wigner.row_blocks(wigner.doubled_site_values(psi_t), prefactor, rows)
     error_t = np.max(_closed_errors(gp_t, x, p, u.hbar, rows, blocks, t=1.0, vg=vt), axis=0)[0]
 
-    dx, dp = wigner._spacing(x), wigner._spacing(p)
+    # the steps beside x = 0 and p = 0, where WignerGrid.dx and .dp take them
+    dx, dp = x[1] - x[0], p[n] - p[n - 1]
     marg_x = dp * row_sums
     density_h = np.abs(site) ** 2 / u.hbar
     total = float(dx * dp * np.sum(row_sums))
@@ -490,97 +491,11 @@ class HelicityCylindricalConfig:
     center_z: float = 0.1
 
 
-# bytes of a slab of the helicity checks: a slab of an n-plane mesh takes as many x-planes as
-# this holds complex (3, n, n) planes of 48 n^2 bytes, and one at least
-_SLAB_BYTES = 512 * 1024
-
-
-def _cylindrical_block(plane_k, k, v, mesh_n, spacing, dt, center, precession=False):
-    """The figures of both helicity runners.
-
-    The axial solution's figures: its Beltrami residual |curl U - k U| / |k U|
-    at h and h/2 and their floored ratio, and its equation residual between
-    U(0) and U(dt).  The plane mode's figures, for the sigma = +1 mode U of
-    wavevector plane_k on the mesh_n^3 mesh (mesh_n >= 3, as both configs
-    declare), built after the stencil slabs: its eigencheck for each helicity
-    and, with precession, the defect of the free evolution over omega t = 0.7
-    as a rigid precession of U about khat by -omega t, relative to max|U|.
-    Every figure is a ratio of maxima reduced slab by slab (_SLAB_BYTES sets
-    the x-planes; the stencil checks take as many interior planes with a
-    one-plane halo); a max does not depend on the visiting order, so each
-    equals its whole-mesh value bit for bit.  The axial
-    solution is evaluated on open meshes, and the stencil slabs of a mesh write
-    into one workspace: a flat buffer per role, reshaped for each slab.
-    """
-    def axes(n, h):
-        s = (np.arange(n) - (n - 1) / 2.0) * h
-        return [s + c for c in center]
-
-    def slabs(n, h, halo=1):
-        ax, planes = axes(n, h), max(1, _SLAB_BYTES // (48 * n * n))
-        for i0 in range(halo, n - halo, planes):
-            i1 = min(i0 + planes, n - halo)
-            yield np.meshgrid(ax[0][i0 - halo : i1 + halo], ax[1], ax[2], indexing="ij", sparse=True)
-
-    def take(role, shape):
-        # a mesh's first slab is its largest, so a role's buffer allocated there fits every slab
-        if role not in work:
-            work[role] = np.empty(math.prod(shape), float if role == "norms" else complex)
-        return work[role][: math.prod(shape)].reshape(shape)
-
-    def solution(xs, t=0.0, role="U0"):
-        return helicity._cylindrical_on_axes(*xs, k, v, t, out=take(role, (3, *(x.size for x in xs))))
-
-    def beltrami(U, h):
-        inner = helicity.interior(U)
-        defect = helicity.stencil_curl(U, h, take("curl", inner.shape), take("scratch", inner.shape[1:]))
-        defect -= np.multiply(k, inner, out=take("inner", inner.shape))
-        norms = take("norms", inner.shape)
-        return helicity._max_norm(defect, norms), helicity._max_norm(inner, norms)
-
-    def ratio(parts, scale=1.0):
-        # np.max, unlike max(), keeps a NaN met in any one slab
-        num, den = np.max(np.asarray(parts), axis=0)
-        return float(num) / (scale * float(den))
-
-    def coarse_parts(xs):
-        U0, U1 = solution(xs), solution(xs, dt, "U1")
-        return helicity._equation_parts(U0, U1, dt, spacing, v, take), beltrami(U0, spacing)
-
-    def plane_parts(xs):
-        U = mode.evaluate(xs, v=v)
-        parts = [helicity._eigencheck_parts(U, mode.k, sigma) for sigma in (1, -1)]
-        if precession:
-            rotated = helicity.rotate_field(U, plane_k / np.linalg.norm(plane_k), -0.7)
-            parts.append((np.max(np.abs(rotated - U * np.exp(0.7j))), np.max(np.abs(U))))
-        return parts
-
-    work = {}
-    equation, coarse = zip(*(coarse_parts(xs) for xs in slabs(mesh_n, spacing)))
-    # halve the spacing on the same physical cube to expose the stencil order; emptied, the
-    # workspace is sized again by this mesh's first slab
-    work.clear()
-    fine = [beltrami(solution(xs), spacing / 2.0) for xs in slabs(2 * mesh_n - 1, spacing / 2.0)]
-    r1, r2 = ratio(coarse, k), ratio(fine, k)
-    mode = helicity.ComplexPotentialMode(k=plane_k, sigma=1)
-    same, opposite, *precessed = zip(*(plane_parts(xs) for xs in slabs(mesh_n, spacing, halo=0)))
-    figures = {
-        "beltrami_residual": r1,
-        "beltrami_residual_half_h": r2,
-        "stencil_order_ratio": r1 / max(r2, 1e-300),
-        "equation_residual": ratio(equation),
-        "eigencheck_same": ratio(same),
-        "eigencheck_opposite": ratio(opposite),
-    }
-    if precession:
-        figures["precession_phase"] = ratio(precessed[0])
-    return figures
-
-
 def run_helicity_cylindrical(cfg: HelicityCylindricalConfig, u: UnitSystem, sink):
     center = (cfg.center_x, cfg.center_y, cfg.center_z)
     plane_k = np.array([0.0, 0.5, cfg.k])
-    return _cylindrical_block(plane_k, cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, center), {}
+    figures = helicity.cylindrical_figures(plane_k, cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, center)
+    return figures, {}
 
 
 # --- thermal-planck ----------------------------------------------------------
@@ -758,7 +673,7 @@ def verify_helicity(cfg: VerifyHelicityConfig, u: UnitSystem, sink):
             f"k spacing = {kh!r} and v k dt = {omega_dt!r} overflow the residual bound"
         )
     plane_k = np.array([0.3, -0.4, cfg.k])
-    fig = _cylindrical_block(
+    fig = helicity.cylindrical_figures(
         plane_k, cfg.k, cfg.v, cfg.mesh_n, cfg.spacing, cfg.dt, (0.25, 0.15, -0.3), precession=True
     )
     # the negative control holds the sigma = +1 mode to the sigma = -1 eigencheck

@@ -23,8 +23,8 @@ is divergence-free and Beltrami, curl U = k U, hence F = i k U.
 Gridded checks use plain centered differences (second order, no wraparound;
 results live on the interior of the mesh) so that discretization error is
 explicit and scales as (k h)^2 / 6.  Each check is a ratio of max-norms of
-pointwise values, so a caller may reduce the max-norms slab by slab along one
-axis and get the whole-mesh result bit for bit while holding one slab at a
+pointwise values, so cylindrical_figures reduces the max-norms slab by slab
+along one axis and gets the whole-mesh result bit for bit while holding one slab at a
 time: the stencil checks take each slab with a one-point halo, the plane-mode
 eigencheck takes it bare.  A plane mode's phase k.x is taken elementwise, so a
 point's value does not depend on the mesh.  The plane mode and a private form of the
@@ -33,6 +33,7 @@ axial solution take three open axes too; the axial envelope then comes once per 
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,15 +135,13 @@ def rotate_field(U: np.ndarray, axis: np.ndarray, theta: float) -> np.ndarray:
     )
 
 
-def cylindrical_solution(
-    x: np.ndarray, k: float, v: float, t: float = 0.0, scale: float = 1.0
-) -> np.ndarray:
+def cylindrical_solution(x: np.ndarray, k: float, v: float, t: float = 0.0) -> np.ndarray:
     """Axial Beltrami solution: curl U = k U and dU/dt = -i v curl U."""
     x = _component_first(x, "x", dtype=float)
-    return _cylindrical_on_axes(x[0], x[1], x[2], k, v, t, scale)
+    return _cylindrical_on_axes(x[0], x[1], x[2], k, v, t)
 
 
-def _cylindrical_on_axes(x0, x1, x2, k, v, t=0.0, scale=1.0, out=None) -> np.ndarray:
+def _cylindrical_on_axes(x0, x1, x2, k, v, t=0.0, out=None) -> np.ndarray:
     """cylindrical_solution on three broadcastable coordinate arrays, into out if given.
 
     Each point's arithmetic is cylindrical_solution's; on open axes such as
@@ -155,9 +154,9 @@ def _cylindrical_on_axes(x0, x1, x2, k, v, t=0.0, scale=1.0, out=None) -> np.nda
     if out is None:
         out = np.empty((3, *np.broadcast_shapes(np.shape(x0), np.shape(x1), envelope.shape)), complex)
     # as in stencil_curl's diff, a multiply by 1 / sqrt(2) is numpy's complex division by sqrt(2)
-    np.multiply(np.multiply(scale * (x0 - 1j * x1), envelope, out=out[0]), 1.0 / np.sqrt(2.0), out=out[0])
+    np.multiply(np.multiply(x0 - 1j * x1, envelope, out=out[0]), 1.0 / np.sqrt(2.0), out=out[0])
     np.multiply(1j, out[0], out=out[1])
-    out[2] = 1j * (np.sqrt(2.0) / k) * scale * envelope
+    out[2] = 1j * (np.sqrt(2.0) / k) * envelope
     return out
 
 
@@ -235,3 +234,90 @@ def potential_equation_residual(
     """
     num, den = _equation_parts(U0, U1, dt, spacing, v)
     return num / den
+
+
+# bytes of a slab of cylindrical_figures: a slab of an n-plane mesh takes as many x-planes as
+# this holds complex (3, n, n) planes of 48 n^2 bytes, and one at least
+_SLAB_BYTES = 512 * 1024
+
+
+def cylindrical_figures(plane_k, k, v, mesh_n, spacing, dt, center, precession=False) -> dict:
+    """The stencil and eigenmode figures of the axial solution and a plane mode.
+
+    The axial solution's figures: its Beltrami residual |curl U - k U| / |k U|
+    at h and h/2 and their floored ratio, and its equation residual between
+    U(0) and U(dt).  The plane mode's figures, for the sigma = +1 mode U of
+    wavevector plane_k on the mesh_n^3 mesh (mesh_n >= 3) centered on center,
+    built after the stencil slabs: its eigencheck for each helicity
+    and, with precession, the defect of the free evolution over omega t = 0.7
+    as a rigid precession of U about khat by -omega t, relative to max|U|.
+    Every figure is a ratio of maxima reduced slab by slab (_SLAB_BYTES sets
+    the x-planes; the stencil checks take as many interior planes with a
+    one-plane halo); a max does not depend on the visiting order, so each
+    equals its whole-mesh value bit for bit.  The axial
+    solution is evaluated on open meshes, and the stencil slabs of a mesh write
+    into one workspace: a flat buffer per role, reshaped for each slab.
+    """
+    def axes(n, h):
+        s = (np.arange(n) - (n - 1) / 2.0) * h
+        return [s + c for c in center]
+
+    def slabs(n, h, halo=1):
+        ax, planes = axes(n, h), max(1, _SLAB_BYTES // (48 * n * n))
+        for i0 in range(halo, n - halo, planes):
+            i1 = min(i0 + planes, n - halo)
+            yield np.meshgrid(ax[0][i0 - halo : i1 + halo], ax[1], ax[2], indexing="ij", sparse=True)
+
+    def take(role, shape):
+        # a mesh's first slab is its largest, so a role's buffer allocated there fits every slab
+        if role not in work:
+            work[role] = np.empty(math.prod(shape), float if role == "norms" else complex)
+        return work[role][: math.prod(shape)].reshape(shape)
+
+    def solution(xs, t=0.0, role="U0"):
+        return _cylindrical_on_axes(*xs, k, v, t, out=take(role, (3, *(x.size for x in xs))))
+
+    def beltrami(U, h):
+        inner = interior(U)
+        defect = stencil_curl(U, h, take("curl", inner.shape), take("scratch", inner.shape[1:]))
+        defect -= np.multiply(k, inner, out=take("inner", inner.shape))
+        norms = take("norms", inner.shape)
+        return _max_norm(defect, norms), _max_norm(inner, norms)
+
+    def ratio(parts, scale=1.0):
+        # np.max, unlike max(), keeps a NaN met in any one slab
+        num, den = np.max(np.asarray(parts), axis=0)
+        return float(num) / (scale * float(den))
+
+    def coarse_parts(xs):
+        U0, U1 = solution(xs), solution(xs, dt, "U1")
+        return _equation_parts(U0, U1, dt, spacing, v, take), beltrami(U0, spacing)
+
+    def plane_parts(xs):
+        U = mode.evaluate(xs, v=v)
+        parts = [_eigencheck_parts(U, mode.k, sigma) for sigma in (1, -1)]
+        if precession:
+            rotated = rotate_field(U, plane_k / np.linalg.norm(plane_k), -0.7)
+            parts.append((np.max(np.abs(rotated - U * np.exp(0.7j))), np.max(np.abs(U))))
+        return parts
+
+    work = {}
+    equation, coarse = zip(*(coarse_parts(xs) for xs in slabs(mesh_n, spacing)))
+    # halve the spacing on the same physical cube to expose the stencil order; emptied, the
+    # workspace is sized again by this mesh's first slab
+    work.clear()
+    fine = [beltrami(solution(xs), spacing / 2.0) for xs in slabs(2 * mesh_n - 1, spacing / 2.0)]
+    r1, r2 = ratio(coarse, k), ratio(fine, k)
+    mode = ComplexPotentialMode(k=plane_k, sigma=1)
+    same, opposite, *precessed = zip(*(plane_parts(xs) for xs in slabs(mesh_n, spacing, halo=0)))
+    figures = {
+        "beltrami_residual": r1,
+        "beltrami_residual_half_h": r2,
+        "stencil_order_ratio": r1 / max(r2, 1e-300),
+        "equation_residual": ratio(equation),
+        "eigencheck_same": ratio(same),
+        "eigencheck_opposite": ratio(opposite),
+    }
+    if precession:
+        figures["precession_phase"] = ratio(precessed[0])
+    return figures

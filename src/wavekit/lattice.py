@@ -50,9 +50,8 @@ recurrence for the energy samples.  The recurrence is re-seeded from exact
 phases every _RESEED samples, so its blocks are independent lanes: they turn
 side by side as the rows of one array, _LANE_BYTES of lanes at a time, with
 one Python step per sample of a lane.  Memory is O(n + samples) plus that
-budget, and work O(n log n + samples*n) for any step count.  leapfrog_step is
-the one-step form; the step loop and the one-lane recurrence live on in the
-tests as oracles.  See Hairer, Lubich & Wanner, Geometric Numerical
+budget, and work O(n log n + samples*n) for any step count.  The step loop
+and the one-lane recurrence live on in the tests as oracles.  See Hairer, Lubich & Wanner, Geometric Numerical
 Integration (2006), sec. I.5 and XI.
 """
 
@@ -209,11 +208,6 @@ def _mode_reverse(a: np.ndarray) -> np.ndarray:
     return a[..., idx]
 
 
-def _accelerations(u: np.ndarray, params: LatticeParams) -> np.ndarray:
-    lap = np.roll(u, -1) + np.roll(u, 1) - 2.0 * u
-    return -params.omega0**2 * u + params.kappa * lap
-
-
 def hamiltonian_energy(state: LatticeState, params: LatticeParams) -> float:
     """Total chain energy from site variables."""
     kin = np.sum(state.v**2) / (2.0 * params.m)
@@ -235,17 +229,6 @@ def check_series_size(n_samples: int, n_sites: int) -> None:
             f"a leapfrog series on {n_sites} sites may take at most {MAX_SERIES_CELLS // n_sites}"
             f" energy samples (MAX_SERIES_CELLS = {MAX_SERIES_CELLS})"
         )
-
-
-def leapfrog_step(state: LatticeState, params: LatticeParams, dt: float) -> LatticeState:
-    """One kick-drift-kick step; requires 0 < dt < 2/omega_max for stability."""
-    _check_leapfrog_dt(dt, params)
-    # v is momentum: kick by m * du/dt-acceleration, drift by v/m
-    a = _accelerations(state.u, params)
-    v_half = state.v + 0.5 * dt * params.m * a
-    u_new = state.u + dt * v_half / params.m
-    v_new = v_half + 0.5 * dt * params.m * _accelerations(u_new, params)
-    return LatticeState(u=u_new, v=v_new, t=state.t + dt)
 
 
 def leapfrog_energy_series(
@@ -411,24 +394,6 @@ def traveling_wave_init(u0: np.ndarray, direction: int, params: LatticeParams) -
     sigma[0] = 0.0  # Nyquist cell: self-conjugate, no direction
     vk = -1j * direction * params.m * sigma * w * _mode_reverse(base.uk)
     return idft_from_modes(ModeSpectrum(uk=base.uk, vk=vk, params=params))
-
-
-def dalembert_solution(u0, du0, x: np.ndarray | float, t: float, v: float) -> np.ndarray:
-    """Continuum transport solution for initial profile u0 and initial rate du0.
-
-    u(x,t) = [u0(x-vt) + u0(x+vt)]/2 + (1/2v) * integral of du0 over [x-vt, x+vt].
-    u0 and du0 are callables of a scalar position.  The integral is a 64-node
-    Gauss-Legendre rule, exact for a polynomial du0 of degree up to 127.
-    """
-    if v <= 0:
-        raise ValueError("v must be positive")
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(xs)
-    for i, xi in enumerate(xs):
-        integral = v * t * sum(w * du0(xi + v * t * s) for s, w in zip(nodes, weights))
-        out[i] = 0.5 * (u0(xi - v * t) + u0(xi + v * t)) + integral / (2.0 * v)
-    return out if np.ndim(x) else out[0]
 
 
 def psi_from_modes(spec: ModeSpectrum, hbar: float) -> ActionWave:

@@ -20,8 +20,9 @@ continuum closed forms live on a half window centered on the packet.
 
 The lag product psi(x + y) psi*(x - y) is Hermitian in y, so each x row is
 built from lags 0..n only and transformed to real numbers by one real inverse
-FFT; rows of any contiguous range go in blocks of at most _ROW_BYTES, written
-straight into f or reduced as they come.  The transform is translation
+FFT; row_blocks yields the rows of any contiguous range in blocks of at most
+_ROW_BYTES, which doubled_grid_transform reduces as they come and writes into f
+(wigner_1d) or hands to a consumer (the CLI runners).  The transform is translation
 covariant, exactly on the doubled grid: psi(x - a), with modes psi'_k e^{-ika},
 has f(x - a, p).  Transport of a stored grid is evolve_wigner_group_velocity
 (rfft/irfft along x, one phase row per column).  WignerGrid.marginal_defect
@@ -137,9 +138,9 @@ class WignerGrid:
         return self.dx * np.sum(self.f[:, n % 2 :: 2], axis=0)
 
     def blocks(self, rows: slice):
-        """Yield (lo, block): f on the rows lo.. of x, _block_rows(len(p)) rows at a time, over
+        """Yield (lo, block): f on the rows lo.. of x, block_rows(len(p)) rows at a time, over
         the row range rows; a block of held rows is a view of f, a ghost block a copy."""
-        n, step = self.f.shape[0], _block_rows(self.p.size)
+        n, step = self.f.shape[0], block_rows(self.p.size)
         for part in (range(rows.start, min(rows.stop, n)), range(max(rows.start, n), rows.stop)):
             for lo in part[::step]:
                 hi = min(lo + step, part.stop)
@@ -148,13 +149,13 @@ class WignerGrid:
     def window(self, x_lo: float, x_hi: float) -> "WignerGrid":
         """Half-open window [x_lo, x_hi) in x, one contiguous row range as x ascends.
         Inside the held rows it shares x and f with this grid; past them it holds a copy."""
-        rows = _window_rows(self.x, x_lo, x_hi)
+        rows = window_rows(self.x, x_lo, x_hi)
         held = rows.stop <= len(self.f)
         f = self.f[rows] if held else np.concatenate([block for _, block in self.blocks(rows)])
         return replace(self, x=self.x[rows], f=f)
 
 
-def _block_rows(width: int) -> int:
+def block_rows(width: int) -> int:
     """Rows (or columns) of width float64 values per block: 64 up to n = 1024, then fewer."""
     return max(1, min(_CHUNK, _ROW_BYTES // (8 * width)))
 
@@ -166,7 +167,7 @@ def _spacing(axis: np.ndarray) -> float:
     return float(axis[i + 1] - axis[i])
 
 
-def _window_rows(x: np.ndarray, x_lo: float, x_hi: float) -> slice:
+def window_rows(x: np.ndarray, x_lo: float, x_hi: float) -> slice:
     """The contiguous rows of ascending x in [x_lo, x_hi); refuses an empty window."""
     mask = (x >= x_lo) & (x < x_hi)
     if not np.any(mask):
@@ -196,8 +197,8 @@ def doubled_site_values(wave: ActionWave) -> np.ndarray:
     return (wave.dk / np.sqrt(2.0 * np.pi)) * two_n * np.fft.ifft(padded)
 
 
-def _row_blocks(site: np.ndarray, prefactor: float, rows: slice, out=None):
-    """Yield (lo, block): f at the doubled grid's rows lo.., _block_rows(2n) rows at a time,
+def row_blocks(site: np.ndarray, prefactor: float, rows: slice, out=None):
+    """Yield (lo, block): f at the doubled grid's rows lo.., block_rows(2n) rows at a time,
     over the row range rows, from the 2n half-spaced site values.
 
     Row m needs the lag product g[m, r] = psi(x_m + r*ell/2) psi*(x_m - r*ell/2) on the
@@ -214,7 +215,7 @@ def _row_blocks(site: np.ndarray, prefactor: float, rows: slice, out=None):
     behind = sliding_window_view(np.concatenate([site[n:], site]), n + 1)[:, ::-1]
     # (-1)^r on lag r shifts the transform by n bins, the fftshift to momenta s = -n..n-1
     sign = (-1.0) ** np.arange(n + 1)
-    step = _block_rows(two_n)
+    step = block_rows(two_n)
     lags = np.empty((min(step, two_n), n + 1), dtype=complex)
     for lo in range(rows.start, rows.stop, step):
         hi = min(lo + step, rows.stop)
@@ -228,13 +229,13 @@ def _row_blocks(site: np.ndarray, prefactor: float, rows: slice, out=None):
         yield lo, block
 
 
-def _doubled_axes(wave: ActionWave) -> tuple[np.ndarray, np.ndarray]:
+def doubled_axes(wave: ActionWave) -> tuple[np.ndarray, np.ndarray]:
     """x_m = m*ell/2, m = 0..2n-1, and p_s = (hbar*dk/2)*s, s = -n..n-1."""
     m = np.arange(2 * wave.psik.size)
     return (wave.ell / 2.0) * m, (wave.hbar * wave.dk / 2.0) * (m - wave.psik.size)
 
 
-def _doubled_grid_transform(wave: ActionWave, prefactor: float, rows=None, consume=None):
+def doubled_grid_transform(wave: ActionWave, prefactor: float, rows=None, consume=None):
     """f on the full period (rows None: rows 0..n-1 built) or the row slice rows, in blocks
     reduced as they go: sum_s f of every row (a ghost's from its held row), marginal_defect,
     and a full period's even-s columns summed over rows 0..n-1 in order, as np.sum(f, axis=0)
@@ -244,16 +245,16 @@ def _doubled_grid_transform(wave: ActionWave, prefactor: float, rows=None, consu
     n = wave.psik.size
     check_grid_size(n)
     two_n = 2 * n
-    x, p = _doubled_axes(wave)
+    x, p = doubled_axes(wave)
     full, rows = rows is None, rows or slice(0, n)
     f = None if consume else np.empty((rows.stop - rows.start, two_n))
     sign = (-1.0) ** (np.arange(two_n) - n)
-    ghost = np.empty((min(_block_rows(two_n), n), two_n)) if full and consume else None
+    ghost = np.empty((min(block_rows(two_n), n), two_n)) if full and consume else None
     site = doubled_site_values(wave)
     row_sums = np.empty(two_n if full else rows.stop - rows.start)
     # -0.0 is the additive identity of IEEE floats, so the first row is taken as it is
     column_sums = np.full(n, -0.0)
-    for lo, block in _row_blocks(site, prefactor, rows, out=f):
+    for lo, block in row_blocks(site, prefactor, rows, out=f):
         row_sums[lo - rows.start :][: len(block)] = np.sum(block, axis=1)
         if full:  # row lo's ghost is row n + lo; the even-s columns start at n mod 2
             row_sums[n + lo : n + lo + len(block)] = block @ sign
@@ -271,14 +272,14 @@ def _doubled_grid_transform(wave: ActionWave, prefactor: float, rows=None, consu
     return WignerGrid(x=x if full else x[rows], p=p, f=f, hbar=wave.hbar, marginal_defect=defect)
 
 
-def _number_prefactor(wave: ActionWave) -> float:
+def number_prefactor(wave: ActionWave) -> float:
     """The scale of the number-form density that wigner_1d builds."""
     return (wave.ell / 2.0) / (np.pi * wave.hbar**2)
 
 
 def wigner_1d(wave: ActionWave) -> WignerGrid:
     """Number-form density of an action wave; integrates to A/h."""
-    return _doubled_grid_transform(wave, _number_prefactor(wave))
+    return doubled_grid_transform(wave, number_prefactor(wave))
 
 
 def quasi_energy_density(wave: ActionWave, omega) -> WignerGrid:
@@ -291,7 +292,7 @@ def quasi_energy_density(wave: ActionWave, omega) -> WignerGrid:
     if np.any(w < 0):
         raise ValueError("omega must be nonnegative")
     phi = replace(wave, psik=np.sqrt(w) * wave.psik)
-    return _doubled_grid_transform(phi, (wave.ell / 2.0) / (np.pi * wave.hbar))
+    return doubled_grid_transform(phi, (wave.ell / 2.0) / (np.pi * wave.hbar))
 
 
 @dataclass(frozen=True)
@@ -355,7 +356,7 @@ def evolve_wigner_group_velocity(grid: WignerGrid, vg, t: float) -> WignerGrid:
     q = 2.0 * np.pi * np.fft.rfftfreq(n2, d=grid.dx)
     vg = np.broadcast_to(np.asarray(vg, dtype=float), grid.p.shape)
     f_new = np.empty_like(grid.f)
-    step = _block_rows(n2)
+    step = block_rows(n2)
     for lo in range(0, grid.p.size, step):
         cols = slice(lo, lo + step)
         # the columns' 2n rows; a translation keeps the ghost, so rows 0..n-1 are kept

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, diagnostics, overrides, determinism."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import wavekit
-from wavekit import cli, em, experiments, gridio, lattice, wigner
+from wavekit import cli, em, experiments, gridio, helicity, lattice, wigner
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -123,13 +124,24 @@ FIGURE_BOUNDS = {
 }
 
 
+def sample_argv(path, out):
+    """The CLI arguments that run a sample config into out."""
+    scenario = json.loads(path.read_text())["scenario"]
+    return [experiments.SCENARIOS[scenario][0], "--config", str(path), "--out", str(out)]
+
+
 @pytest.mark.parametrize("path", SAMPLE_CONFIGS, ids=lambda path: path.stem)
 def test_sample_config_figures_within_bounds(tmp_path, capsys, path):
-    scenario = json.loads(path.read_text())["scenario"]
     out = tmp_path / "out"
-    code = cli.main([experiments.SCENARIOS[scenario][0], "--config", str(path), "--out", str(out)])
-    stdout = capsys.readouterr().out
+    code = cli.main(sample_argv(path, out))
     assert code == 0
+    assert_figures_within_bounds(path, out, capsys.readouterr().out)
+
+
+def assert_figures_within_bounds(path, out, stdout):
+    """A sample config's run into out, which printed stdout, passed its checks or kept every
+    summary figure within FIGURE_BOUNDS."""
+    scenario = json.loads(path.read_text())["scenario"]
     # effective-config.json records each config value; the summary holds what the run computed
     params = experiments.parse_config(json.loads(path.read_text())).params
     fields = set(experiments._type_hints(type(params)))
@@ -150,6 +162,50 @@ def test_sample_config_figures_within_bounds(tmp_path, capsys, path):
         if not abs(summary[name] - target) <= tolerance
     }
     assert not misses, misses
+
+
+# runs every sample config in one child process and prints {stem: [exit code, stdout]}, after
+# checking that numpy found none of the dispatch targets named in NPY_DISABLE_CPU_FEATURES
+BASELINE_CHILD = """
+import contextlib, io, json, sys
+import numpy as np
+from wavekit import cli
+names = sys.argv[1].split()
+simd = np.show_config(mode="dicts")["SIMD Extensions"]
+assert set(names) <= set(simd.get("not found", [])), simd
+runs = {}
+for stem, argv in json.loads(sys.argv[2]).items():
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    runs[stem] = [code, stdout.getvalue()]
+print(json.dumps(runs))
+"""
+
+
+def test_sample_configs_at_baseline_dispatch_keep_their_bounds(tmp_path):
+    # numpy dispatches faster SIMD kernels on a capable CPU, and their last digits differ from
+    # the baseline's; a child with every dispatch target disabled still meets every bound
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    names = " ".join(umath.__cpu_dispatch__)
+    src = str(Path(wavekit.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": names,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    argvs = {path.stem: sample_argv(path, tmp_path / path.stem) for path in SAMPLE_CONFIGS}
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-c", BASELINE_CHILD, names, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stderr
+    runs = json.loads(child.stdout)
+    assert sorted(runs) == sorted(argvs)
+    for path in SAMPLE_CONFIGS:
+        code, stdout = runs[path.stem]
+        assert code == 0, (path.stem, stdout)
+        assert_figures_within_bounds(path, tmp_path / path.stem, stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -681,9 +737,9 @@ def test_readme_grid_format_version_matches_gridio():
     assert re.findall(r"grid format version (\d+)", readme) == [str(gridio._VERSION)]
 
 
-def test_readme_slab_budget_matches_experiments():
+def test_readme_slab_budget_matches_helicity():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    assert re.findall(r"slabs of at most (\d+) KiB", readme) == [str(experiments._SLAB_BYTES // 1024)]
+    assert re.findall(r"slabs of at most (\d+) KiB", readme) == [str(helicity._SLAB_BYTES // 1024)]
 
 
 # modules whose README "Library layout" bullet ends with "Public:" and their names;
@@ -711,6 +767,63 @@ def test_public_surface_matches_readme():
         assert public, f"README bullet for {name} has no Public: list"
         module = importlib.import_module(f"wavekit.{name}")
         assert sorted(re.findall(r"`(\w+)`", listed)) == public_names(module), name
+
+
+def private_reaches(path):
+    """name:line of each _-prefixed name that the module at path takes from another wavekit
+    module, as an attribute of the module or by a relative from-import."""
+    tree = ast.parse(path.read_text())
+    modules, reaches = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import em, wigner
+                modules |= {alias.asname or alias.name for alias in node.names}
+            else:  # from .units import PRESETS
+                reaches += [
+                    f"{node.module}.{alias.name}:{node.lineno}"
+                    for alias in node.names if alias.name.startswith("_")
+                ]
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and node.attr.startswith("_")
+        ):
+            reaches.append(f"{node.value.id}.{node.attr}:{node.lineno}")
+    return reaches
+
+
+@pytest.mark.parametrize("module", ["experiments", "cli"])
+def test_runners_use_only_public_names(module):
+    path = Path(importlib.import_module(f"wavekit.{module}").__file__)
+    assert private_reaches(path) == []
+
+
+def test_private_reach_scan_finds_attributes_and_imports(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "from . import __version__, wigner\n"
+        "from .units import PRESETS, _hidden\n"
+        "x = wigner._spacing(p)\n"
+        "y = wigner.wigner_1d(w)._sign\n"
+    )
+    assert private_reaches(source) == ["units._hidden:2", "wigner._spacing:3"]
+
+
+def test_traced_names_resolve_on_wavekit(monkeypatch):
+    # the benchmark's tracer replaces these attributes by name, so a rename breaks every traced
+    # pass; read its table, as a module of the benchmark directory
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    fresh = {"tracing", "stats"} - set(sys.modules)
+    try:
+        tracing = importlib.import_module("tracing")
+        wrapped = [(module, attr) for module, attr, *_ in tracing.WRAPPED]
+    finally:
+        for name in fresh:
+            sys.modules.pop(name, None)
+    assert len(wrapped) > 30
+    for module, attr in [*wrapped, ("em", "box_mesh")]:
+        assert callable(getattr(importlib.import_module(f"wavekit.{module}"), attr)), (module, attr)
 
 
 @pytest.mark.parametrize(
@@ -1126,8 +1239,8 @@ def test_phonon_crop_is_the_windowed_transform(tmp_path, capsys):
         wave = lattice.psi_from_modes(lattice.modes_from_psi(raw, lattice_params), 1.0)
         # all 2n rows transformed (the window reaches past row n, where wigner_1d mirrors),
         # then the crop as window() and the p mask take it
-        prefactor = wigner._number_prefactor(wave)
-        grid = wigner._doubled_grid_transform(wave, prefactor, slice(0, 2 * cfg.n_sites))
+        prefactor = wigner.number_prefactor(wave)
+        grid = wigner.doubled_grid_transform(wave, prefactor, slice(0, 2 * cfg.n_sites))
         sigma_x, sigma_p = math.sqrt(cfg.g / 2.0), 1.0 / math.sqrt(2.0 * cfg.g)
         window = grid.window(x0 - 4.0 * sigma_x, x0 + 4.0 * sigma_x)
         p_mask = np.abs(window.p - cfg.k0) <= 4.0 * sigma_p
@@ -1160,9 +1273,9 @@ def test_streamed_grid_file_is_the_held_grids(tmp_path, capsys, n_modes):
 
 
 def counted_row_blocks(monkeypatch, nan_in_pass=None):
-    """Record [rows, rows yielded] of each wigner._row_blocks pass; with nan_in_pass k, its
+    """Record [rows, rows yielded] of each wigner.row_blocks pass; with nan_in_pass k, its
     k-th pass (from 1) yields a NaN."""
-    row_blocks, passes = wigner._row_blocks, []
+    row_blocks, passes = wigner.row_blocks, []
 
     def counted(site, prefactor, rows, out=None):
         passes.append([rows, 0])
@@ -1172,7 +1285,7 @@ def counted_row_blocks(monkeypatch, nan_in_pass=None):
             passes[-1][1] += len(block)
             yield lo, block
 
-    monkeypatch.setattr(wigner, "_row_blocks", counted)
+    monkeypatch.setattr(wigner, "row_blocks", counted)
     return passes
 
 

@@ -129,14 +129,14 @@ def test_circular_complex_potential_validation():
 # axial Beltrami solution
 
 
-def hand_partials(x, k, v, t, scale):
+def hand_partials(x, k, v, t):
     """Analytic first derivatives of the axial solution, written out."""
     env = np.exp(1j * k * (x[2] - v * t))
-    u = scale * (x[0] - 1j * x[1]) * env / math.sqrt(2.0)
-    w = 1j * (math.sqrt(2.0) / k) * scale * env
+    u = (x[0] - 1j * x[1]) * env / math.sqrt(2.0)
+    w = 1j * (math.sqrt(2.0) / k) * env
     du = {
-        "x": scale * env / math.sqrt(2.0),
-        "y": -1j * scale * env / math.sqrt(2.0),
+        "x": env / math.sqrt(2.0),
+        "y": -1j * env / math.sqrt(2.0),
         "z": 1j * k * u,
     }
     dw = {"x": np.zeros_like(w), "y": np.zeros_like(w), "z": 1j * k * w}
@@ -144,11 +144,11 @@ def hand_partials(x, k, v, t, scale):
 
 
 def test_cylindrical_solution_closed_identities():
-    k, v, t, scale = 1.3, 0.9, 0.4, 0.8
+    k, v, t = 1.3, 0.9, 0.4
     rng = np.random.default_rng(23)
     x = rng.uniform(-2.0, 2.0, size=(3, 50))
-    U = helicity.cylindrical_solution(x, k, v, t=t, scale=scale)
-    u, w, du, dw = hand_partials(x, k, v, t, scale)
+    U = helicity.cylindrical_solution(x, k, v, t=t)
+    u, w, du, dw = hand_partials(x, k, v, t)
     assert np.max(np.abs(U - np.stack([u, 1j * u, w]))) < 1e-14 * np.max(np.abs(U))
     # curl U = k U component by component from the written-out partials
     curl = np.stack([
@@ -247,7 +247,7 @@ def test_stencil_validation():
 
 
 def whole_mesh_checks(plane_k, k, v, mesh_n, spacing, dt, center):
-    """U and the six figures of experiments._cylindrical_block, each on one whole mesh."""
+    """U and the six figures of helicity.cylindrical_figures, each on one whole mesh."""
 
     def mesh(n, h):
         s = (np.arange(n) - (n - 1) / 2.0) * h
@@ -291,12 +291,12 @@ def precession_phase(U, plane_k):
 
 
 def test_open_axes_solution_equals_dense_solution():
-    k, v, t, scale = 1.3, 0.9, 0.37, 0.8
+    k, v, t = 1.3, 0.9, 0.37
     rng = np.random.default_rng(5)
     axes = [np.sort(rng.uniform(-2.0, 2.0, size=n)) for n in (5, 7, 11)]
-    dense = helicity.cylindrical_solution(np.stack(np.meshgrid(*axes, indexing="ij")), k, v, t, scale)
+    dense = helicity.cylindrical_solution(np.stack(np.meshgrid(*axes, indexing="ij")), k, v, t)
     open_mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
-    assert np.array_equal(helicity._cylindrical_on_axes(*open_mesh, k, v, t, scale), dense)
+    assert np.array_equal(helicity._cylindrical_on_axes(*open_mesh, k, v, t), dense)
 
 
 # 8 x-planes of the mesh_n 12 mesh and 2 of its 23-plane half-spacing mesh
@@ -304,7 +304,7 @@ SLAB_BUDGET = 8 * 48 * 12**2
 
 
 def run_in_slabs(monkeypatch, budget, precession=False):
-    """_cylindrical_block on SLAB_CASE at a slab budget, and the x-planes of each slab: the
+    """cylindrical_figures on SLAB_CASE at a slab budget, and the x-planes of each slab: the
     stencil slabs (halo included) of the coarse (12) and half-spacing (23) meshes, and the
     plane-mode slabs."""
     planes = {12: [], 23: [], "plane": []}
@@ -319,10 +319,10 @@ def run_in_slabs(monkeypatch, budget, precession=False):
         planes["plane"].append(x[0].shape[0])
         return evaluate(self, x, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "_SLAB_BYTES", budget)
+    monkeypatch.setattr(helicity, "_SLAB_BYTES", budget)
     monkeypatch.setattr(helicity, "_cylindrical_on_axes", record_solution)
     monkeypatch.setattr(helicity.ComplexPotentialMode, "evaluate", record_evaluate)
-    figures = experiments._cylindrical_block(**SLAB_CASE, precession=precession)
+    figures = helicity.cylindrical_figures(**SLAB_CASE, precession=precession)
     monkeypatch.undo()
     return figures, planes
 
@@ -379,9 +379,9 @@ def test_slab_checks_keep_a_nan_of_one_slab(monkeypatch):
         return U
 
     _, expected = whole_mesh_checks(**SLAB_CASE)
-    monkeypatch.setattr(experiments, "_SLAB_BYTES", SLAB_BUDGET)
+    monkeypatch.setattr(helicity, "_SLAB_BYTES", SLAB_BUDGET)
     monkeypatch.setattr(helicity, "_cylindrical_on_axes", nan_in_last_fine_slab)
-    figures = experiments._cylindrical_block(**SLAB_CASE)
+    figures = helicity.cylindrical_figures(**SLAB_CASE)
     nan = {"beltrami_residual_half_h", "stencil_order_ratio"}
     assert all(math.isnan(figures[name]) for name in nan)
     assert {n: v for n, v in figures.items() if n not in nan} == {
@@ -399,9 +399,9 @@ def test_plane_mode_checks_keep_a_nan_of_one_slab(monkeypatch):
         return U
 
     _, expected = whole_mesh_checks(**SLAB_CASE)
-    monkeypatch.setattr(experiments, "_SLAB_BYTES", SLAB_BUDGET)
+    monkeypatch.setattr(helicity, "_SLAB_BYTES", SLAB_BUDGET)
     monkeypatch.setattr(helicity.ComplexPotentialMode, "evaluate", nan_in_last_slab)
-    figures = experiments._cylindrical_block(**SLAB_CASE, precession=True)
+    figures = helicity.cylindrical_figures(**SLAB_CASE, precession=True)
     nan = {"eigencheck_same", "eigencheck_opposite", "precession_phase"}
     assert all(math.isnan(figures[name]) for name in nan)
     assert {n: v for n, v in figures.items() if n not in nan} == {

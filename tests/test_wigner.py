@@ -32,8 +32,8 @@ def gaussian_wave(n=256, g=64.0, n_quanta=3.0, ell=1.0, hbar=1.0, k0=None):
 def whole_transform(wave, prefactor=None):
     """All 2n rows of the doubled grid, each transformed: the window path over the ring."""
     if prefactor is None:
-        prefactor = wigner._number_prefactor(wave)
-    return wigner._doubled_grid_transform(wave, prefactor, slice(0, 2 * wave.psik.size))
+        prefactor = wigner.number_prefactor(wave)
+    return wigner.doubled_grid_transform(wave, prefactor, slice(0, 2 * wave.psik.size))
 
 
 def all_rows(grid):
@@ -110,7 +110,7 @@ def complex_fft_transport(grid, speeds, t):
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
 def test_half_lag_core_matches_full_matrix(n):
     if n == 300:
-        assert 2 * n > wigner._block_rows(2 * n)  # the grid spans several row blocks
+        assert 2 * n > wigner.block_rows(2 * n)  # the grid spans several row blocks
     wave = random_wave(n, seed=n)
     omega = np.abs(wave.k) + 0.5
     cases = (
@@ -126,7 +126,7 @@ def test_rfft_transport_matches_complex_fft():
     wave = random_wave(150, seed=5)
     grid = wigner.wigner_1d(wave)
     whole = whole_transform(wave)
-    assert grid.p.size > wigner._block_rows(grid.p.size)  # the columns span several blocks
+    assert grid.p.size > wigner.block_rows(grid.p.size)  # the columns span several blocks
     k_of_p = grid.p / grid.hbar
     t = 3.7
     for vg, speeds in (
@@ -142,30 +142,30 @@ def test_rfft_transport_matches_complex_fft():
 def test_row_blocks_match_the_whole_transform():
     wave = random_wave(150, seed=7)
     grid = whole_transform(wave)
-    step = wigner._block_rows(2 * 150)
+    step = wigner.block_rows(2 * 150)
     rows = slice(37, 37 + 2 * step + 11)  # starts off 0 and ends in a short block
-    prefactor = wigner._number_prefactor(wave)
-    blocks = list(wigner._row_blocks(wigner.doubled_site_values(wave), prefactor, rows))
+    prefactor = wigner.number_prefactor(wave)
+    blocks = list(wigner.row_blocks(wigner.doubled_site_values(wave), prefactor, rows))
     assert [lo for lo, _ in blocks] == list(range(rows.start, rows.stop, step))
     assert blocks[-1][1].shape[0] < step
     assert np.array_equal(np.concatenate([block for _, block in blocks]), grid.f[rows])
     # a row slice that starts and ends off the block bounds
-    part = wigner._doubled_grid_transform(wave, prefactor, slice(37, 178))
+    part = wigner.doubled_grid_transform(wave, prefactor, slice(37, 178))
     assert np.array_equal(part.f, grid.f[37:178]) and np.array_equal(part.x, grid.x[37:178])
     assert np.array_equal(part.p, grid.p) and not part.full_period
 
 
 def test_blocks_are_sized_in_bytes_past_1024_modes(monkeypatch):
     # a 64-row block of 2n values would pass _ROW_BYTES at n = 2048, so there the byte rule binds
-    assert [wigner._block_rows(2 * n) for n in (1, 512, 1024, 2048, 4096)] == [64, 64, 64, 32, 16]
+    assert [wigner.block_rows(2 * n) for n in (1, 512, 1024, 2048, 4096)] == [64, 64, 64, 32, 16]
     wave = random_wave(2048, seed=11)
-    prefactor = wigner._number_prefactor(wave)
+    prefactor = wigner.number_prefactor(wave)
     seen = []
-    wigner._doubled_grid_transform(wave, prefactor, consume=lambda lo, b: seen.append((lo, len(b))))
+    wigner.doubled_grid_transform(wave, prefactor, consume=lambda lo, b: seen.append((lo, len(b))))
     assert seen == [(lo + half, 32) for lo in range(0, 2048, 32) for half in (0, 2048)]
     rows = slice(1000, 1000 + 3 * 32 + 5)  # off the block bounds, with a short last block
     site = wigner.doubled_site_values(wave)
-    blocks = list(wigner._row_blocks(site, prefactor, rows))
+    blocks = list(wigner.row_blocks(site, prefactor, rows))
     assert [(lo, len(block)) for lo, block in blocks] == [(1000, 32), (1032, 32), (1064, 32),
                                                           (1096, 5)]
     x, p = np.arange(101.0), np.arange(4096.0)
@@ -173,7 +173,7 @@ def test_blocks_are_sized_in_bytes_past_1024_modes(monkeypatch):
     assert [len(block) for _, block in window.blocks(slice(0, 101))] == [32, 32, 32, 5]
     # a row's numbers do not depend on the block it falls in
     monkeypatch.setattr(wigner, "_ROW_BYTES", 1)
-    one_row = np.concatenate([block for _, block in wigner._row_blocks(site, prefactor, rows)])
+    one_row = np.concatenate([block for _, block in wigner.row_blocks(site, prefactor, rows)])
     assert np.array_equal(np.concatenate([block for _, block in blocks]), one_row)
 
 
@@ -221,7 +221,7 @@ def test_translated_wave_rows_match_transport(n, ell, hbar, seed, turns, first, 
     lo = min(int(first * 2 * n), 2 * n - 1)
     rows = slice(lo, lo + 1 + int(span * (2 * n - lo - 1)))
     site = wigner.doubled_site_values(translated(wave, a))
-    blocks = wigner._row_blocks(site, wigner._number_prefactor(wave), rows)
+    blocks = wigner.row_blocks(site, wigner.number_prefactor(wave), rows)
     f = np.concatenate([block for _, block in blocks])
     assert np.max(np.abs(f - all_rows(oracle)[rows])) <= translation_bound(oracle, a)
 
@@ -248,7 +248,7 @@ def test_evolved_wave_moves_each_chirality(n, ell, hbar, seed, turns):
     split = wigner.evolve_wigner_group_velocity(grid, np.sign(grid.p), vt)
     size = np.abs(wave.psik)
     mixed = 2.0 * np.sum(size[wave.k >= 0]) * np.sum(size[wave.k < 0])
-    c = wigner._number_prefactor(wave) * 2 * n * wave.dk**2 / (2.0 * math.pi)
+    c = wigner.number_prefactor(wave) * 2 * n * wave.dk**2 / (2.0 * math.pi)
     difference = np.abs(wigner.wigner_1d(evolved(wave, vt)).f - split.f)
     assert np.max(difference) <= 2.0 * c * mixed + translation_bound(grid, vt)
 
@@ -331,7 +331,7 @@ def test_half_ring_matches_the_whole_transform(n, ell, hbar, seed, tmp_path_fact
     assert np.array_equal(grid.x, oracle.x) and np.array_equal(grid.p, oracle.p)
     assert np.array_equal(grid.f, oracle.f[:n])
     blocks = list(grid.blocks(slice(0, 2 * n)))
-    assert all(len(block) <= wigner._block_rows(2 * n) for _, block in blocks)
+    assert all(len(block) <= wigner.block_rows(2 * n) for _, block in blocks)
     f = np.concatenate([block for _, block in blocks])
     assert np.array_equal(f[:n], oracle.f[:n])
     assert np.max(np.abs(f[n:] - oracle.f[n:])) <= covariance_bound(oracle.f)
@@ -378,8 +378,8 @@ def test_full_period_consumer_sees_every_ring_row(n, seed):
         if lo >= n:
             ghosts.append(block)
 
-    prefactor = wigner._number_prefactor(wave)
-    row_sums, column_sums, defect = wigner._doubled_grid_transform(wave, prefactor, None, consume)
+    prefactor = wigner.number_prefactor(wave)
+    row_sums, column_sums, defect = wigner.doubled_grid_transform(wave, prefactor, None, consume)
     assert np.all(seen == 1)
     assert all(np.shares_memory(block, ghosts[0]) for block in ghosts)
     assert defect == grid.marginal_defect
@@ -399,8 +399,8 @@ def test_row_slice_transform_is_the_whole_transforms_rows(n, seed, first, span):
     oracle = whole_transform(wave)
     lo = min(int(first * 2 * n), 2 * n - 1)
     rows = slice(lo, lo + 1 + int(span * (2 * n - lo - 1)))
-    prefactor = wigner._number_prefactor(wave)
-    part = wigner._doubled_grid_transform(wave, prefactor, rows)
+    prefactor = wigner.number_prefactor(wave)
+    part = wigner.doubled_grid_transform(wave, prefactor, rows)
     assert np.array_equal(part.f, oracle.f[rows]) and np.array_equal(part.x, oracle.x[rows])
     assert np.array_equal(part.p, oracle.p) and not part.full_period
     # a consumer of a row slice sees its rows once, in order, and no ghost rows
@@ -409,8 +409,8 @@ def test_row_slice_transform_is_the_whole_transforms_rows(n, seed, first, span):
     def consume(lo, block):
         seen.append((lo, block.copy()))
 
-    wigner._doubled_grid_transform(wave, prefactor, rows, consume)
-    assert [lo for lo, _ in seen] == list(range(rows.start, rows.stop, wigner._block_rows(2 * n)))
+    wigner.doubled_grid_transform(wave, prefactor, rows, consume)
+    assert [lo for lo, _ in seen] == list(range(rows.start, rows.stop, wigner.block_rows(2 * n)))
     assert np.array_equal(np.concatenate([block for _, block in seen]), oracle.f[rows])
 
 
@@ -692,7 +692,7 @@ def test_moved_check_keeps_its_digits_over_many_turns(tmp_path, turns):
 
 
 def test_streamed_closed_error_keeps_a_nan_in_the_last_block(tmp_path, monkeypatch):
-    row_blocks = wigner._row_blocks
+    row_blocks = wigner.row_blocks
 
     passes = []
 
@@ -700,11 +700,11 @@ def test_streamed_closed_error_keeps_a_nan_in_the_last_block(tmp_path, monkeypat
         # only the second pass, the transform of the evolved wave, not the t = 0 pass
         passes.append(rows)
         for lo, block in row_blocks(site, prefactor, rows, out):
-            if len(passes) == 2 and lo + wigner._block_rows(2 * 150) >= rows.stop:
+            if len(passes) == 2 and lo + wigner.block_rows(2 * 150) >= rows.stop:
                 block[-1, -1] = np.nan
             yield lo, block
 
-    monkeypatch.setattr(wigner, "_row_blocks", nan_in_last_block)
+    monkeypatch.setattr(wigner, "row_blocks", nan_in_last_block)
     cfg = experiments.WignerGaussianConfig(n_modes=150, g=30.0, k0_cells=20)
     summary, _ = experiments.run_wigner_gaussian(cfg, get_units("natural"), cli.Staging(tmp_path))
     assert np.isnan(summary["closed_form_error_t"])
@@ -712,7 +712,7 @@ def test_streamed_closed_error_keeps_a_nan_in_the_last_block(tmp_path, monkeypat
 
 
 def test_t0_check_reads_the_ghost_rows(tmp_path, monkeypatch):
-    row_blocks = wigner._row_blocks
+    row_blocks = wigner.row_blocks
 
     passes = []
 
@@ -725,7 +725,7 @@ def test_t0_check_reads_the_ghost_rows(tmp_path, monkeypatch):
                 block[0, 0] = np.nan
             yield lo, block
 
-    monkeypatch.setattr(wigner, "_row_blocks", nan_in_row_0)
+    monkeypatch.setattr(wigner, "row_blocks", nan_in_row_0)
     cfg = experiments.WignerGaussianConfig(n_modes=150, g=30.0, k0_cells=20)
     summary, _ = experiments.run_wigner_gaussian(cfg, get_units("natural"), cli.Staging(tmp_path))
     assert np.isnan(summary["closed_form_error_t0"])
